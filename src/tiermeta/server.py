@@ -14,10 +14,11 @@ response line per request.
 
     errors                   -> ERR EXISTS|NOTFOUND|BADREQ <message>
 
-Concurrency model: every connection gets a reader thread, but all requests
-funnel through a single worker thread, so the interleaving of concurrent
-clients is trivially serializable. A separation check (and, if one runs, a
-checkpoint) follows every CREATE and DELETE.
+Concurrency model: every connection gets a thread of its own, which reads
+a request, handles it while holding one lock shared by all connections, and
+writes the reply. Requests therefore run one at a time, so any interleaving
+of concurrent clients is serializable. A separation check (and, if one runs,
+a checkpoint) follows every CREATE and DELETE.
 
 A store's on-disk home is one directory: ``fsimage`` (hot-tier checkpoint),
 ``fsimage2`` (cold store), ``edits.log`` (operations since the checkpoint).
@@ -26,14 +27,13 @@ A store's on-disk home is one directory: ``fsimage`` (hot-tier checkpoint),
 from __future__ import annotations
 
 import logging
-import queue
 import signal
 import socket
 import threading
 from pathlib import Path
 
 from .coldstore import ColdStore
-from .editlog import EditsLog
+from .editlog import OP_DELETE, EditsLog
 from .errors import NotFoundError, PathExistsError, TierMetaError
 from .fsimage import load_fsimage
 from .metrics import MetricsRecorder
@@ -52,9 +52,11 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 
     Recovery order: load the checkpoint image, open the cold store, restart
     the clock past every persisted tick, then replay the edits log with
-    accesses resolved through both tiers so promotions are reproduced. An
-    edit that no longer applies is logged and skipped; recovery keeps what
-    it can rather than refusing to start.
+    accesses resolved through both tiers so promotions are reproduced. A
+    DELETE whose path is in neither tier is already applied (a cold delete's
+    tombstone is durable the moment it is acknowledged), so only its tick is
+    consumed. Any other edit that no longer applies is logged and skipped;
+    recovery keeps what it can rather than refusing to start.
     """
     config = config or TieringConfig()
     data_dir = Path(data_dir)
@@ -81,7 +83,10 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     skipped = 0
     for event in edits.entries():
         try:
-            store.apply_event(event)
+            if event.op == OP_DELETE and not (event.path in store.hot or event.path in store.cold):
+                store.clock.tick_at(event.tick)
+            else:
+                store.apply_event(event)
         except (TierMetaError, ValueError) as exc:
             skipped += 1
             logger.warning("skipping unreplayable edit %s %s: %s", event.op, event.path, exc)
@@ -120,21 +125,21 @@ class MetadataServer:
         self.port = port
         self.bound_port: int | None = None
         self._listener: socket.socket | None = None
-        self._queue: queue.Queue = queue.Queue()
         self._conns: set[socket.socket] = set()
-        self._lock = threading.Lock()
+        self._conns_lock = threading.Lock()
+        # held by whichever connection is handling a request; see _reader_loop
+        self._store_lock = threading.Lock()
         self._stop = threading.Event()
+        # set, under _store_lock, once the final checkpoint is written
         self._stopping = False
-        self._threads: list[threading.Thread] = []
+        self._accept_thread: threading.Thread | None = None
 
     def start(self) -> None:
         """Bind and begin serving; returns once the port is accepting."""
         self._listener = socket.create_server((self.host, self.port))
         self.bound_port = self._listener.getsockname()[1]
-        for target in (self._accept_loop, self._worker_loop):
-            t = threading.Thread(target=target, daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
         logger.info("serving on %s:%d", self.host, self.bound_port)
         if self._stop.is_set():
             # shutdown was requested while we were still binding
@@ -142,14 +147,14 @@ class MetadataServer:
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the server has shut down (a client sent QUIT)."""
-        for t in self._threads:
-            t.join(timeout)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout)
 
     def shutdown(self) -> None:
         """Close sockets and stop threads; safe to call more than once.
 
-        The final checkpoint belongs to QUIT handling, not here: this is the
-        hard stop used for cleanup.
+        The final checkpoint belongs to QUIT handling and to :func:`serve`,
+        not here: this is the hard stop used for cleanup.
         """
         self._stop.set()
         # shutdown() before close(): close alone does not wake a thread
@@ -163,7 +168,7 @@ class MetadataServer:
                 self._listener.close()
             except OSError:
                 pass
-        with self._lock:
+        with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
             try:
@@ -186,7 +191,7 @@ class MetadataServer:
                 break
             # small request/response lines; don't let Nagle batch them
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
+            with self._conns_lock:
                 self._conns.add(conn)
             t = threading.Thread(target=self._reader_loop, args=(conn,), daemon=True)
             t.start()
@@ -195,9 +200,13 @@ class MetadataServer:
         rfile = conn.makefile("r", encoding="utf-8", newline="\n")
         try:
             for line in rfile:
-                reply: queue.Queue = queue.Queue(maxsize=1)
-                self._queue.put((line.rstrip("\n"), reply))
-                response, quitting = reply.get()
+                line = line.rstrip("\n")
+                with self._store_lock:
+                    try:
+                        response, quitting = self._dispatch(line)
+                    except Exception as exc:  # keep serving no matter what
+                        logger.exception("request failed: %r", line)
+                        response, quitting = f"ERR BADREQ internal error: {exc}", False
                 conn.sendall((response + "\n").encode("utf-8"))
                 if quitting:
                     self.shutdown()
@@ -205,29 +214,26 @@ class MetadataServer:
         except (OSError, ValueError):
             pass
         finally:
-            with self._lock:
+            with self._conns_lock:
                 self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _worker_loop(self) -> None:
-        while True:
-            try:
-                line, reply = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set():
-                    break
-                continue
-            try:
-                response, quitting = self._dispatch(line)
-            except Exception as exc:  # keep serving no matter what
-                logger.exception("request failed: %r", line)
-                response, quitting = f"ERR BADREQ internal error: {exc}", False
-            reply.put((response, quitting))
+    def _close_store(self) -> None:
+        """Write the final checkpoint unless QUIT already did, then close the store.
 
-    # -- request handling (worker thread only) ------------------------------
+        Taking the request lock waits out a request still running on some
+        connection, and setting ``_stopping`` turns away any that follow.
+        """
+        with self._store_lock:
+            if not self._stopping:
+                self._stopping = True
+                self.store.checkpoint(self.image_path)
+            self.store.close()
+
+    # -- request handling (with _store_lock held) -----------------------------
 
     def _dispatch(self, line: str) -> tuple[str, bool]:
         if self._stopping:
@@ -332,6 +338,5 @@ def serve(
         for signum, handler in restore.items():
             signal.signal(signum, handler)
         server.shutdown()
-        store.checkpoint(image_path)
-        store.close()
+        server._close_store()
     print("checkpointed, bye", flush=True)

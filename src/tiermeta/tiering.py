@@ -129,7 +129,7 @@ class TieredStore:
     """Facade tying together the hot tier, cold store, clock, and log.
 
     All mutating entry points assume a single caller at a time; the network
-    service funnels every request through one worker thread to honor that.
+    service handles each request while holding one lock to honor that.
     """
 
     def __init__(

@@ -6,12 +6,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
 
+from tiermeta import tiering
 from tiermeta.fsimage import load_fsimage
-from tiermeta.server import IMAGE_NAME, MetadataServer, open_store
+from tiermeta.server import IMAGE_NAME, MetadataServer, open_store, serve
 from tiermeta.tiering import TieringConfig
 
 
@@ -77,6 +79,25 @@ def test_pipelined_requests(running_server):
     client.close()
 
 
+def test_internal_error_answers_and_keeps_the_connection(running_server, monkeypatch):
+    server = running_server()
+    client = Client(server.bound_port)
+    assert client.ask("CREATE /e 1") == "OK created /e"
+    real_open = server.store.open
+    failures = []
+
+    def open_once_broken(path):
+        if not failures:
+            failures.append(path)
+            raise RuntimeError("disk on fire")
+        return real_open(path)
+
+    monkeypatch.setattr(server.store, "open", open_once_broken)
+    assert client.ask("OPEN /e") == "ERR BADREQ internal error: disk on fire"
+    assert client.ask("OPEN /e") == "OK path=/e length=1 blocks=1 last_access=1 count=2"
+    client.close()
+
+
 def test_concurrent_sessions_are_serializable(running_server, tmp_path):
     server = running_server(threshold=50, window=37)
     errors: list[str] = []
@@ -111,6 +132,58 @@ def test_concurrent_sessions_are_serializable(running_server, tmp_path):
     assert control.ask("QUIT") == "OK bye"
     server.wait(5)
     control.close()
+
+
+def test_concurrent_requests_run_one_at_a_time(running_server, monkeypatch):
+    # clients outnumber the cores, threads switch often, and each OPEN
+    # sleeps inside the store, so without the request lock two would overlap
+    server = running_server()
+    setup = Client(server.bound_port)
+    assert setup.ask("CREATE /shared 1") == "OK created /shared"
+    clients, opens = 8, 50
+    inside: list[str] = []
+    most_inside = []
+    real_open = server.store.open
+
+    def open_slowly(path):
+        inside.append(path)
+        most_inside.append(len(inside))
+        time.sleep(0.0005)
+        try:
+            return real_open(path)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(server.store, "open", open_slowly)
+    errors: list[str] = []
+
+    def open_many():
+        client = Client(server.bound_port)
+        try:
+            for _ in range(opens):
+                reply = client.ask("OPEN /shared")
+                if not reply.startswith("OK path=/shared "):
+                    errors.append(reply)
+        finally:
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=open_many) for _ in range(clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert max(most_inside) == 1
+    fields = parse_ok(setup.ask("STAT /shared"))
+    assert int(fields["count"]) == 1 + clients * opens
+    assert int(fields["last_access"]) == clients * opens
+    setup.close()
 
 
 def test_quit_checkpoints_and_recovery_restores(tmp_path):
@@ -161,6 +234,74 @@ def test_recovery_without_final_checkpoint_replays_edits(tmp_path):
         assert recovered.clock.now == 4  # past the DELETE tick
     finally:
         recovered.close()
+
+
+def test_replayed_delete_of_cold_path_is_not_skipped(tmp_path, caplog):
+    config = TieringConfig(threshold_records=100)
+    store = open_store(tmp_path, config)
+    for i in range(100):
+        store.create(f"/d/{i:03d}", 10)
+    store.separate()
+    store.checkpoint(tmp_path / IMAGE_NAME)
+    victim = store.cold.paths()[0]
+    delete_tick = store.clock.now
+    store.delete(victim)
+    store.close()  # no checkpoint: the DELETE lives only in the log and its tombstone
+
+    for _ in range(2):  # replay must not change what the next replay sees
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="tiermeta.server"):
+            recovered = open_store(tmp_path, config)
+        try:
+            assert "skipping unreplayable edit" not in caplog.text
+            assert victim not in recovered.cold and victim not in recovered.hot
+            assert len(recovered.hot) + len(recovered.cold) == 99
+            assert recovered.clock.now == delete_tick + 1
+        finally:
+            recovered.close()
+
+
+@pytest.mark.parametrize("stop", ["QUIT", "signal"])
+def test_serve_writes_one_checkpoint_per_shutdown(tmp_path, monkeypatch, stop):
+    saves = []
+    real_save = tiering.save_fsimage
+
+    def counting_save(hot, path):
+        saves.append(path)
+        real_save(hot, path)
+
+    monkeypatch.setattr(tiering, "save_fsimage", counting_save)
+    started = []
+    ready = threading.Event()
+    real_start = MetadataServer.start
+
+    def start(self):
+        real_start(self)
+        started.append(self)
+        ready.set()
+
+    monkeypatch.setattr(MetadataServer, "start", start)
+    thread = threading.Thread(target=serve, args=(tmp_path, TieringConfig(threshold_records=1000)))
+    thread.start()
+    try:
+        assert ready.wait(10), "server never started"
+        server = started[0]
+        client = Client(server.bound_port)
+        assert client.ask("CREATE /q/a 1") == "OK created /q/a"
+        if stop == "QUIT":
+            assert client.ask("QUIT") == "OK bye"
+        else:
+            server.shutdown()  # what the SIGINT/SIGTERM handler does
+        client.close()
+        thread.join(10)
+        assert not thread.is_alive()
+    finally:
+        if started:
+            started[0].shutdown()
+        thread.join(10)
+    assert len(saves) == 1
+    assert [r.path for r in load_fsimage(tmp_path / IMAGE_NAME)] == ["/q/a"]
+    assert (tmp_path / "edits.log").read_bytes() == b""
 
 
 def test_serve_checkpoints_on_sigterm(tmp_path):

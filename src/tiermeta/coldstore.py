@@ -26,7 +26,7 @@ from .errors import (
     NotFoundError,
 )
 from .namespace import MetadataRecord
-from .recordio import decode_record, encode_record
+from .recordio import decode_last_access, decode_record, encode_record
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +86,21 @@ class ColdStore:
             record = self.get(path)
             assert record is not None
             yield record
+
+    def last_accesses(self) -> Iterator[int]:
+        """Yield the ``last_access`` of every live record, in file order.
+
+        Only that field is read (see :func:`decode_last_access`), so a fault
+        elsewhere in a line is found by the first :meth:`get` of its path.
+        Tombstoned and superseded lines are not read at all.
+        """
+        seek, readline = self._file.seek, self._file.readline
+        for offset in sorted(self._index.values()):
+            seek(offset)
+            try:
+                yield decode_last_access(readline())
+            except ValueError as exc:
+                raise CorruptImageError(f"{self.path}: offset {offset}: {exc}") from None
 
     def append_records(self, records: list[MetadataRecord]) -> None:
         """Append records atomically: on failure the file is restored to its

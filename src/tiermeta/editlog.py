@@ -12,6 +12,7 @@ same line format, so trace replay and edits replay share this parser.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +23,9 @@ from .namespace import HotStore
 OP_CREATE = "CREATE"
 OP_ACCESS = "ACCESS"
 OP_DELETE = "DELETE"
+
+# bytes read back from the end of the log to find its last line
+_TAIL_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,17 +74,46 @@ def _parse_int(text: str, what: str) -> int:
 class EditsLog:
     """Append-only operation log backed by one file.
 
-    Opening an existing log scans it once to recover the last tick, so the
-    strictly-increasing append precondition survives process restarts.
+    Opening an existing log parses only its final line to recover the last
+    tick, so the strictly-increasing append precondition survives process
+    restarts without a second pass over the log. Since ticks increase, that
+    line holds the largest; :meth:`entries` validates every line on replay.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.last_tick = -1
         self._writer = None
-        if self.path.exists():
-            for event in self.entries():
-                self.last_tick = event.tick
+        tail = self._final_line()
+        if tail is not None:
+            try:
+                self.last_tick = parse_op_line(tail).tick
+            except ValueError:
+                # a full scan names the line and the reason
+                for event in self.entries():
+                    self.last_tick = event.tick
+
+    def _final_line(self) -> str | None:
+        """The log's last line without its newline, or None if there is none."""
+        try:
+            f = open(self.path, "rb")
+        except FileNotFoundError:
+            return None
+        with f:
+            end = f.seek(0, os.SEEK_END)
+            if end == 0:
+                return None
+            chunk = _TAIL_CHUNK
+            while True:
+                start = max(0, end - chunk)
+                f.seek(start)
+                data = f.read(end - start)
+                if data.endswith(b"\n"):
+                    data = data[:-1]
+                cut = data.rfind(b"\n")
+                if cut >= 0 or start == 0:
+                    return data[cut + 1:].decode("utf-8")
+                chunk *= 2
 
     def append(self, event: OpEvent) -> None:
         if event.tick <= self.last_tick:

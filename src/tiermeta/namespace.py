@@ -97,7 +97,7 @@ def validate_path(path: str) -> None:
         raise InvalidPathError("path is empty")
     if not path.startswith("/"):
         raise InvalidPathError(f"path is not absolute: {path!r}")
-    if any(c in _FORBIDDEN_PATH_CHARS for c in path):
+    if not _FORBIDDEN_PATH_CHARS.isdisjoint(path):
         raise InvalidPathError(f"path contains whitespace or NUL: {path!r}")
 
 

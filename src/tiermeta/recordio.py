@@ -14,6 +14,7 @@ from __future__ import annotations
 from .namespace import BlockInfo, MetadataRecord
 
 FIELD_COUNT = 7
+LAST_ACCESS_FIELD = 4
 
 
 def encode_record(record: MetadataRecord) -> str:
@@ -64,6 +65,18 @@ def decode_record(line: str) -> MetadataRecord:
         last_access=last_access,
         count=count,
     )
+
+
+def decode_last_access(line: bytes) -> int:
+    """Read only the ``last_access`` of one encoded record line.
+
+    Checks the field count and that one field; the rest is left to
+    :func:`decode_record`. Raises ValueError on either fault.
+    """
+    fields = line.split(b"\t")
+    if len(fields) != FIELD_COUNT:
+        raise ValueError(f"expected {FIELD_COUNT} tab-separated fields, got {len(fields)}")
+    return _non_negative_int(fields[LAST_ACCESS_FIELD].decode("utf-8", "replace"), "last_access")
 
 
 def _non_negative_int(text: str, what: str) -> int:

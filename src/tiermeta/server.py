@@ -57,6 +57,19 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     tombstone is durable the moment it is acknowledged), so only its tick is
     consumed. Any other edit that no longer applies is logged and skipped;
     recovery keeps what it can rather than refusing to start.
+
+    Each file is scanned once, and only what stays in RAM is decoded:
+
+    - ``fsimage``: every record is decoded and checked.
+    - ``fsimage2``: one scan builds the path-to-offset index and checks that
+      each line is a record or a tombstone. The clock restart then reads back
+      the live lines in offset order and takes only their ``last_access``
+      field; the clock starts at the max over hot and live cold records, plus
+      1, so a tombstoned line's tick does not count. The rest of a cold
+      record is decoded and checked on its first read, so a bad block list
+      raises CorruptImageError there, not here.
+    - ``edits.log``: its final line gives the log's last tick; the replay
+      parses and checks every line once.
     """
     config = config or TieringConfig()
     data_dir = Path(data_dir)
@@ -73,25 +86,29 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
             datanode_count=config.datanode_count,
         )
     cold = ColdStore(data_dir / COLD_NAME)
-    start = 0
-    for record in hot:
-        start = max(start, record.last_access + 1)
-    for record in cold.records():
-        start = max(start, record.last_access + 1)
-    store = TieredStore(cold, config, hot=hot, clock=LogicalClock(start))
-    edits = EditsLog(data_dir / EDITS_NAME)
-    skipped = 0
-    for event in edits.entries():
-        try:
-            if event.op == OP_DELETE and not (event.path in store.hot or event.path in store.cold):
-                store.clock.tick_at(event.tick)
-            else:
-                store.apply_event(event)
-        except (TierMetaError, ValueError) as exc:
-            skipped += 1
-            logger.warning("skipping unreplayable edit %s %s: %s", event.op, event.path, exc)
-    if skipped:
-        logger.warning("recovery skipped %d of the logged edits", skipped)
+    try:
+        start = 1 + max(
+            max((record.last_access for record in hot), default=-1),
+            max(cold.last_accesses(), default=-1),
+        )
+        store = TieredStore(cold, config, hot=hot, clock=LogicalClock(start))
+        edits = EditsLog(data_dir / EDITS_NAME)
+        skipped = 0
+        for event in edits.entries():
+            path = event.path
+            try:
+                if event.op == OP_DELETE and not (path in store.hot or path in store.cold):
+                    store.clock.tick_at(event.tick)
+                else:
+                    store.apply_event(event)
+            except (TierMetaError, ValueError) as exc:
+                skipped += 1
+                logger.warning("skipping unreplayable edit %s %s: %s", event.op, path, exc)
+        if skipped:
+            logger.warning("recovery skipped %d of the logged edits", skipped)
+    except BaseException:
+        cold.close()  # a store that failed to recover is never handed out
+        raise
     store.edits = edits
     # Counters restart with the process; replayed history is not activity.
     store.metrics = MetricsRecorder()

@@ -89,7 +89,6 @@ class SeparationOutcome:
     kept_count: int
     evicted_count: int
     mean_count: float
-    evicted_paths: tuple[str, ...]
     freed_bytes_estimate: int
 
     @property
@@ -102,18 +101,20 @@ class SeparationOutcome:
 
 
 def partition_records(
-    records: Iterable[MetadataRecord], now: int, window: int
+    records: Iterable[MetadataRecord], now: int, window: int, total: int | None = None
 ) -> tuple[list[MetadataRecord], list[MetadataRecord]]:
     """Split records into (kept, evicted) by the separation predicate.
 
     A record is kept when accessed within ``window`` ticks of ``now`` or
     when its count is strictly above the mean count of all records given.
+    ``total`` is the sum of their counts, for a caller that already has it.
     """
     recs = list(records)
     n = len(recs)
     if n == 0:
         raise EmptyStoreError("cannot separate an empty hot tier")
-    total = sum(r.count for r in recs)
+    if total is None:
+        total = sum(r.count for r in recs)
     kept: list[MetadataRecord] = []
     evicted: list[MetadataRecord] = []
     for r in recs:
@@ -246,8 +247,9 @@ class TieredStore:
         """
         now = self.clock.now
         n = len(self.hot)
-        kept, evicted = partition_records(self.hot, now, self.config.recency_window)
-        mean = self.hot.total_access_count() / n
+        total = self.hot.total_access_count()
+        kept, evicted = partition_records(self.hot, now, self.config.recency_window, total)
+        mean = total / n
         if not evicted:
             logger.warning(
                 "separation at tick %d evicted nothing (%d records, mean count %.3f); "
@@ -262,7 +264,6 @@ class TieredStore:
             kept_count=len(kept),
             evicted_count=len(evicted),
             mean_count=mean,
-            evicted_paths=tuple(r.path for r in evicted),
             freed_bytes_estimate=estimate_memory(len(evicted), self.config.bytes_per_record),
         )
         self.metrics.record_separation(

@@ -210,6 +210,21 @@ def test_log_append_and_scan(tmp_path):
     log2.close()
 
 
+def test_log_reads_its_last_tick_from_the_final_line(tmp_path):
+    path = tmp_path / "edits"
+    assert EditsLog(path).last_tick == -1
+    long_path = "/" + "x" * 10_000  # longer than one read back from the end
+    log = EditsLog(path)
+    for event in [OpEvent("CREATE", "/a", 3, 1), OpEvent("CREATE", long_path, 8, 2)]:
+        log.append(event)
+    log.close()
+    assert EditsLog(path).last_tick == 8
+    path.write_bytes(path.read_bytes() + b"ACCESS /a 11")  # no final newline
+    assert EditsLog(path).last_tick == 11
+    path.write_bytes(b"")
+    assert EditsLog(path).last_tick == -1
+
+
 def test_log_rejects_corruption(tmp_path):
     path = tmp_path / "edits"
     path.write_text("CREATE /a 5 0\nnot a line\n")

@@ -1,6 +1,7 @@
 """TCP protocol conformance, concurrency, and store lifecycle."""
 
 import os
+import re
 import select
 import signal
 import subprocess
@@ -11,9 +12,20 @@ import time
 import pytest
 from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
 
-from tiermeta import tiering
-from tiermeta.fsimage import load_fsimage
-from tiermeta.server import IMAGE_NAME, MetadataServer, open_store, serve
+from tiermeta import coldstore, editlog, recordio, tiering
+from tiermeta.coldstore import ColdStore
+from tiermeta.editlog import EditsLog, OpEvent
+from tiermeta.errors import CorruptImageError, CorruptLogError, OutOfOrderEditError
+from tiermeta.fsimage import load_fsimage, save_fsimage
+from tiermeta.namespace import HotStore
+from tiermeta.server import (
+    COLD_NAME,
+    EDITS_NAME,
+    IMAGE_NAME,
+    MetadataServer,
+    open_store,
+    serve,
+)
 from tiermeta.tiering import TieringConfig
 
 
@@ -326,3 +338,160 @@ def test_serve_checkpoints_on_sigterm(tmp_path):
     image = load_fsimage(tmp_path / IMAGE_NAME)
     assert [r.path for r in image] == ["/sig/a"]
     assert (tmp_path / "edits.log").read_bytes() == b""
+
+
+# -- what recovery reads ---------------------------------------------------
+
+
+def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=()):
+    """Lay out a store directory by hand.
+
+    ``hot`` and ``cold`` map paths to the ``last_access`` of a one-block
+    record; the image holds the hot ones, the cold file the cold ones in the
+    order given. Each path in ``tombstoned`` is then deleted from the cold
+    file, and ``edits`` go to the log.
+    """
+    image = HotStore()
+    for path, tick in hot.items():
+        image.create(path, 10, tick)
+    save_fsimage(image, data_dir / IMAGE_NAME)
+    spilled = HotStore()
+    cold_store = ColdStore(data_dir / COLD_NAME)
+    cold_store.append_records([spilled.create(p, 10, tick) for p, tick in cold.items()])
+    for path in tombstoned:
+        cold_store.delete(path)
+    cold_store.close()
+    log = EditsLog(data_dir / EDITS_NAME)
+    for event in edits:
+        log.append(event)
+    log.close()
+
+
+def rewrite_cold_field(data_dir, line, field, value):
+    """Replace one tab-separated field of one cold-file line; returns the line's offset."""
+    cold_path = data_dir / COLD_NAME
+    lines = cold_path.read_bytes().splitlines(keepends=True)
+    fields = lines[line].rstrip(b"\n").split(b"\t")
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
+    lines[line] = b"\t".join(fields) + b"\n"
+    cold_path.write_bytes(b"".join(lines))
+    return sum(len(x) for x in lines[:line])
+
+
+@pytest.mark.parametrize(
+    "cold, tombstoned, start",
+    [
+        # the highest persisted tick belongs only to a live cold record
+        ({"/c/old": 3, "/c/live": 9}, (), 10),
+        # a tombstoned cold line holds a higher tick than any live record
+        ({"/c/dead": 20, "/c/live": 6}, ("/c/dead",), 8),
+    ],
+    ids=["live-cold-max", "tombstoned-max"],
+)
+def test_clock_restarts_past_hot_and_live_cold_records(tmp_path, cold, tombstoned, start):
+    write_store_dir(tmp_path, hot={"/h/a": 5, "/h/b": 7}, cold=cold, tombstoned=tombstoned)
+    store = open_store(tmp_path)
+    try:
+        assert store.clock.now == start
+    finally:
+        store.close()
+
+
+def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, monkeypatch):
+    hot = {f"/h/{i}": i for i in range(5)}
+    cold = {f"/c/{i}": 5 + i for i in range(7)}
+    edits = [
+        OpEvent("CREATE", "/n/0", 20, 1),
+        OpEvent("ACCESS", "/h/0", 21),
+        OpEvent("DELETE", "/h/1", 22),
+        OpEvent("CREATE", "/n/1", 23, 4),
+    ]
+    write_store_dir(tmp_path, hot, cold, tombstoned=("/c/0",), edits=edits)
+    decoded, parsed = [], []
+    real_decode, real_parse = recordio.decode_record, editlog.parse_op_line
+
+    def counting_decode(line):
+        decoded.append(line)
+        return real_decode(line)
+
+    def counting_parse(line):
+        parsed.append(line)
+        return real_parse(line)
+
+    monkeypatch.setattr(recordio, "decode_record", counting_decode)
+    monkeypatch.setattr(coldstore, "decode_record", counting_decode)
+    monkeypatch.setattr(editlog, "parse_op_line", counting_parse)
+    store = open_store(tmp_path)
+    try:
+        assert len(decoded) == len(hot)  # the image's records, no cold one
+        assert len(edits) <= len(parsed) <= len(edits) + 1  # plus the tail, at most
+        assert sorted(store.hot.paths()) == ["/h/0", "/h/2", "/h/3", "/h/4", "/n/0", "/n/1"]
+        assert len(store.cold) == 6
+        assert store.clock.now == 24
+        assert store.edits.last_tick == 23
+        with pytest.raises(OutOfOrderEditError):
+            store.edits.append(OpEvent("ACCESS", "/n/0", 23))
+        assert store.create("/n/2", 1).last_access == 24
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("CREATE /a 5 0\nnot a line\nCREATE /b 1 4\n", "line 2"),
+        ("CREATE /a 5 0\nCREATE /b 1 2\nnot a line\n", "line 3"),
+        ("CREATE /a 5 3\nCREATE /b 1 2\n", "line 2: tick 2 not increasing"),
+    ],
+    ids=["middle", "tail", "order"],
+)
+def test_corrupt_log_fails_open_store(tmp_path, text, where):
+    (tmp_path / EDITS_NAME).write_text(text)
+    with pytest.raises(CorruptLogError, match=where):
+        open_store(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        (b"-3", "last_access is negative"),
+        (b"x", "last_access is not an integer"),
+        (None, "expected 7 tab-separated fields, got 6"),
+    ],
+    ids=["negative", "not-integer", "missing-field"],
+)
+def test_bad_last_access_in_a_live_cold_line_fails_open_store(tmp_path, value, reason):
+    write_store_dir(tmp_path, hot={}, cold={"/c/a": 1, "/c/b": 2})
+    offset = rewrite_cold_field(tmp_path, 1, 4, value)
+    with pytest.raises(CorruptImageError, match=f"{COLD_NAME}: offset {offset}: {reason}"):
+        open_store(tmp_path)
+
+
+def test_bad_last_access_in_a_tombstoned_cold_line_is_not_read(tmp_path):
+    write_store_dir(tmp_path, hot={}, cold={"/c/a": 1, "/c/b": 2}, tombstoned=("/c/a",))
+    rewrite_cold_field(tmp_path, 0, 4, b"x")
+    store = open_store(tmp_path)
+    try:
+        assert store.clock.now == 3
+        assert store.cold.paths() == ["/c/b"]
+    finally:
+        store.close()
+
+
+def test_bad_block_list_in_a_cold_line_fails_its_first_read(running_server, tmp_path):
+    write_store_dir(tmp_path, hot={"/h/a": 0}, cold={"/c/bad": 1, "/c/good": 2})
+    rewrite_cold_field(tmp_path, 0, 6, b"garbage")
+    server = running_server()  # opening reads last_access only
+    assert server.store.clock.now == 3
+    problem = f"{tmp_path / COLD_NAME}: offset 0: malformed block entry: 'garbage'"
+    with pytest.raises(CorruptImageError, match=re.escape(problem)):
+        server.store.cold.get("/c/bad")
+    client = Client(server.bound_port)
+    assert client.ask("OPEN /c/bad") == f"ERR BADREQ {problem}"
+    assert client.ask("STAT /c/good") == (
+        "OK path=/c/good length=10 blocks=1 last_access=2 count=1 tier=cold"
+    )
+    client.close()

@@ -37,7 +37,7 @@ from .namespace import (
 )
 from .recordio import decode_record, encode_record
 from .server import MetadataServer, open_store, serve
-from .tiering import SeparationOutcome, TieredStore, TieringConfig, partition_records
+from .tiering import TieredStore, TieringConfig, partition_records
 from .workload import WorkloadSpec, generate_trace, replay
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "OutOfOrderEditError",
     "PathExistsError",
     "SeparationEvent",
-    "SeparationOutcome",
     "TierMetaError",
     "TieredStore",
     "TieringConfig",

@@ -302,7 +302,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    before = sum(1 for _ in open(args.cold, "rb"))
+    with open(args.cold, "rb") as f:
+        before = sum(1 for _ in f)
     cold = ColdStore(args.cold)
     try:
         live = cold.compact()

@@ -38,7 +38,11 @@ class ColdStore:
         self.path = Path(path)
         self._file = open(self.path, "a+b")
         self._index: dict[str, int] = {}
-        self._rebuild_index()
+        try:
+            self._rebuild_index()
+        except BaseException:
+            self._file.close()
+            raise
 
     def _rebuild_index(self) -> None:
         self._index.clear()

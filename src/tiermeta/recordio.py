@@ -11,7 +11,7 @@ read with eyes and diffed with standard tools.
 
 from __future__ import annotations
 
-from .namespace import BlockInfo, MetadataRecord
+from .namespace import BlockInfo, MetadataRecord, share
 
 FIELD_COUNT = 7
 LAST_ACCESS_FIELD = 4
@@ -39,7 +39,7 @@ def decode_record(line: str) -> MetadataRecord:
     if not path.startswith("/"):
         raise ValueError(f"record path is not absolute: {path!r}")
     length = _non_negative_int(length_s, "length")
-    block_size = _non_negative_int(bs_s, "block_size")
+    block_size = share(_non_negative_int(bs_s, "block_size"))
     replication = _non_negative_int(repl_s, "replication")
     last_access = _non_negative_int(la_s, "last_access")
     count = _non_negative_int(count_s, "count")
@@ -50,11 +50,23 @@ def decode_record(line: str) -> MetadataRecord:
             if len(pieces) != 4:
                 raise ValueError(f"malformed block entry: {part!r}")
             bid = _non_negative_int(pieces[0], "block_id")
+            # An int equal to one already parsed from this line is that
+            # object, as it is in a record built by split_blocks.
             size = _non_negative_int(pieces[1], "block size")
+            if size == length:
+                size = length
+            elif size == block_size:
+                size = block_size
             stamp = _non_negative_int(pieces[2], "generation_stamp")
+            if stamp == last_access:
+                stamp = last_access
+            elif blocks and stamp == blocks[-1].generation_stamp:
+                stamp = blocks[-1].generation_stamp
             if not pieces[3]:
                 raise ValueError(f"block {bid} has no replicas")
-            replicas = tuple(_non_negative_int(n, "replica id") for n in pieces[3].split(";"))
+            replicas = share(
+                tuple(_non_negative_int(n, "replica id") for n in pieces[3].split(";"))
+            )
             blocks.append(BlockInfo(bid, size, stamp, replicas))
     return MetadataRecord(
         path=path,

@@ -22,7 +22,7 @@ from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from .errors import EmptyStoreError, NotFoundError, PathExistsError
 from .fsimage import save_fsimage
-from .metrics import LOOKUP_COLD, LOOKUP_HOT, LOOKUP_MISS, MetricsRecorder
+from .metrics import LOOKUP_COLD, LOOKUP_HOT, LOOKUP_MISS, MetricsRecorder, SeparationEvent
 from .namespace import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_DATANODE_COUNT,
@@ -79,25 +79,6 @@ class TieringConfig:
             "replication": self.replication,
             "datanode_count": self.datanode_count,
         }
-
-
-@dataclass(frozen=True, slots=True)
-class SeparationOutcome:
-    """Result of one separation pass."""
-
-    tick: int
-    kept_count: int
-    evicted_count: int
-    mean_count: float
-    freed_bytes_estimate: int
-
-    @property
-    def hot_size_before(self) -> int:
-        return self.kept_count + self.evicted_count
-
-    @property
-    def evicted_fraction(self) -> float:
-        return self.evicted_count / self.hot_size_before
 
 
 def partition_records(
@@ -232,18 +213,18 @@ class TieredStore:
             raise EmptyStoreError("mean access count is undefined for an empty hot tier")
         return self.hot.total_access_count() / n
 
-    def maybe_separate(self) -> SeparationOutcome | None:
+    def maybe_separate(self) -> SeparationEvent | None:
         """Run a separation pass if the hot tier has reached the threshold."""
         if len(self.hot) >= self.config.threshold_records:
             return self.separate()
         return None
 
-    def separate(self) -> SeparationOutcome:
+    def separate(self) -> SeparationEvent:
         """Move cold records out of the hot tier, all or nothing.
 
         The evicted records are appended to the cold store first; only once
         that write succeeds is the hot tier touched. On failure the store is
-        exactly as it was.
+        exactly as it was. Returns the event recorded in ``metrics``.
         """
         now = self.clock.now
         n = len(self.hot)
@@ -259,27 +240,20 @@ class TieredStore:
             self.cold.append_records(evicted)
             for record in evicted:
                 self.hot.remove(record.path)
-        outcome = SeparationOutcome(
+        event = self.metrics.record_separation(
             tick=now,
+            hot_size_before=n,
             kept_count=len(kept),
             evicted_count=len(evicted),
             mean_count=mean,
             freed_bytes_estimate=estimate_memory(len(evicted), self.config.bytes_per_record),
         )
-        self.metrics.record_separation(
-            tick=outcome.tick,
-            hot_size_before=outcome.hot_size_before,
-            kept_count=outcome.kept_count,
-            evicted_count=outcome.evicted_count,
-            mean_count=outcome.mean_count,
-            freed_bytes_estimate=outcome.freed_bytes_estimate,
-        )
         logger.info(
             "separation at tick %d: %d hot -> %d kept, %d evicted (%.1f%%), mean count %.3f",
-            now, n, outcome.kept_count, outcome.evicted_count,
-            100.0 * outcome.evicted_count / n, mean,
+            now, n, event.kept_count, event.evicted_count,
+            100.0 * event.evicted_count / n, mean,
         )
-        return outcome
+        return event
 
     # -- persistence -----------------------------------------------------
 

@@ -1,7 +1,41 @@
-"""Shared helpers for protocol-level tests."""
+"""Shared fixtures, and helpers for protocol-level tests."""
 
+import builtins
 import random
 import socket
+
+import pytest
+
+from tiermeta import namespace
+
+
+@pytest.fixture
+def empty_shared_tables(monkeypatch):
+    """Give the test empty tables of shared values, restored afterwards."""
+    monkeypatch.setattr(namespace, "_shared_values", {})
+    monkeypatch.setattr(namespace, "_rings", {})
+
+
+@pytest.fixture
+def opened_files(monkeypatch):
+    """Record every file that ``open`` in the given modules returns.
+
+    Call the fixture's value with the modules to watch; it returns the list
+    that later opens are appended to, so a test can check they were closed.
+    """
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = builtins.open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    def watch(*modules):
+        for module in modules:
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        return opened
+
+    return watch
 
 
 class Client:

@@ -35,7 +35,8 @@ def run_preset(preset, workdir, csv_path, jsonl_path):
     ])
     elapsed = time.perf_counter() - started
     assert code == 0
-    lines = [json.loads(line) for line in open(jsonl_path)]
+    with open(jsonl_path) as f:
+        lines = [json.loads(line) for line in f]
     events = [line for line in lines if line["kind"] == "event"]
     summary = next(line for line in lines if line["kind"] == "summary")
     return events, summary, elapsed

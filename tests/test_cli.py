@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tiermeta import cli, coldstore
 from tiermeta.cli import _build_parser, _resolve_knobs, main
 from tiermeta.coldstore import ColdStore
 from tiermeta.fsimage import save_fsimage
@@ -164,6 +165,21 @@ def test_inspect_and_compact_cold(tmp_path, capsys):
     assert code == 1
     assert "error:" in err
     assert not (tmp_path / "ghost").exists()
+
+
+def test_compact_closes_every_file_it_opens(tmp_path, capsys, opened_files):
+    store = HotStore()
+    for i in range(4):
+        store.create(f"/k/{i}", 100, i)
+    cold = ColdStore(tmp_path / "c")
+    cold.append_records(list(store))
+    cold.delete("/k/1")
+    cold.close()
+    opened = opened_files(cli, coldstore)
+    code, out, _ = run(capsys, "compact", "--cold", str(tmp_path / "c"))
+    assert code == 0
+    assert out == f"compacted {tmp_path / 'c'}: 5 lines -> 3 live records\n"
+    assert opened and all(f.closed for f in opened)
 
 
 def test_broken_pipe_dies_quietly(tmp_path):

@@ -80,7 +80,8 @@ def make_report():
 def test_csv_layout(tmp_path):
     dest = tmp_path / "r.csv"
     write_csv(make_report(), dest)
-    rows = list(csv.DictReader(open(dest, newline="")))
+    with open(dest, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert [r["kind"] for r in rows] == ["event", "event", "summary"]
     assert rows[0]["tick"] == "100"
     assert rows[0]["evicted_fraction"] == "0.25"
@@ -103,7 +104,8 @@ def test_empty_run_serializes_summary_only(tmp_path):
     report = build_report(MetricsRecorder(), config={}, bytes_per_record=600,
                           final_hot_records=0, final_cold_records=0)
     write_csv(report, tmp_path / "r.csv")
-    rows = list(csv.DictReader(open(tmp_path / "r.csv", newline="")))
+    with open(tmp_path / "r.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
     assert [r["kind"] for r in rows] == ["summary"]
     write_jsonl(report, tmp_path / "r.jsonl")
     kinds = [json.loads(line)["kind"]

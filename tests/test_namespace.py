@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tiermeta import namespace
 from tiermeta.errors import (
     FileTooLargeError,
     InvalidPathError,
@@ -13,9 +14,11 @@ from tiermeta.namespace import (
     BLOCK_INDEX_BITS,
     DEFAULT_BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
+    SHARED_VALUES_CAP,
     HotStore,
     LogicalClock,
     estimate_memory,
+    share,
     split_blocks,
     validate_path,
 )
@@ -170,3 +173,40 @@ def test_store_against_dict_model():
         assert record is not None
         assert (record.last_access, record.count) == (la, count)
     assert store.total_access_count() == sum(c for _, c in model.values())
+
+
+# -- shared values ---------------------------------------------------------
+
+
+def test_created_records_on_one_ring_share_their_replicas(empty_shared_tables):
+    store = HotStore()  # 2 nodes: even block ids start on node 0, odd on node 1
+    a = store.create("/r/a", 10, tick=0)
+    b = store.create("/r/b", 10, tick=2)
+    c = store.create("/r/c", 3 * DEFAULT_BLOCK_SIZE, tick=4)
+    assert a.blocks[0].replicas == (0, 1)
+    assert b.blocks[0].replicas is a.blocks[0].replicas
+    assert c.blocks[0].replicas is a.blocks[0].replicas
+    assert c.blocks[1].replicas == (1, 0)
+    assert c.blocks[1].replicas is share((1, 0))
+    assert c.blocks[2].replicas is a.blocks[0].replicas
+
+
+def test_share_keeps_the_first_object_until_the_cap(empty_shared_tables):
+    first = tuple([7, 8])
+    assert share(first) is first
+    assert share(tuple([7, 8])) is first
+    for i in range(SHARED_VALUES_CAP + 10):
+        share(1000 + i)
+    assert len(namespace._shared_values) == SHARED_VALUES_CAP
+    late = tuple([9, 10])
+    assert share(late) is late
+    assert share(tuple([9, 10])) is not late  # past the cap nothing new is kept
+
+
+def test_ring_table_stops_at_the_cap(empty_shared_tables):
+    nodes = 2 * SHARED_VALUES_CAP + 1
+    for tick in range(SHARED_VALUES_CAP + 10):
+        (block,) = split_blocks(1, 8, tick, 1, nodes)
+        assert block.replicas == ((tick << BLOCK_INDEX_BITS) % nodes,)
+    assert len(namespace._rings) == SHARED_VALUES_CAP
+    assert len(namespace._shared_values) == SHARED_VALUES_CAP

@@ -1,11 +1,14 @@
 """Record codec, checkpoint image, edits log, cold store."""
 
+import gc
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tiermeta import coldstore, namespace
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent, parse_op_line, replay_edits
 from tiermeta.errors import (
@@ -16,7 +19,15 @@ from tiermeta.errors import (
     OutOfOrderEditError,
 )
 from tiermeta.fsimage import load_fsimage, save_fsimage
-from tiermeta.namespace import HotStore, LogicalClock, MetadataRecord, split_blocks
+from tiermeta.namespace import (
+    DEFAULT_BLOCK_SIZE,
+    SHARED_VALUES_CAP,
+    BlockInfo,
+    HotStore,
+    LogicalClock,
+    MetadataRecord,
+    split_blocks,
+)
 from tiermeta.recordio import decode_record, encode_record
 
 # -- record lines ----------------------------------------------------------
@@ -83,6 +94,85 @@ def test_record_round_trip(record):
 def test_record_decode_rejects(line, what):
     with pytest.raises(ValueError, match=what):
         decode_record(line)
+
+
+# -- shared values in decoded records --------------------------------------
+
+
+def test_decoded_ints_reuse_equal_ints_of_their_line():
+    one = decode_record("/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1")
+    (block,) = one.blocks
+    assert block.size is one.length
+    assert block.generation_stamp is one.last_access
+    line = encode_record(HotStore().create("/three", 130 * 1024 * 1024, tick=42))
+    three = decode_record(line.replace("\t42\t1\t", "\t50\t2\t"))
+    full, _, tail = three.blocks
+    assert full.size is three.block_size
+    assert tail.size == 2 * 1024 * 1024
+    assert three.last_access == 50
+    assert all(b.generation_stamp is full.generation_stamp for b in three.blocks)
+    assert encode_record(three) == line.replace("\t42\t1\t", "\t50\t2\t")
+
+
+def test_loaded_and_cold_records_share_rings_and_block_size(tmp_path, empty_shared_tables):
+    store = HotStore()
+    for i in range(6):  # the 3-block files put their middle block on the other ring
+        store.create(f"/s/{i}", (1 + 2 * (i % 2)) * DEFAULT_BLOCK_SIZE - 1, tick=i)
+    save_fsimage(store, tmp_path / "img")
+    cold = ColdStore(tmp_path / "c2")
+    cold.append_records(list(store))
+    loaded = list(load_fsimage(tmp_path / "img"))
+    read = [cold.get(r.path) for r in store]
+    cold.close()
+    assert loaded == read == list(store)
+    blocks = [b for r in loaded + read for b in r.blocks]
+    rings = {id(namespace.share((0, 1))), id(namespace.share((1, 0)))}
+    assert {id(b.replicas) for b in blocks} == rings
+    assert {id(r.block_size) for r in loaded + read} == {id(loaded[0].block_size)}
+
+
+def test_replica_table_is_capped(empty_shared_tables):
+    originals = [
+        MetadataRecord(f"/cap/{i}", 5, 8, 2, (BlockInfo(i << 20, 5, i, (i, i + 1)),), i, 1)
+        for i in range(SHARED_VALUES_CAP + 50)
+    ]
+    decoded = [decode_record(encode_record(r)) for r in originals]
+    assert len(namespace._shared_values) == SHARED_VALUES_CAP
+    assert decoded == originals
+    last = decoded[-1].blocks[0].replicas
+    assert decode_record(encode_record(originals[-1])).blocks[0].replicas is not last
+    first = decoded[0].blocks[0].replicas
+    assert decode_record(encode_record(originals[0])).blocks[0].replicas is first
+
+
+def _traced_bytes(build):
+    # A full collection also empties the free lists of small objects, so the
+    # objects built are all counted and none freed while building is.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_store_holds_no_more_bytes_than_the_one_saved(tmp_path, empty_shared_tables):
+    def build():
+        store = HotStore()
+        for i in range(3000):
+            store.create(f"/m/{i:06d}", 1000 + 37 * i, 5000 + i)
+        for i in range(0, 3000, 3):
+            store.access(f"/m/{i:06d}", 90000 + i)
+        return store
+
+    created, created_bytes = _traced_bytes(build)
+    save_fsimage(created, tmp_path / "img")
+    loaded, loaded_bytes = _traced_bytes(lambda: load_fsimage(tmp_path / "img"))
+    assert len(loaded) == len(created)
+    assert loaded_bytes / len(loaded) <= created_bytes / len(created)
 
 
 # -- checkpoint image ------------------------------------------------------
@@ -429,3 +519,11 @@ def test_cold_rejects_corrupt_line(tmp_path):
     (tmp_path / "c2").write_text("what is this\n")
     with pytest.raises(CorruptImageError, match="line 1"):
         ColdStore(tmp_path / "c2")
+
+
+def test_cold_closes_its_file_when_the_index_scan_fails(tmp_path, opened_files):
+    (tmp_path / "c2").write_bytes(encode_record(cold_records(1)[0]).encode() + b"\nbad\n")
+    opened = opened_files(coldstore)
+    with pytest.raises(CorruptImageError, match="line 2"):
+        ColdStore(tmp_path / "c2")
+    assert len(opened) == 1 and opened[0].closed

@@ -318,23 +318,23 @@ def test_serve_writes_one_checkpoint_per_shutdown(tmp_path, monkeypatch, stop):
 
 def test_serve_checkpoints_on_sigterm(tmp_path):
     # the CLI process must treat a signal like QUIT: stop, then checkpoint
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "tiermeta.cli", "serve", str(tmp_path),
          "--bind", "127.0.0.1:0", "--threshold", "1000"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         env={**os.environ, "PYTHONUNBUFFERED": "1"},
-    )
-    try:
-        assert select.select([proc.stdout], [], [], 10)[0], "server never spoke"
-        line = proc.stdout.readline()
-        assert line.startswith("listening on 127.0.0.1:"), line
-        client = Client(int(line.rsplit(":", 1)[1]))
-        assert client.ask("CREATE /sig/a 1000") == "OK created /sig/a"
-        client.close()
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        proc.kill()
+    ) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 10)[0], "server never spoke"
+            line = proc.stdout.readline()
+            assert line.startswith("listening on 127.0.0.1:"), line
+            client = Client(int(line.rsplit(":", 1)[1]))
+            assert client.ask("CREATE /sig/a 1000") == "OK created /sig/a"
+            client.close()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
     image = load_fsimage(tmp_path / IMAGE_NAME)
     assert [r.path for r in image] == ["/sig/a"]
     assert (tmp_path / "edits.log").read_bytes() == b""

@@ -9,7 +9,8 @@ from tiermeta.workload import WorkloadSpec, generate_trace, replay
 
 
 def read_trace(path):
-    return [parse_op_line(line.rstrip("\n")) for line in open(path)]
+    with open(path) as f:
+        return [parse_op_line(line.rstrip("\n")) for line in f]
 
 
 def test_spec_validation():

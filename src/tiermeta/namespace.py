@@ -37,13 +37,12 @@ _FORBIDDEN_PATH_CHARS = set(" \t\r\n\x00")
 
 # Records repeat values that many other records hold too: a block size, a
 # replica ring. share() hands back one kept object per value, so each such
-# value costs its bytes once. Each table stops growing at SHARED_VALUES_CAP
-# entries; past it values are kept as given, so a file of odd values cannot
-# grow a table without bound.
+# value costs its bytes once. The table stops growing at SHARED_VALUES_CAP
+# entries and keeps no tuple longer than SHARED_TUPLE_MAX_LEN; other values
+# are kept as given, so a file of odd values cannot grow it without bound.
 SHARED_VALUES_CAP = 4096
+SHARED_TUPLE_MAX_LEN = 8
 _shared_values: dict[int | tuple[int, ...], int | tuple[int, ...]] = {}
-# (first node, effective replication, node count) -> shared replica ring
-_rings: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,25 +114,17 @@ def share(value: int | tuple[int, ...]) -> int | tuple[int, ...]:
     """Return the kept object equal to ``value`` (an int or a tuple of ints).
 
     The first value seen is kept while the table is below its cap; a value
-    seen after the table is full is returned as given.
+    seen after the table is full, or a tuple longer than
+    ``SHARED_TUPLE_MAX_LEN``, is returned as given.
     """
     kept = _shared_values.get(value)
     if kept is not None:
         return kept
-    if len(_shared_values) < SHARED_VALUES_CAP:
+    if len(_shared_values) < SHARED_VALUES_CAP and (
+        isinstance(value, int) or len(value) <= SHARED_TUPLE_MAX_LEN
+    ):
         _shared_values[value] = value
     return value
-
-
-def _ring(first: int, effective: int, datanode_count: int) -> tuple[int, ...]:
-    """The shared replica tuple of ``effective`` nodes round-robin from ``first``."""
-    key = (first, effective, datanode_count)
-    ring = _rings.get(key)
-    if ring is None:
-        ring = share(tuple((first + j) % datanode_count for j in range(effective)))
-        if len(_rings) < SHARED_VALUES_CAP:
-            _rings[key] = ring
-    return ring
 
 
 def split_blocks(
@@ -169,7 +160,7 @@ def split_blocks(
         size = min(block_size, remaining)
         remaining -= size
         block_id = (creation_tick << BLOCK_INDEX_BITS) | i
-        replicas = _ring(block_id % datanode_count, effective, datanode_count)
+        replicas = share(tuple((block_id + j) % datanode_count for j in range(effective)))
         blocks.append(BlockInfo(block_id, size, creation_tick, replicas))
     return tuple(blocks)
 

@@ -55,13 +55,9 @@ def decode_record(line: str) -> MetadataRecord:
             size = _non_negative_int(pieces[1], "block size")
             if size == length:
                 size = length
-            elif size == block_size:
-                size = block_size
             stamp = _non_negative_int(pieces[2], "generation_stamp")
             if stamp == last_access:
                 stamp = last_access
-            elif blocks and stamp == blocks[-1].generation_stamp:
-                stamp = blocks[-1].generation_stamp
             if not pieces[3]:
                 raise ValueError(f"block {bid} has no replicas")
             replicas = share(

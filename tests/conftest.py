@@ -13,7 +13,6 @@ from tiermeta import namespace
 def empty_shared_tables(monkeypatch):
     """Give the test empty tables of shared values, restored afterwards."""
     monkeypatch.setattr(namespace, "_shared_values", {})
-    monkeypatch.setattr(namespace, "_rings", {})
 
 
 @pytest.fixture

@@ -202,11 +202,3 @@ def test_share_keeps_the_first_object_until_the_cap(empty_shared_tables):
     assert share(late) is late
     assert share(tuple([9, 10])) is not late  # past the cap nothing new is kept
 
-
-def test_ring_table_stops_at_the_cap(empty_shared_tables):
-    nodes = 2 * SHARED_VALUES_CAP + 1
-    for tick in range(SHARED_VALUES_CAP + 10):
-        (block,) = split_blocks(1, 8, tick, 1, nodes)
-        assert block.replicas == ((tick << BLOCK_INDEX_BITS) % nodes,)
-    assert len(namespace._rings) == SHARED_VALUES_CAP
-    assert len(namespace._shared_values) == SHARED_VALUES_CAP

@@ -21,6 +21,7 @@ from tiermeta.errors import (
 from tiermeta.fsimage import load_fsimage, save_fsimage
 from tiermeta.namespace import (
     DEFAULT_BLOCK_SIZE,
+    SHARED_TUPLE_MAX_LEN,
     SHARED_VALUES_CAP,
     BlockInfo,
     HotStore,
@@ -100,18 +101,12 @@ def test_record_decode_rejects(line, what):
 
 
 def test_decoded_ints_reuse_equal_ints_of_their_line():
-    one = decode_record("/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1")
+    line = "/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1"
+    one = decode_record(line)
     (block,) = one.blocks
     assert block.size is one.length
     assert block.generation_stamp is one.last_access
-    line = encode_record(HotStore().create("/three", 130 * 1024 * 1024, tick=42))
-    three = decode_record(line.replace("\t42\t1\t", "\t50\t2\t"))
-    full, _, tail = three.blocks
-    assert full.size is three.block_size
-    assert tail.size == 2 * 1024 * 1024
-    assert three.last_access == 50
-    assert all(b.generation_stamp is full.generation_stamp for b in three.blocks)
-    assert encode_record(three) == line.replace("\t42\t1\t", "\t50\t2\t")
+    assert encode_record(one) == line
 
 
 def test_loaded_and_cold_records_share_rings_and_block_size(tmp_path, empty_shared_tables):
@@ -145,6 +140,15 @@ def test_replica_table_is_capped(empty_shared_tables):
     assert decode_record(encode_record(originals[0])).blocks[0].replicas is first
 
 
+def test_long_replica_tuples_are_not_kept(empty_shared_tables):
+    nodes = ";".join(str(n) for n in range(SHARED_TUPLE_MAX_LEN + 1))
+    line = f"/long\t5\t8\t2\t1\t1\t1048576@5@1@{nodes}"
+    record = decode_record(line)
+    assert len(record.blocks[0].replicas) == SHARED_TUPLE_MAX_LEN + 1
+    assert record.blocks[0].replicas not in namespace._shared_values
+    assert encode_record(record) == line
+
+
 def _traced_bytes(build):
     # A full collection also empties the free lists of small objects, so the
     # objects built are all counted and none freed while building is.
@@ -159,7 +163,18 @@ def _traced_bytes(build):
         tracemalloc.stop()
 
 
-def test_loaded_store_holds_no_more_bytes_than_the_one_saved(tmp_path, empty_shared_tables):
+def _objects_per_record(records):
+    """Distinct objects the records hold, per record; a shared one counts once."""
+    seen = set()
+    for r in records:
+        fields = (r, r.path, r.length, r.block_size, r.replication, r.blocks, r.last_access, r.count)
+        seen.update(map(id, fields))
+        for b in r.blocks:
+            seen.update(map(id, (b, b.block_id, b.size, b.generation_stamp, b.replicas)))
+    return len(seen) / len(records)
+
+
+def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path, empty_shared_tables):
     def build():
         store = HotStore()
         for i in range(3000):
@@ -171,8 +186,11 @@ def test_loaded_store_holds_no_more_bytes_than_the_one_saved(tmp_path, empty_sha
     created, created_bytes = _traced_bytes(build)
     save_fsimage(created, tmp_path / "img")
     loaded, loaded_bytes = _traced_bytes(lambda: load_fsimage(tmp_path / "img"))
-    assert len(loaded) == len(created)
-    assert loaded_bytes / len(loaded) <= created_bytes / len(created)
+    assert list(loaded) == list(created)
+    assert _objects_per_record(list(loaded)) <= _objects_per_record(list(created))
+    # Allocator and dict-growth detail move the bytes by a few per cent either
+    # way; unshared copies in the loaded records would add about 15%.
+    assert loaded_bytes / len(loaded) <= 1.05 * created_bytes / len(created)
 
 
 # -- checkpoint image ------------------------------------------------------

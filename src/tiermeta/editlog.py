@@ -62,13 +62,12 @@ def parse_op_line(line: str) -> OpEvent:
 
 
 def _parse_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer: {text!r}") from None
-    if value < 0:
-        raise ValueError(f"{what} is negative: {value}")
-    return value
+    """A non-negative int written in ASCII digits only: no sign, space or ``_``."""
+    if text.isdigit() and text.isascii():
+        return int(text)
+    if text.startswith("-") and text[1:].isdigit() and text[1:].isascii():
+        raise ValueError(f"{what} is negative: {text}")
+    raise ValueError(f"{what} is not an integer: {text!r}")
 
 
 class EditsLog:

@@ -52,7 +52,8 @@ def load_fsimage(
     """Read a checkpoint back into a fresh hot store.
 
     The creation defaults are not part of the image; callers supply the same
-    configuration the namespace was running with.
+    configuration the namespace was running with. A record whose blocks were
+    placed on another ``datanode_count`` fails the load.
     """
     store = HotStore(
         block_size=block_size, replication=replication, datanode_count=datanode_count
@@ -75,7 +76,7 @@ def load_fsimage(
             if not line.endswith("\n"):
                 raise CorruptImageError(f"{src}: line {lineno}: truncated record")
             try:
-                record = recordio.decode_record(line[:-1])
+                record = recordio.decode_record(line[:-1], datanode_count)
             except ValueError as exc:
                 raise CorruptImageError(f"{src}: line {lineno}: {exc}") from None
             if record.path in store:

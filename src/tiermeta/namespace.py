@@ -1,15 +1,17 @@
 """In-memory filesystem namespace: the hot tier.
 
 Each file is one :class:`MetadataRecord` keyed by its absolute path. A record
-carries the simulated block layout plus the two fields the tiering policy
-reads: ``last_access`` (a logical tick) and ``count`` (how many times the
-file has been touched, creation included).
+carries what its simulated block layout derives from plus the two fields the
+tiering policy reads: ``last_access`` (a logical tick) and ``count`` (how
+many times the file has been touched, creation included).
 
 Time is a :class:`LogicalClock`: every namespace-mutating or access event
 consumes exactly one tick, so a given operation sequence always produces the
 same store state. Block ids encode (creation tick, block index), which keeps
 them unique for the life of the namespace and lets a checkpoint-plus-log
 replay mint identical ids without any allocator state in the checkpoint.
+Since a file's blocks follow from its length, geometry and creation tick,
+a record stores that tick and derives its blocks on demand.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ MAX_BLOCKS_PER_FILE = 1 << BLOCK_INDEX_BITS
 
 _FORBIDDEN_PATH_CHARS = set(" \t\r\n\x00")
 
-# Records repeat values that many other records hold too: a block size, a
-# replica ring. share() hands back one kept object per value, so each such
-# value costs its bytes once. The table stops growing at SHARED_VALUES_CAP
-# entries and keeps no tuple longer than SHARED_TUPLE_MAX_LEN; other values
-# are kept as given, so a file of odd values cannot grow it without bound.
-SHARED_VALUES_CAP = 4096
-SHARED_TUPLE_MAX_LEN = 8
-_shared_values: dict[int | tuple[int, ...], int | tuple[int, ...]] = {}
-
 
 @dataclass(frozen=True, slots=True)
 class BlockInfo:
@@ -59,18 +52,28 @@ class BlockInfo:
 class MetadataRecord:
     """Namespace entry for a single file.
 
-    ``blocks`` is immutable after creation; ``last_access`` and ``count``
-    are the only fields that change over a record's lifetime, and both are
-    non-decreasing.
+    The blocks are not stored: :attr:`blocks` derives them from ``length``,
+    ``block_size``, ``replication``, the creation tick ``created`` and the
+    store's ``datanode_count``. An empty file has no blocks and its
+    ``created`` is 0. ``last_access`` and ``count`` are the only fields that
+    change over a record's lifetime, and both are non-decreasing.
     """
 
     path: str
     length: int
     block_size: int
     replication: int
-    blocks: tuple[BlockInfo, ...]
+    created: int
     last_access: int
     count: int
+    datanode_count: int
+
+    @property
+    def blocks(self) -> tuple[BlockInfo, ...]:
+        """The file's blocks, built anew on each read (see :func:`split_blocks`)."""
+        return split_blocks(
+            self.length, self.block_size, self.created, self.replication, self.datanode_count
+        )
 
 
 class LogicalClock:
@@ -110,21 +113,22 @@ def validate_path(path: str) -> None:
         raise InvalidPathError(f"path contains whitespace or NUL: {path!r}")
 
 
-def share(value: int | tuple[int, ...]) -> int | tuple[int, ...]:
-    """Return the kept object equal to ``value`` (an int or a tuple of ints).
+def block_count(length: int, block_size: int) -> int:
+    """How many blocks a file of ``length`` bytes takes.
 
-    The first value seen is kept while the table is below its cap; a value
-    seen after the table is full, or a tuple longer than
-    ``SHARED_TUPLE_MAX_LEN``, is returned as given.
+    Raises ValueError for a negative length or a block size below 1, and
+    FileTooLargeError past ``MAX_BLOCKS_PER_FILE``.
     """
-    kept = _shared_values.get(value)
-    if kept is not None:
-        return kept
-    if len(_shared_values) < SHARED_VALUES_CAP and (
-        isinstance(value, int) or len(value) <= SHARED_TUPLE_MAX_LEN
-    ):
-        _shared_values[value] = value
-    return value
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if block_size <= 0:
+        raise ValueError("block_size must be positive")
+    n_blocks = -(-length // block_size)
+    if n_blocks > MAX_BLOCKS_PER_FILE:
+        raise FileTooLargeError(
+            f"{n_blocks} blocks exceeds the per-file limit of {MAX_BLOCKS_PER_FILE}"
+        )
+    return n_blocks
 
 
 def split_blocks(
@@ -139,20 +143,9 @@ def split_blocks(
     Every block except possibly the last has exactly ``block_size`` bytes;
     a zero-length file has no blocks. Replicas are placed round-robin over
     the virtual DataNodes starting at ``block_id mod datanode_count``, with
-    the effective replication capped at the node count. Blocks on the same
-    nodes hold the same replica tuple (see :func:`share`).
+    the effective replication capped at the node count.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    if length == 0:
-        return ()
-    n_blocks = -(-length // block_size)
-    if n_blocks > MAX_BLOCKS_PER_FILE:
-        raise FileTooLargeError(
-            f"{n_blocks} blocks exceeds the per-file limit of {MAX_BLOCKS_PER_FILE}"
-        )
+    n_blocks = block_count(length, block_size)
     effective = min(replication, datanode_count)
     blocks = []
     remaining = length
@@ -160,7 +153,7 @@ def split_blocks(
         size = min(block_size, remaining)
         remaining -= size
         block_id = (creation_tick << BLOCK_INDEX_BITS) | i
-        replicas = share(tuple((block_id + j) % datanode_count for j in range(effective)))
+        replicas = tuple((block_id + j) % datanode_count for j in range(effective))
         blocks.append(BlockInfo(block_id, size, creation_tick, replicas))
     return tuple(blocks)
 
@@ -205,30 +198,25 @@ class HotStore:
         """Pure lookup; returns None on miss, touches no bookkeeping."""
         return self._records.get(path)
 
-    def create(
-        self,
-        path: str,
-        length: int,
-        tick: int,
-        block_size: int | None = None,
-        replication: int | None = None,
-    ) -> MetadataRecord:
-        """Insert a new file record; creation counts as its first access."""
+    def create(self, path: str, length: int, tick: int) -> MetadataRecord:
+        """Insert a new file record; creation counts as its first access.
+
+        Raises FileTooLargeError for a file of more than
+        ``MAX_BLOCKS_PER_FILE`` blocks, before anything is stored.
+        """
         validate_path(path)
         if path in self._records:
             raise PathExistsError(f"path already exists: {path}")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        bs = self.block_size if block_size is None else block_size
-        repl = self.replication if replication is None else replication
+        block_count(length, self.block_size)
         record = MetadataRecord(
             path=path,
             length=length,
-            block_size=bs,
-            replication=repl,
-            blocks=split_blocks(length, bs, tick, repl, self.datanode_count),
+            block_size=self.block_size,
+            replication=self.replication,
+            created=tick if length else 0,
             last_access=tick,
             count=1,
+            datanode_count=self.datanode_count,
         )
         self._records[path] = record
         return record

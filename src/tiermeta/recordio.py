@@ -7,22 +7,55 @@ One record per line, UTF-8, LF, tab-separated fields:
 ``blocks`` is a comma-separated list of ``blockId@size@genStamp@node1;node2;...``
 entries, or the empty string for a zero-length file. The format is meant to be
 read with eyes and diffed with standard tools.
+
+A record does not store its blocks (see :class:`~tiermeta.namespace.MetadataRecord`):
+the writer derives the list, and the reader derives it again from the other
+fields, the first block id and the reading store's DataNode count, and
+requires the two to be equal.
 """
 
 from __future__ import annotations
 
-from .namespace import BlockInfo, MetadataRecord, share
+from .errors import FileTooLargeError
+from .namespace import (
+    BLOCK_INDEX_BITS,
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_DATANODE_COUNT,
+    MetadataRecord,
+    block_count,
+)
 
 FIELD_COUNT = 7
 LAST_ACCESS_FIELD = 4
+_BLOCK_PARTS = ("block id", "size", "generation stamp", "replicas")
+
+
+def format_blocks(
+    length: int, block_size: int, created: int, replication: int, datanode_count: int
+) -> str:
+    """The ``blocks`` field of a record: :func:`~tiermeta.namespace.split_blocks`
+    in line form, written from the same arithmetic without building blocks."""
+    if not length:
+        return ""
+    n_blocks = -(-length // block_size)
+    effective = range(min(replication, datanode_count))
+    first = created << BLOCK_INDEX_BITS
+    if n_blocks == 1:  # most files: no per-block list, ~0.5 us less per record
+        ring = ";".join([str((first + j) % datanode_count) for j in effective])
+        return f"{first}@{length}@{created}@{ring}"
+    last = n_blocks - 1
+    return ",".join([
+        f"{first + i}@{block_size if i < last else length - last * block_size}@{created}@"
+        + ";".join([str((first + i + j) % datanode_count) for j in effective])
+        for i in range(n_blocks)
+    ])
 
 
 def encode_record(record: MetadataRecord) -> str:
     """Serialize one record to its line form (no trailing newline)."""
-    blocks = ",".join(
-        f"{b.block_id}@{b.size}@{b.generation_stamp}@"
-        + ";".join(str(n) for n in b.replicas)
-        for b in record.blocks
+    blocks = format_blocks(
+        record.length, record.block_size, record.created, record.replication,
+        record.datanode_count,
     )
     return (
         f"{record.path}\t{record.length}\t{record.block_size}\t"
@@ -30,8 +63,14 @@ def encode_record(record: MetadataRecord) -> str:
     )
 
 
-def decode_record(line: str) -> MetadataRecord:
-    """Parse one record line; raises ValueError on any malformation."""
+def decode_record(line: str, datanode_count: int = DEFAULT_DATANODE_COUNT) -> MetadataRecord:
+    """Parse one record line; raises ValueError on any malformation.
+
+    The creation tick is read from the first block id. The block list must
+    then equal, byte for byte, the one that tick and the other fields give
+    on ``datanode_count`` DataNodes, so every value on the line is checked
+    and ``encode_record(decode_record(line)) == line``.
+    """
     fields = line.split("\t")
     if len(fields) != FIELD_COUNT:
         raise ValueError(f"expected {FIELD_COUNT} tab-separated fields, got {len(fields)}")
@@ -39,40 +78,60 @@ def decode_record(line: str) -> MetadataRecord:
     if not path.startswith("/"):
         raise ValueError(f"record path is not absolute: {path!r}")
     length = _non_negative_int(length_s, "length")
-    block_size = share(_non_negative_int(bs_s, "block_size"))
+    block_size = _non_negative_int(bs_s, "block_size")
+    if block_size == DEFAULT_BLOCK_SIZE:
+        block_size = DEFAULT_BLOCK_SIZE  # one object for the common value
     replication = _non_negative_int(repl_s, "replication")
     last_access = _non_negative_int(la_s, "last_access")
     count = _non_negative_int(count_s, "count")
-    blocks: list[BlockInfo] = []
-    if blocks_s:
-        for part in blocks_s.split(","):
-            pieces = part.split("@")
-            if len(pieces) != 4:
-                raise ValueError(f"malformed block entry: {part!r}")
-            bid = _non_negative_int(pieces[0], "block_id")
-            # An int equal to one already parsed from this line is that
-            # object, as it is in a record built by split_blocks.
-            size = _non_negative_int(pieces[1], "block size")
-            if size == length:
-                size = length
-            stamp = _non_negative_int(pieces[2], "generation_stamp")
-            if stamp == last_access:
-                stamp = last_access
-            if not pieces[3]:
-                raise ValueError(f"block {bid} has no replicas")
-            replicas = share(
-                tuple(_non_negative_int(n, "replica id") for n in pieces[3].split(";"))
-            )
-            blocks.append(BlockInfo(bid, size, stamp, replicas))
+    if not replication:
+        raise ValueError("replication is 0")
+    try:
+        n_blocks = block_count(length, block_size)
+    except FileTooLargeError as exc:
+        raise ValueError(str(exc)) from None
+    listed = blocks_s.count(",") + 1 if blocks_s else 0
+    if listed != n_blocks:
+        raise ValueError(
+            f"length {length} takes {n_blocks} blocks of {block_size}, the line lists {listed}"
+        )
+    created = 0
+    if n_blocks:
+        first = blocks_s.split("@", 1)[0]
+        if not _is_decimal(first):
+            raise ValueError(f"malformed block entry: {blocks_s.split(',', 1)[0]!r}")
+        created = int(first) >> BLOCK_INDEX_BITS
+        if created == last_access:
+            created = last_access  # the same object, as in a record never reopened
+        expected = format_blocks(length, block_size, created, replication, datanode_count)
+        if blocks_s != expected:
+            raise ValueError(_block_mismatch(blocks_s, expected))
     return MetadataRecord(
         path=path,
         length=length,
         block_size=block_size,
         replication=replication,
-        blocks=tuple(blocks),
+        created=created,
         last_access=last_access,
         count=count,
+        datanode_count=datanode_count,
     )
+
+
+def _block_mismatch(got: str, expected: str) -> str:
+    """Name the first entry of a block list that differs from the derived one."""
+    for entry, want in zip(got.split(","), expected.split(",")):
+        if entry == want:
+            continue
+        parts = entry.split("@")
+        if len(parts) != len(_BLOCK_PARTS):
+            return f"malformed block entry: {entry!r}"
+        if not parts[-1]:
+            return f"malformed block entry: {entry!r}: no replicas"
+        for name, part, derived in zip(_BLOCK_PARTS, parts, want.split("@")):
+            if part != derived:
+                return f"malformed block entry: {entry!r}: {name} is not the derived {derived!r}"
+    return f"block list is not the derived {expected!r}"
 
 
 def decode_last_access(line: bytes) -> int:
@@ -87,11 +146,14 @@ def decode_last_access(line: bytes) -> int:
     return _non_negative_int(fields[LAST_ACCESS_FIELD].decode("utf-8", "replace"), "last_access")
 
 
+def _is_decimal(text: str) -> bool:
+    """ASCII digits in the one form ``str`` writes: no sign, no leading zero."""
+    return text.isdigit() and text.isascii() and (text[0] != "0" or text == "0")
+
+
 def _non_negative_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer: {text!r}") from None
-    if value < 0:
-        raise ValueError(f"{what} is negative: {value}")
-    return value
+    if _is_decimal(text):
+        return int(text)
+    if text.startswith("-") and _is_decimal(text[1:]):
+        raise ValueError(f"{what} is negative: {text}")
+    raise ValueError(f"{what} is not an integer: {text!r}")

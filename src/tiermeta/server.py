@@ -60,7 +60,8 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 
     Each file is scanned once, and only what stays in RAM is decoded:
 
-    - ``fsimage``: every record is decoded and checked.
+    - ``fsimage``: every record is decoded and checked, its block list
+      against ``config.datanode_count`` too.
     - ``fsimage2``: one scan builds the path-to-offset index and checks that
       each line is a record or a tombstone. The clock restart then reads back
       the live lines in offset order and takes only their ``last_access``
@@ -85,7 +86,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
             replication=config.replication,
             datanode_count=config.datanode_count,
         )
-    cold = ColdStore(data_dir / COLD_NAME)
+    cold = ColdStore(data_dir / COLD_NAME, config.datanode_count)
     try:
         start = 1 + max(
             max((record.last_access for record in hot), default=-1),
@@ -118,7 +119,8 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 
 def format_record(record: MetadataRecord, tier: str | None = None) -> str:
     line = (
-        f"OK path={record.path} length={record.length} blocks={len(record.blocks)} "
+        f"OK path={record.path} length={record.length} "
+        f"blocks={-(-record.length // record.block_size)} "
         f"last_access={record.last_access} count={record.count}"
     )
     if tier is not None:

@@ -6,14 +6,6 @@ import socket
 
 import pytest
 
-from tiermeta import namespace
-
-
-@pytest.fixture
-def empty_shared_tables(monkeypatch):
-    """Give the test empty tables of shared values, restored afterwards."""
-    monkeypatch.setattr(namespace, "_shared_values", {})
-
 
 @pytest.fixture
 def opened_files(monkeypatch):

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tiermeta import namespace
 from tiermeta.errors import (
     FileTooLargeError,
     InvalidPathError,
@@ -14,11 +13,9 @@ from tiermeta.namespace import (
     BLOCK_INDEX_BITS,
     DEFAULT_BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
-    SHARED_VALUES_CAP,
     HotStore,
     LogicalClock,
     estimate_memory,
-    share,
     split_blocks,
     validate_path,
 )
@@ -175,30 +172,24 @@ def test_store_against_dict_model():
     assert store.total_access_count() == sum(c for _, c in model.values())
 
 
-# -- shared values ---------------------------------------------------------
+# -- derived blocks --------------------------------------------------------
 
 
-def test_created_records_on_one_ring_share_their_replicas(empty_shared_tables):
-    store = HotStore()  # 2 nodes: even block ids start on node 0, odd on node 1
-    a = store.create("/r/a", 10, tick=0)
-    b = store.create("/r/b", 10, tick=2)
-    c = store.create("/r/c", 3 * DEFAULT_BLOCK_SIZE, tick=4)
-    assert a.blocks[0].replicas == (0, 1)
-    assert b.blocks[0].replicas is a.blocks[0].replicas
-    assert c.blocks[0].replicas is a.blocks[0].replicas
-    assert c.blocks[1].replicas == (1, 0)
-    assert c.blocks[1].replicas is share((1, 0))
-    assert c.blocks[2].replicas is a.blocks[0].replicas
+def test_created_record_holds_its_tick_and_derives_its_blocks():
+    store = HotStore()
+    record = store.create("/d/a", 130 * MIB, tick=42)
+    assert (record.created, record.datanode_count) == (42, 2)
+    assert record.blocks == split_blocks(130 * MIB, DEFAULT_BLOCK_SIZE, 42, 3, 2)
+    store.access("/d/a", tick=50)
+    assert record.created == 42
+    assert record.blocks == split_blocks(130 * MIB, DEFAULT_BLOCK_SIZE, 42, 3, 2)
+    assert store.create("/d/empty", 0, tick=51).created == 0
 
 
-def test_share_keeps_the_first_object_until_the_cap(empty_shared_tables):
-    first = tuple([7, 8])
-    assert share(first) is first
-    assert share(tuple([7, 8])) is first
-    for i in range(SHARED_VALUES_CAP + 10):
-        share(1000 + i)
-    assert len(namespace._shared_values) == SHARED_VALUES_CAP
-    late = tuple([9, 10])
-    assert share(late) is late
-    assert share(tuple([9, 10])) is not late  # past the cap nothing new is kept
-
+def test_create_refuses_a_file_past_the_block_limit():
+    store = HotStore()
+    with pytest.raises(FileTooLargeError):
+        store.create("/big", MAX_BLOCKS_PER_FILE * DEFAULT_BLOCK_SIZE + 1, tick=0)
+    assert "/big" not in store and len(store) == 0
+    # the largest file allowed is still created, without building its blocks
+    assert store.create("/max", MAX_BLOCKS_PER_FILE * DEFAULT_BLOCK_SIZE, tick=1).created == 1

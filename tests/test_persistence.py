@@ -6,9 +6,9 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tiermeta import coldstore, namespace
+from tiermeta import coldstore
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent, parse_op_line, replay_edits
 from tiermeta.errors import (
@@ -21,14 +21,12 @@ from tiermeta.errors import (
 from tiermeta.fsimage import load_fsimage, save_fsimage
 from tiermeta.namespace import (
     DEFAULT_BLOCK_SIZE,
-    SHARED_TUPLE_MAX_LEN,
-    SHARED_VALUES_CAP,
-    BlockInfo,
     HotStore,
     LogicalClock,
     MetadataRecord,
     split_blocks,
 )
+from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import decode_record, encode_record
 
 # -- record lines ----------------------------------------------------------
@@ -70,15 +68,26 @@ def record_strategy(draw):
         length=length,
         block_size=block_size,
         replication=replication,
-        blocks=split_blocks(length, block_size, tick, replication, nodes),
+        created=tick if length else 0,
         last_access=draw(st.integers(min_value=0, max_value=2**40)),
         count=draw(st.integers(min_value=1, max_value=10**6)),
+        datanode_count=nodes,
+    )
+
+
+def blocks_text(blocks):
+    """The blocks field written entry by entry from BlockInfo objects."""
+    return ",".join(
+        f"{b.block_id}@{b.size}@{b.generation_stamp}@" + ";".join(str(n) for n in b.replicas)
+        for b in blocks
     )
 
 
 @given(record_strategy())
 def test_record_round_trip(record):
-    assert decode_record(encode_record(record)) == record
+    line = encode_record(record)
+    assert line.split("\t")[6] == blocks_text(record.blocks)
+    assert decode_record(line, record.datanode_count) == record
 
 
 @pytest.mark.parametrize(
@@ -97,56 +106,103 @@ def test_record_decode_rejects(line, what):
         decode_record(line)
 
 
-# -- shared values in decoded records --------------------------------------
+def test_decode_rejects_ints_not_written_in_plain_digits():
+    with pytest.raises(ValueError, match="length is not an integer: '1_0'"):
+        decode_record("/a\t1_0\t 64\t3\t+5\t1\t")
+    for text in (" 64", "+5", "\u0663", "07"):
+        with pytest.raises(ValueError, match="last_access is not an integer"):
+            decode_record(f"/a\t0\t64\t3\t{text}\t1\t")
+
+
+def test_decode_rejects_a_length_without_its_blocks():
+    with pytest.raises(ValueError, match="length 10 takes 1 blocks of 64, the line lists 0"):
+        decode_record("/a\t10\t64\t3\t5\t1\t")
+    with pytest.raises(ValueError, match="length 0 takes 0 blocks"):
+        decode_record("/a\t0\t64\t3\t5\t1\t5242880@10@5@1;0")
+
+
+def _golden_with_block(i, entry):
+    entries = GOLDEN_LINE.split("\t")[6].split(",")
+    entries[i] = entry
+    return "\t".join(GOLDEN_LINE.split("\t")[:6] + [",".join(entries)])
+
+
+@pytest.mark.parametrize(
+    "i, entry, what",
+    [
+        (0, "44040195@67108864@42@0;1", "block id"),
+        (1, "44040192@67108864@42@1;0", "block id"),
+        (2, "44040194@2097153@42@0;1", "size"),
+        (1, "44040193@67108864@43@1;0", "generation stamp"),
+        (1, "44040193@67108864@42@0;1", "replicas"),
+        (2, "44040194@2097152@42@0", "replicas"),
+    ],
+)
+def test_decode_rejects_a_block_that_is_not_the_derived_one(i, entry, what):
+    line = _golden_with_block(i, entry)
+    with pytest.raises(ValueError, match=f"malformed block entry: '{entry}': {what} is not"):
+        decode_record(line)
+
+
+def test_a_line_written_for_three_datanodes_is_rejected_on_two():
+    store = HotStore(datanode_count=3)
+    line = encode_record(store.create("/three", 130 * 1024 * 1024, tick=42))
+    assert line.endswith("@42@0;1;2,44040193@67108864@42@1;2;0,44040194@2097152@42@2;0;1")
+    assert decode_record(line, 3) == store.get("/three")
+    with pytest.raises(ValueError, match="replicas is not the derived '0;1'"):
+        decode_record(line, 2)
+
+
+@st.composite
+def one_character_off(draw, line):
+    i = draw(st.integers(min_value=0, max_value=len(line)))
+    char = draw(st.one_of(st.sampled_from("0123456789@;,\t/ -+_\u0663"), st.characters()))
+    how = draw(st.sampled_from(("replace", "insert", "delete")))
+    if how == "insert":
+        return line[:i] + char + line[i:]
+    if how == "replace":
+        return line[:i] + char + line[i + 1:]
+    return line[:i] + line[i + 1:]
+
+
+@given(one_character_off(GOLDEN_LINE))
+@example(GOLDEN_LINE.replace("\t50\t", "\t05\t"))
+@example(GOLDEN_LINE.replace("\t3\t", "\t4\t"))
+def test_every_line_decode_accepts_encodes_back_to_itself(line):
+    try:
+        record = decode_record(line)
+    except ValueError:
+        return
+    assert encode_record(record) == line
 
 
 def test_decoded_ints_reuse_equal_ints_of_their_line():
     line = "/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1"
     one = decode_record(line)
+    assert one.created is one.last_access
+    assert one.block_size is DEFAULT_BLOCK_SIZE
     (block,) = one.blocks
     assert block.size is one.length
     assert block.generation_stamp is one.last_access
     assert encode_record(one) == line
 
 
-def test_loaded_and_cold_records_share_rings_and_block_size(tmp_path, empty_shared_tables):
-    store = HotStore()
-    for i in range(6):  # the 3-block files put their middle block on the other ring
-        store.create(f"/s/{i}", (1 + 2 * (i % 2)) * DEFAULT_BLOCK_SIZE - 1, tick=i)
-    save_fsimage(store, tmp_path / "img")
-    cold = ColdStore(tmp_path / "c2")
-    cold.append_records(list(store))
-    loaded = list(load_fsimage(tmp_path / "img"))
-    read = [cold.get(r.path) for r in store]
-    cold.close()
-    assert loaded == read == list(store)
-    blocks = [b for r in loaded + read for b in r.blocks]
-    rings = {id(namespace.share((0, 1))), id(namespace.share((1, 0)))}
-    assert {id(b.replicas) for b in blocks} == rings
-    assert {id(r.block_size) for r in loaded + read} == {id(loaded[0].block_size)}
-
-
-def test_replica_table_is_capped(empty_shared_tables):
-    originals = [
-        MetadataRecord(f"/cap/{i}", 5, 8, 2, (BlockInfo(i << 20, 5, i, (i, i + 1)),), i, 1)
-        for i in range(SHARED_VALUES_CAP + 50)
-    ]
-    decoded = [decode_record(encode_record(r)) for r in originals]
-    assert len(namespace._shared_values) == SHARED_VALUES_CAP
-    assert decoded == originals
-    last = decoded[-1].blocks[0].replicas
-    assert decode_record(encode_record(originals[-1])).blocks[0].replicas is not last
-    first = decoded[0].blocks[0].replicas
-    assert decode_record(encode_record(originals[0])).blocks[0].replicas is first
-
-
-def test_long_replica_tuples_are_not_kept(empty_shared_tables):
-    nodes = ";".join(str(n) for n in range(SHARED_TUPLE_MAX_LEN + 1))
-    line = f"/long\t5\t8\t2\t1\t1\t1048576@5@1@{nodes}"
-    record = decode_record(line)
-    assert len(record.blocks[0].replicas) == SHARED_TUPLE_MAX_LEN + 1
-    assert record.blocks[0].replicas not in namespace._shared_values
-    assert encode_record(record) == line
+def test_records_hold_only_strings_and_ints(tmp_path):
+    store = TieredStore(ColdStore(tmp_path / "c2"), TieringConfig(threshold_records=2))
+    store.create("/t/old", 130 * 1024 * 1024)
+    store.create("/t/new", 10)
+    store.separate()  # "/t/old" goes cold
+    store.checkpoint(tmp_path / "img")
+    created = store.hot.get("/t/new")
+    promoted = store.open("/t/old")
+    loaded = load_fsimage(tmp_path / "img").get("/t/new")
+    store.close()
+    assert store.metrics.promotions == 1 and loaded == created
+    for record in (created, loaded, promoted):
+        # a slotted instance refers to its class and to each field's value
+        fields = [value for value in gc.get_referents(record) if value is not MetadataRecord]
+        assert len(fields) == 8 and record.path in fields
+        assert {type(value) for value in fields} == {str, int}, fields
 
 
 def _traced_bytes(build):
@@ -167,14 +223,13 @@ def _objects_per_record(records):
     """Distinct objects the records hold, per record; a shared one counts once."""
     seen = set()
     for r in records:
-        fields = (r, r.path, r.length, r.block_size, r.replication, r.blocks, r.last_access, r.count)
+        fields = (r, r.path, r.length, r.block_size, r.replication, r.created, r.last_access,
+                  r.count, r.datanode_count)
         seen.update(map(id, fields))
-        for b in r.blocks:
-            seen.update(map(id, (b, b.block_id, b.size, b.generation_stamp, b.replicas)))
     return len(seen) / len(records)
 
 
-def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path, empty_shared_tables):
+def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path):
     def build():
         store = HotStore()
         for i in range(3000):
@@ -296,6 +351,14 @@ def test_op_line_round_trip():
 def test_op_line_rejects(line):
     with pytest.raises(ValueError):
         parse_op_line(line)
+
+
+def test_op_line_rejects_ints_not_written_in_ascii_digits():
+    with pytest.raises(ValueError, match="length is not an integer: '1_0'"):
+        parse_op_line("CREATE /a 1_0 5")
+    for tick in ("+5", "5_0", "\u0663", "\t5"):
+        with pytest.raises(ValueError, match="tick is not an integer"):
+            parse_op_line(f"ACCESS /a {tick}")
 
 
 def test_log_append_and_scan(tmp_path):

@@ -110,6 +110,20 @@ def test_internal_error_answers_and_keeps_the_connection(running_server, monkeyp
     client.close()
 
 
+def test_create_past_the_block_limit_is_refused_and_not_logged(running_server, tmp_path):
+    server = running_server()
+    client = Client(server.bound_port)
+    assert client.ask("CREATE /ok 1") == "OK created /ok"
+    # 2**20 blocks of 64 MiB, plus one byte
+    assert client.ask("CREATE /big 70368744177665") == (
+        "ERR BADREQ 1048577 blocks exceeds the per-file limit of 1048576"
+    )
+    assert client.ask("STAT /big") == "ERR NOTFOUND no such path: /big"
+    client.close()
+    assert "/big" not in server.store.hot
+    assert (tmp_path / EDITS_NAME).read_text() == "CREATE /ok 1 0\n"
+
+
 def test_concurrent_sessions_are_serializable(running_server, tmp_path):
     server = running_server(threshold=50, window=37)
     errors: list[str] = []
@@ -413,9 +427,9 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
     decoded, parsed = [], []
     real_decode, real_parse = recordio.decode_record, editlog.parse_op_line
 
-    def counting_decode(line):
+    def counting_decode(line, *args):
         decoded.append(line)
-        return real_decode(line)
+        return real_decode(line, *args)
 
     def counting_parse(line):
         parsed.append(line)

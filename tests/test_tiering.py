@@ -36,8 +36,8 @@ def oracle_partition(records, now, window):
 
 def plain_record(path, count, last_access):
     return MetadataRecord(
-        path=path, length=0, block_size=1, replication=1, blocks=(),
-        last_access=last_access, count=count,
+        path=path, length=0, block_size=1, replication=1, created=0,
+        last_access=last_access, count=count, datanode_count=2,
     )
 
 

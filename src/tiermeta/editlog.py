@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import CorruptLogError, OutOfOrderEditError
 from .namespace import HotStore
+from .recordio import parse_non_negative_int
 
 OP_CREATE = "CREATE"
 OP_ACCESS = "ACCESS"
@@ -50,24 +51,15 @@ def parse_op_line(line: str) -> OpEvent:
     if op == OP_CREATE:
         if len(tokens) != 4:
             raise ValueError(f"CREATE takes path, length, tick: {line!r}")
-        length = _parse_int(tokens[2], "length")
-        tick = _parse_int(tokens[3], "tick")
+        length = parse_non_negative_int(tokens[2], "length")
+        tick = parse_non_negative_int(tokens[3], "tick")
         return OpEvent(OP_CREATE, tokens[1], tick, length)
     if op in (OP_ACCESS, OP_DELETE):
         if len(tokens) != 3:
             raise ValueError(f"{op} takes path, tick: {line!r}")
-        tick = _parse_int(tokens[2], "tick")
+        tick = parse_non_negative_int(tokens[2], "tick")
         return OpEvent(op, tokens[1], tick)
     raise ValueError(f"unknown operation {op!r}")
-
-
-def _parse_int(text: str, what: str) -> int:
-    """A non-negative int written in ASCII digits only: no sign, space or ``_``."""
-    if text.isdigit() and text.isascii():
-        return int(text)
-    if text.startswith("-") and text[1:].isdigit() and text[1:].isascii():
-        raise ValueError(f"{what} is negative: {text}")
-    raise ValueError(f"{what} is not an integer: {text!r}")
 
 
 class EditsLog:

@@ -37,7 +37,7 @@ from .editlog import OP_DELETE, EditsLog
 from .errors import NotFoundError, PathExistsError, TierMetaError
 from .fsimage import load_fsimage
 from .metrics import MetricsRecorder
-from .namespace import HotStore, LogicalClock, MetadataRecord
+from .namespace import HotStore, LogicalClock, MetadataRecord, block_count
 from .tiering import TieredStore, TieringConfig
 
 logger = logging.getLogger(__name__)
@@ -120,7 +120,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 def format_record(record: MetadataRecord, tier: str | None = None) -> str:
     line = (
         f"OK path={record.path} length={record.length} "
-        f"blocks={-(-record.length // record.block_size)} "
+        f"blocks={block_count(record.length, record.block_size)} "
         f"last_access={record.last_access} count={record.count}"
     )
     if tier is not None:

@@ -7,7 +7,7 @@ generator, experiment reports, and a small line-protocol TCP service.
 """
 
 from .coldstore import ColdStore
-from .editlog import EditsLog, OpEvent, parse_op_line, replay_edits
+from .editlog import EditsLog, OpEvent, parse_op_line
 from .errors import (
     ColdStoreWriteFailureError,
     CompactionAbortedError,
@@ -81,7 +81,6 @@ __all__ = [
     "parse_op_line",
     "partition_records",
     "replay",
-    "replay_edits",
     "save_fsimage",
     "serve",
     "split_blocks",

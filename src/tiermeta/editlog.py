@@ -15,10 +15,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CorruptLogError, OutOfOrderEditError
-from .namespace import HotStore
 from .recordio import parse_non_negative_int
 
 OP_CREATE = "CREATE"
@@ -145,31 +144,3 @@ class EditsLog:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-
-
-def replay_edits(base: HotStore, events: Iterable[OpEvent]) -> HotStore:
-    """Apply logged events to ``base`` in place and return it.
-
-    Replay is strict: an event that cannot apply (create of an existing
-    path, access or delete of a missing one) means the log does not belong
-    to this base image.
-    """
-    last = -1
-    for i, event in enumerate(events, start=1):
-        if event.tick <= last:
-            raise CorruptLogError(f"entry {i}: tick {event.tick} not increasing")
-        last = event.tick
-        try:
-            if event.op == OP_CREATE:
-                base.create(event.path, event.length, event.tick)
-            elif event.op == OP_ACCESS:
-                base.access(event.path, event.tick)
-            elif event.op == OP_DELETE:
-                base.remove(event.path)
-            else:
-                raise CorruptLogError(f"entry {i}: unknown operation {event.op!r}")
-        except CorruptLogError:
-            raise
-        except Exception as exc:
-            raise CorruptLogError(f"entry {i}: {event.op} {event.path}: {exc}") from exc
-    return base

@@ -202,9 +202,9 @@ class HotStore:
         """Insert a new file record; creation counts as its first access.
 
         Raises FileTooLargeError for a file of more than
-        ``MAX_BLOCKS_PER_FILE`` blocks, before anything is stored.
+        ``MAX_BLOCKS_PER_FILE`` blocks, before anything is stored. The path
+        is not validated here: the tiered store does that where input arrives.
         """
-        validate_path(path)
         if path in self._records:
             raise PathExistsError(f"path already exists: {path}")
         block_count(length, self.block_size)

@@ -37,7 +37,7 @@ from .editlog import OP_DELETE, EditsLog
 from .errors import NotFoundError, PathExistsError, TierMetaError
 from .fsimage import load_fsimage
 from .metrics import MetricsRecorder
-from .namespace import HotStore, LogicalClock, MetadataRecord, block_count
+from .namespace import LogicalClock, MetadataRecord, block_count
 from .tiering import TieredStore, TieringConfig
 
 logger = logging.getLogger(__name__)
@@ -76,23 +76,18 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     image_path = data_dir / IMAGE_NAME
+    hot = None
     if image_path.exists():
         hot = load_fsimage(
             image_path, config.block_size, config.replication, config.datanode_count
         )
-    else:
-        hot = HotStore(
-            block_size=config.block_size,
-            replication=config.replication,
-            datanode_count=config.datanode_count,
-        )
     cold = ColdStore(data_dir / COLD_NAME, config.datanode_count)
     try:
-        start = 1 + max(
-            max((record.last_access for record in hot), default=-1),
+        store = TieredStore(cold, config, hot=hot)
+        store.clock = LogicalClock(1 + max(
+            max((record.last_access for record in store.hot), default=-1),
             max(cold.last_accesses(), default=-1),
-        )
-        store = TieredStore(cold, config, hot=hot, clock=LogicalClock(start))
+        ))
         edits = EditsLog(data_dir / EDITS_NAME)
         skipped = 0
         for event in edits.entries():

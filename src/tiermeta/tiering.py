@@ -30,6 +30,7 @@ from .namespace import (
     HotStore,
     LogicalClock,
     MetadataRecord,
+    block_count,
     estimate_memory,
     validate_path,
 )
@@ -126,7 +127,7 @@ class TieredStore:
     ):
         self.config = config or TieringConfig()
         self.cold = cold
-        self.hot = hot or HotStore(
+        self.hot = hot if hot is not None else HotStore(
             block_size=self.config.block_size,
             replication=self.config.replication,
             datanode_count=self.config.datanode_count,
@@ -137,19 +138,21 @@ class TieredStore:
         self.metrics.observe_hot_size(len(self.hot))
 
     # -- namespace operations -------------------------------------------
+    #
+    # Live requests and replay share one body per operation (_create,
+    # _resolve, _delete). Each takes its tick from a tick source, called
+    # only once every check that can refuse the operation has passed, so a
+    # refused operation consumes no tick. Live requests pass the clock and
+    # append the edit; replay passes a source that consumes the event's tick.
 
     def create(self, path: str, length: int) -> MetadataRecord:
-        self._check_new_path(path)
-        tick = self.clock.tick()
-        record = self.hot.create(path, length, tick)
-        self._log(OpEvent(OP_CREATE, path, tick, length))
-        self.metrics.record_create()
-        self.metrics.observe_hot_size(len(self.hot))
+        record = self._create(path, length, self.clock.tick)
+        self._log(OpEvent(OP_CREATE, path, record.last_access, length))
         return record
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        record, _ = self._resolve(path, self.clock.tick)
+        record = self._resolve(path, self.clock.tick)
         self._log(OpEvent(OP_ACCESS, path, record.last_access))
         return record
 
@@ -164,54 +167,28 @@ class TieredStore:
         raise NotFoundError(f"no such path: {path}")
 
     def delete(self, path: str) -> None:
-        if path in self.hot:
-            tick = self.clock.tick()
-            self.hot.remove(path)
-        elif path in self.cold:
-            tick = self.clock.tick()
-            self.cold.delete(path)
-        else:
-            raise NotFoundError(f"no such path: {path}")
+        tick = self._delete(path, self.clock.tick)
         self._log(OpEvent(OP_DELETE, path, tick))
-        self.metrics.record_delete()
-        self.metrics.observe_hot_size(len(self.hot))
 
     def apply_event(self, event: OpEvent) -> None:
-        """Apply one trace/log event, consuming its pre-assigned tick.
+        """Apply one trace or log event with its own tick; it is not re-logged.
 
-        Unlike :func:`tiermeta.editlog.replay_edits` this resolves accesses
-        through both tiers, so replay reproduces promotions. Events are not
-        re-logged.
+        Accesses resolve through both tiers, so replay reproduces promotions.
         """
-        if event.op == OP_CREATE:
-            self._check_new_path(event.path)
-            self.clock.tick_at(event.tick)
-            self.hot.create(event.path, event.length, event.tick)
-            self.metrics.record_create()
-            self.metrics.observe_hot_size(len(self.hot))
-        elif event.op == OP_ACCESS:
-            self._resolve(event.path, lambda: self.clock.tick_at(event.tick))
-        elif event.op == OP_DELETE:
-            if event.path in self.hot:
-                self.clock.tick_at(event.tick)
-                self.hot.remove(event.path)
-            elif event.path in self.cold:
-                self.clock.tick_at(event.tick)
-                self.cold.delete(event.path)
-            else:
-                raise NotFoundError(f"no such path: {event.path}")
-            self.metrics.record_delete()
-            self.metrics.observe_hot_size(len(self.hot))
+        def tick() -> int:
+            return self.clock.tick_at(event.tick)
+
+        op = event.op
+        if op == OP_ACCESS:
+            self._resolve(event.path, tick)
+        elif op == OP_CREATE:
+            self._create(event.path, event.length, tick)
+        elif op == OP_DELETE:
+            self._delete(event.path, tick)
         else:
-            raise ValueError(f"unknown operation {event.op!r}")
+            raise ValueError(f"unknown operation {op!r}")
 
     # -- separation ------------------------------------------------------
-
-    def mean_count(self) -> float:
-        n = len(self.hot)
-        if n == 0:
-            raise EmptyStoreError("mean access count is undefined for an empty hot tier")
-        return self.hot.total_access_count() / n
 
     def maybe_separate(self) -> SeparationEvent | None:
         """Run a separation pass if the hot tier has reached the threshold."""
@@ -270,25 +247,26 @@ class TieredStore:
 
     # -- internals -------------------------------------------------------
 
-    def _check_new_path(self, path: str) -> None:
+    def _create(
+        self, path: str, length: int, tick_source: Callable[[], int]
+    ) -> MetadataRecord:
         validate_path(path)
         if path in self.hot:
             raise PathExistsError(f"path already exists: {path}")
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
+        block_count(length, self.hot.block_size)
+        record = self.hot.create(path, length, tick_source())
+        self.metrics.record_create()
+        self.metrics.observe_hot_size(len(self.hot))
+        return record
 
-    def _resolve(
-        self, path: str, tick_source: Callable[[], int]
-    ) -> tuple[MetadataRecord, str]:
-        """Find a record in either tier for an access; promote if cold.
-
-        ``tick_source`` is called only when the access will succeed, so a
-        missed lookup consumes no tick.
-        """
+    def _resolve(self, path: str, tick_source: Callable[[], int]) -> MetadataRecord:
+        """Find a record in either tier for an access; promote if cold."""
         if path in self.hot:
             record = self.hot.access(path, tick_source())
             self.metrics.record_lookup(LOOKUP_HOT)
-            return record, TIER_HOT
+            return record
         record = self.cold.get(path)
         if record is not None:
             tick = tick_source()
@@ -297,9 +275,23 @@ class TieredStore:
             self.hot.access(path, tick)
             self.metrics.record_lookup(LOOKUP_COLD)
             self.metrics.observe_hot_size(len(self.hot))
-            return record, TIER_COLD
+            return record
         self.metrics.record_lookup(LOOKUP_MISS)
         raise NotFoundError(f"no such path: {path}")
+
+    def _delete(self, path: str, tick_source: Callable[[], int]) -> int:
+        """Remove a path from whichever tier holds it; returns the tick taken."""
+        if path in self.hot:
+            tick = tick_source()
+            self.hot.remove(path)
+        elif path in self.cold:
+            tick = tick_source()
+            self.cold.delete(path)
+        else:
+            raise NotFoundError(f"no such path: {path}")
+        self.metrics.record_delete()
+        self.metrics.observe_hot_size(len(self.hot))
+        return tick
 
     def _log(self, event: OpEvent) -> None:
         if self.edits is not None:

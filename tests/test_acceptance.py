@@ -13,11 +13,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
+from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok, recovered_clock
 
 from tiermeta.cli import main as cli_main
 from tiermeta.coldstore import ColdStore
-from tiermeta.editlog import EditsLog, OpEvent, replay_edits
 from tiermeta.errors import NotFoundError, PathExistsError
 from tiermeta.fsimage import load_fsimage, save_fsimage
 from tiermeta.namespace import HotStore, LogicalClock, MetadataRecord, estimate_memory
@@ -207,7 +206,7 @@ def test_criterion_4_tier_invariants_under_fuzz(tmp_path):
           "flat-store equivalence exact")
 
 
-def test_criterion_5_persistence_round_trips(tmp_path):
+def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     # image: save -> load -> save is byte-identical
     rng = random.Random(99)
     clock = LogicalClock()
@@ -221,40 +220,40 @@ def test_criterion_5_persistence_round_trips(tmp_path):
     save_fsimage(load_fsimage(first), second)
     assert first.read_bytes() == second.read_bytes()
 
-    # checkpoint + edits replay equals live state, 100 randomized traces
+    # checkpoint + edits replay equals live state, 100 randomized traces,
+    # recovered through open_store; the threshold keeps every record hot
+    config = TieringConfig(threshold_records=1000)
     for seed in range(100):
         rng = random.Random(seed)
-        clock = LogicalClock()
-        live = HotStore()
-        log = EditsLog(tmp_path / f"edits{seed}")
-        image = tmp_path / f"img{seed}"
-        save_fsimage(live, image)
+        data_dir = tmp_path / f"store{seed}"
+        live = open_store(data_dir, config)
+        live.checkpoint(data_dir / IMAGE_NAME)
+        tail = None  # "lost": the last ticks went to DELETEs, then a checkpoint
         for _ in range(rng.randrange(50, 300)):
             roll = rng.random()
-            paths = [r.path for r in live]
+            paths = [r.path for r in live.hot]
             if roll < 0.5 or not paths:
                 path = f"/t/{rng.randrange(150):03d}"
-                if path not in live:
-                    tick = clock.tick()
-                    length = rng.randrange(10**9)
-                    live.create(path, length, tick)
-                    log.append(OpEvent("CREATE", path, tick, length))
+                if path not in live.hot:
+                    live.create(path, rng.randrange(10**9))
+                    tail = None
             elif roll < 0.8:
-                path = rng.choice(paths)
-                tick = clock.tick()
-                live.access(path, tick)
-                log.append(OpEvent("ACCESS", path, tick))
+                live.open(rng.choice(paths))
+                tail = None
             elif roll < 0.95:
-                path = rng.choice(paths)
-                tick = clock.tick()
-                live.remove(path)
-                log.append(OpEvent("DELETE", path, tick))
+                live.delete(rng.choice(paths))
+                tail = "delete"
             else:
-                save_fsimage(live, image)
-                log.reset()
-        recovered = replay_edits(load_fsimage(image), log.entries())
-        assert {r.path: r for r in recovered} == {r.path: r for r in live}
-        log.close()
+                live.checkpoint(data_dir / IMAGE_NAME)
+                tail = "lost" if tail in ("delete", "lost") else None
+        live.close()
+        caplog.clear()
+        recovered = open_store(data_dir, config)
+        assert not caplog.records, caplog.text  # no edit was skipped
+        assert {r.path: r for r in recovered.hot} == {r.path: r for r in live.hot}
+        assert len(recovered.cold) == 0
+        assert recovered.clock.now == recovered_clock(live, tail == "lost")
+        recovered.close()
 
     # cold store: scan-built index agrees across reopen
     rng = random.Random(7)

@@ -6,17 +6,20 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import recovered_clock
 from hypothesis import example, given, strategies as st
 
 from tiermeta import coldstore
 from tiermeta.coldstore import ColdStore
-from tiermeta.editlog import EditsLog, OpEvent, parse_op_line, replay_edits
+from tiermeta.editlog import EditsLog, OpEvent, parse_op_line
 from tiermeta.errors import (
     ColdStoreWriteFailureError,
     CompactionAbortedError,
     CorruptImageError,
     CorruptLogError,
+    NotFoundError,
     OutOfOrderEditError,
+    PathExistsError,
 )
 from tiermeta.fsimage import load_fsimage, save_fsimage
 from tiermeta.namespace import (
@@ -26,6 +29,7 @@ from tiermeta.namespace import (
     MetadataRecord,
     split_blocks,
 )
+from tiermeta.server import IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import decode_record, encode_record
 
@@ -406,65 +410,76 @@ def test_log_rejects_corruption(tmp_path):
         list(EditsLog(path).entries())
 
 
-def test_replay_empty_log_leaves_base_unchanged():
-    base = HotStore()
-    base.create("/a", 5, 0)
-    before = {r.path: r for r in base}
-    assert replay_edits(base, []) is base
-    assert {r.path: r for r in base} == before
+def test_recovery_over_an_empty_log_leaves_the_image_unchanged(tmp_path):
+    store = open_store(tmp_path)
+    store.create("/a", 5)
+    store.checkpoint(tmp_path / IMAGE_NAME)  # empties the log
+    store.close()
+    recovered = open_store(tmp_path)
+    assert list(recovered.hot) == list(store.hot)
+    assert recovered.clock.now == store.clock.now
+    recovered.close()
 
 
-def test_replay_create_then_delete_yields_no_record():
-    base = HotStore()
-    events = [OpEvent("CREATE", "/tmp/x", 0, 9), OpEvent("DELETE", "/tmp/x", 1)]
-    assert len(replay_edits(base, events)) == 0
+def test_apply_create_then_delete_yields_no_record(tmp_path):
+    store = TieredStore(ColdStore(tmp_path / "c2"))
+    store.apply_event(OpEvent("CREATE", "/tmp/x", 0, 9))
+    store.apply_event(OpEvent("DELETE", "/tmp/x", 1))
+    assert len(store.hot) == 0 and len(store.cold) == 0
+    assert store.clock.now == 2
+    store.close()
 
 
-def test_replay_is_strict():
-    base = HotStore()
-    with pytest.raises(CorruptLogError, match="ACCESS /ghost"):
-        replay_edits(base, [OpEvent("ACCESS", "/ghost", 0)])
-    base.create("/a", 1, 0)
-    with pytest.raises(CorruptLogError, match="CREATE /a"):
-        replay_edits(base, [OpEvent("CREATE", "/a", 1, 1)])
-    with pytest.raises(CorruptLogError, match="DELETE /b"):
-        replay_edits(base, [OpEvent("DELETE", "/b", 2)])
+def test_apply_event_is_strict(tmp_path):
+    store = TieredStore(ColdStore(tmp_path / "c2"))
+    with pytest.raises(NotFoundError, match="/ghost"):
+        store.apply_event(OpEvent("ACCESS", "/ghost", 0))
+    store.apply_event(OpEvent("CREATE", "/a", 1, 1))
+    with pytest.raises(PathExistsError, match="/a"):
+        store.apply_event(OpEvent("CREATE", "/a", 2, 1))
+    with pytest.raises(NotFoundError, match="/b"):
+        store.apply_event(OpEvent("DELETE", "/b", 3))
+    with pytest.raises(ValueError, match="RENAME"):
+        store.apply_event(OpEvent("RENAME", "/a", 4))
+    assert store.clock.now == 2  # a refused event consumes no tick
+    store.close()
 
 
-def test_checkpoint_plus_log_replay_equals_live(tmp_path):
-    # the recovery identity: image at last checkpoint + later edits = live state
+def test_checkpoint_plus_log_replay_equals_live(tmp_path, caplog):
+    # the recovery identity: image at last checkpoint + later edits = live
+    # state; a threshold above the op count keeps every record hot
+    config = TieringConfig(threshold_records=2000)
     for seed in range(10):
         rng = random.Random(seed)
-        clock = LogicalClock()
-        store = HotStore()
-        log = EditsLog(tmp_path / f"edits-{seed}")
-        image = tmp_path / f"img-{seed}"
-        save_fsimage(store, image)
+        data_dir = tmp_path / f"store-{seed}"
+        store = open_store(data_dir, config)
+        store.checkpoint(data_dir / IMAGE_NAME)
+        tail = None  # "lost": the last ticks went to DELETEs, then a checkpoint
         for _ in range(1000):
             roll = rng.random()
-            live = [r.path for r in store]
+            live = [r.path for r in store.hot]
             if roll < 0.5 or not live:
                 path = f"/t/{rng.randrange(200):03d}"
-                if path not in store:
-                    tick = clock.tick()
-                    store.create(path, rng.randrange(10**10), tick)
-                    log.append(OpEvent("CREATE", path, tick, store.get(path).length))
+                if path not in store.hot:
+                    store.create(path, rng.randrange(10**10))
+                    tail = None
             elif roll < 0.8:
-                path = rng.choice(live)
-                tick = clock.tick()
-                store.access(path, tick)
-                log.append(OpEvent("ACCESS", path, tick))
+                store.open(rng.choice(live))
+                tail = None
             elif roll < 0.95:
-                path = rng.choice(live)
-                tick = clock.tick()
-                store.remove(path)
-                log.append(OpEvent("DELETE", path, tick))
+                store.delete(rng.choice(live))
+                tail = "delete"
             else:
-                save_fsimage(store, image)
-                log.reset()
-        recovered = replay_edits(load_fsimage(image), log.entries())
-        assert {r.path: r for r in recovered} == {r.path: r for r in store}
-        log.close()
+                store.checkpoint(data_dir / IMAGE_NAME)
+                tail = "lost" if tail in ("delete", "lost") else None
+        store.close()
+        caplog.clear()
+        recovered = open_store(data_dir, config)
+        assert not caplog.records, caplog.text  # no edit was skipped
+        assert {r.path: r for r in recovered.hot} == {r.path: r for r in store.hot}
+        assert len(recovered.cold) == 0
+        assert recovered.clock.now == recovered_clock(store, tail == "lost")
+        recovered.close()
 
 
 # -- cold store ------------------------------------------------------------

@@ -12,13 +12,17 @@ from fractions import Fraction
 import pytest
 
 from tiermeta.coldstore import ColdStore
+from tiermeta.editlog import OP_ACCESS, EditsLog
 from tiermeta.errors import (
     ColdStoreWriteFailureError,
     EmptyStoreError,
+    FileTooLargeError,
+    InvalidPathError,
     NotFoundError,
     PathExistsError,
+    TierMetaError,
 )
-from tiermeta.namespace import HotStore, MetadataRecord
+from tiermeta.namespace import MAX_BLOCKS_PER_FILE, MetadataRecord
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
 
@@ -205,6 +209,34 @@ def test_create_collides_with_cold_records(tmp_path):
     store.close()
 
 
+def test_refused_operations_consume_no_tick(tmp_path):
+    store = make_store(tmp_path, threshold=2, window=0)
+    store.edits = EditsLog(tmp_path / "edits.log")
+    store.create("/a", 1)
+    store.create("/b", 1)
+    store.separate()  # window 0, equal counts: both go cold
+    store.open("/b")  # promotes
+    assert "/a" in store.cold and "/b" in store.hot
+    assert store.clock.now == 3
+    too_large = MAX_BLOCKS_PER_FILE * store.config.block_size + 1
+    refused = [
+        (FileTooLargeError, store.create, "/big", too_large),
+        (ValueError, store.create, "/neg", -1),
+        (InvalidPathError, store.create, "rel", 1),
+        (PathExistsError, store.create, "/a", 1),  # cold
+        (PathExistsError, store.create, "/b", 1),  # hot
+        (NotFoundError, store.open, "/nope"),
+        (NotFoundError, store.delete, "/nope"),
+    ]
+    for error, operation, *args in refused:
+        with pytest.raises(error):
+            operation(*args)
+        assert store.clock.now == 3
+    store.create("/c", 1)
+    store.close()
+    assert [e.tick for e in EditsLog(tmp_path / "edits.log").entries()] == [0, 1, 2, 3]
+
+
 def test_delete_reaches_both_tiers(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
@@ -256,8 +288,6 @@ def test_separate_on_empty_store_fails(tmp_path):
     store = make_store(tmp_path)
     with pytest.raises(EmptyStoreError):
         store.separate()
-    with pytest.raises(EmptyStoreError):
-        store.mean_count()
     store.close()
 
 
@@ -267,7 +297,7 @@ def test_mean_count(tmp_path):
     store.create("/b", 1)
     store.open("/a")
     store.open("/a")
-    assert store.mean_count() == 2.0  # counts 3 and 1
+    assert store.separate().mean_count == 2.0  # counts 3 and 1
     store.close()
 
 
@@ -343,3 +373,62 @@ def test_fuzz_against_flat_reference(tmp_path):
             record, _ = store.stat(path)
             assert record.count == count
         store.close()
+
+
+def test_live_and_replay_agree(tmp_path):
+    """Applying a live store's edits log to a fresh store rebuilds it exactly."""
+    config = TieringConfig(threshold_records=30, recency_window=20)
+    too_large = MAX_BLOCKS_PER_FILE * config.block_size + 1
+    for seed in range(10):
+        rng = random.Random(seed)
+        live = TieredStore(
+            ColdStore(tmp_path / f"live{seed}"), config,
+            edits=EditsLog(tmp_path / f"edits{seed}"),
+        )
+        seen = set()  # (operation, where the path was, or the refusal)
+        for _ in range(1000):
+            path = f"/z/{rng.randrange(80):02d}"
+            where = "hot" if path in live.hot else "cold" if path in live.cold else "none"
+            roll = rng.random()
+            try:
+                if roll < 0.45:
+                    operation = "create"
+                    trouble = rng.random()
+                    if trouble < 0.05:
+                        path = path[1:]  # not absolute
+                    length = too_large if 0.05 <= trouble < 0.1 else rng.randrange(10**9)
+                    live.create(path, length)
+                elif roll < 0.85:
+                    operation = "open"
+                    live.open(path)
+                else:
+                    operation = "delete"
+                    live.delete(path)
+            except TierMetaError as exc:
+                seen.add((operation, type(exc).__name__))
+                continue
+            seen.add((operation, where))
+            if operation != "open":
+                live.maybe_separate()
+        assert seen == {
+            ("create", "none"), ("create", "PathExistsError"),
+            ("create", "InvalidPathError"), ("create", "FileTooLargeError"),
+            ("open", "hot"), ("open", "cold"), ("open", "NotFoundError"),
+            ("delete", "hot"), ("delete", "cold"), ("delete", "NotFoundError"),
+        }
+
+        replica = TieredStore(ColdStore(tmp_path / f"replica{seed}"), config)
+        for event in live.edits.entries():
+            replica.apply_event(event)
+            if event.op != OP_ACCESS:
+                replica.maybe_separate()
+
+        assert list(replica.hot) == list(live.hot)
+        assert sorted(replica.cold.paths()) == sorted(live.cold.paths())
+        assert all(replica.cold.get(p) == live.cold.get(p) for p in live.cold.paths())
+        assert replica.clock.now == live.clock.now
+        for counter in ("creates", "deletes", "cold_hits", "events"):
+            assert getattr(replica.metrics, counter) == getattr(live.metrics, counter)
+        assert live.metrics.events, "threshold 30 must force separations"
+        live.close()
+        replica.close()

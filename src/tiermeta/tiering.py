@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
@@ -121,7 +121,6 @@ class TieredStore:
         config: TieringConfig | None = None,
         *,
         hot: HotStore | None = None,
-        clock: LogicalClock | None = None,
         edits: EditsLog | None = None,
         metrics: MetricsRecorder | None = None,
     ):
@@ -132,7 +131,7 @@ class TieredStore:
             replication=self.config.replication,
             datanode_count=self.config.datanode_count,
         )
-        self.clock = clock or LogicalClock()
+        self.clock = LogicalClock()
         self.edits = edits
         self.metrics = metrics or MetricsRecorder()
         self.metrics.observe_hot_size(len(self.hot))
@@ -140,19 +139,20 @@ class TieredStore:
     # -- namespace operations -------------------------------------------
     #
     # Live requests and replay share one body per operation (_create,
-    # _resolve, _delete). Each takes its tick from a tick source, called
-    # only once every check that can refuse the operation has passed, so a
-    # refused operation consumes no tick. Live requests pass the clock and
-    # append the edit; replay passes a source that consumes the event's tick.
+    # _resolve, _delete). Each takes ``at``: None for a live request, which
+    # consumes the clock's next tick, or a replayed event's own tick. The
+    # tick is consumed only once every check that can refuse the operation
+    # has passed, so a refused operation consumes none. Live requests also
+    # append the edit; replay does not.
 
     def create(self, path: str, length: int) -> MetadataRecord:
-        record = self._create(path, length, self.clock.tick)
+        record = self._create(path, length, None)
         self._log(OpEvent(OP_CREATE, path, record.last_access, length))
         return record
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        record = self._resolve(path, self.clock.tick)
+        record = self._resolve(path, None)
         self._log(OpEvent(OP_ACCESS, path, record.last_access))
         return record
 
@@ -167,7 +167,7 @@ class TieredStore:
         raise NotFoundError(f"no such path: {path}")
 
     def delete(self, path: str) -> None:
-        tick = self._delete(path, self.clock.tick)
+        tick = self._delete(path, None)
         self._log(OpEvent(OP_DELETE, path, tick))
 
     def apply_event(self, event: OpEvent) -> None:
@@ -175,16 +175,13 @@ class TieredStore:
 
         Accesses resolve through both tiers, so replay reproduces promotions.
         """
-        def tick() -> int:
-            return self.clock.tick_at(event.tick)
-
         op = event.op
         if op == OP_ACCESS:
-            self._resolve(event.path, tick)
+            self._resolve(event.path, event.tick)
         elif op == OP_CREATE:
-            self._create(event.path, event.length, tick)
+            self._create(event.path, event.length, event.tick)
         elif op == OP_DELETE:
-            self._delete(event.path, tick)
+            self._delete(event.path, event.tick)
         else:
             raise ValueError(f"unknown operation {op!r}")
 
@@ -247,29 +244,33 @@ class TieredStore:
 
     # -- internals -------------------------------------------------------
 
-    def _create(
-        self, path: str, length: int, tick_source: Callable[[], int]
-    ) -> MetadataRecord:
+    def _tick(self, at: int | None) -> int:
+        """Consume the clock's next tick (``at`` None) or the event tick ``at``."""
+        return self.clock.tick() if at is None else self.clock.tick_at(at)
+
+    def _create(self, path: str, length: int, at: int | None) -> MetadataRecord:
+        # HotStore.create checks the hot tier and the block limit again; they
+        # are checked here too because the tick must wait for them.
         validate_path(path)
         if path in self.hot:
             raise PathExistsError(f"path already exists: {path}")
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
         block_count(length, self.hot.block_size)
-        record = self.hot.create(path, length, tick_source())
+        record = self.hot.create(path, length, self._tick(at))
         self.metrics.record_create()
         self.metrics.observe_hot_size(len(self.hot))
         return record
 
-    def _resolve(self, path: str, tick_source: Callable[[], int]) -> MetadataRecord:
+    def _resolve(self, path: str, at: int | None) -> MetadataRecord:
         """Find a record in either tier for an access; promote if cold."""
         if path in self.hot:
-            record = self.hot.access(path, tick_source())
+            record = self.hot.access(path, self._tick(at))
             self.metrics.record_lookup(LOOKUP_HOT)
             return record
         record = self.cold.get(path)
         if record is not None:
-            tick = tick_source()
+            tick = self._tick(at)
             self.cold.delete(path)
             self.hot.insert(record)
             self.hot.access(path, tick)
@@ -279,13 +280,13 @@ class TieredStore:
         self.metrics.record_lookup(LOOKUP_MISS)
         raise NotFoundError(f"no such path: {path}")
 
-    def _delete(self, path: str, tick_source: Callable[[], int]) -> int:
+    def _delete(self, path: str, at: int | None) -> int:
         """Remove a path from whichever tier holds it; returns the tick taken."""
         if path in self.hot:
-            tick = tick_source()
+            tick = self._tick(at)
             self.hot.remove(path)
         elif path in self.cold:
-            tick = tick_source()
+            tick = self._tick(at)
             self.cold.delete(path)
         else:
             raise NotFoundError(f"no such path: {path}")

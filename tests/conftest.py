@@ -129,17 +129,3 @@ def fuzz_client(port, prefix, seed, errors, model):
         client.close()
 
 
-def recovered_clock(store, tail_lost):
-    """The clock a reopen of ``store`` starts at.
-
-    It equals the live clock unless the last ticks went to DELETEs and a
-    checkpoint followed them: the checkpoint empties the log, so those ticks
-    are on disk nowhere, and the reopened clock restarts past the last tick
-    a live record holds, below the live clock. Ticks, and the block ids made
-    from them, can then be issued a second time.
-    """
-    if not tail_lost:
-        return store.clock.now
-    restart = 1 + max((r.last_access for r in store.hot), default=-1)
-    assert restart < store.clock.now
-    return restart

@@ -6,7 +6,6 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import recovered_clock
 from hypothesis import example, given, strategies as st
 
 from tiermeta import coldstore
@@ -478,7 +477,24 @@ def test_checkpoint_plus_log_replay_equals_live(tmp_path, caplog):
         assert not caplog.records, caplog.text  # no edit was skipped
         assert {r.path: r for r in recovered.hot} == {r.path: r for r in store.hot}
         assert len(recovered.cold) == 0
-        assert recovered.clock.now == recovered_clock(store, tail == "lost")
+        if tail != "lost":  # see test_reopen_after_delete_and_checkpoint_keeps_the_clock
+            assert recovered.clock.now == store.clock.now
+        recovered.close()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(f): a checkpoint drops the ticks of "
+                   "the DELETEs before it, so a reopen restarts the clock below the live one")
+def test_reopen_after_delete_and_checkpoint_keeps_the_clock(tmp_path):
+    store = open_store(tmp_path)
+    store.create("/keep", 10)
+    store.create("/gone", 10)
+    store.delete("/gone")
+    store.checkpoint(tmp_path / IMAGE_NAME)
+    store.close()
+    recovered = open_store(tmp_path)
+    try:
+        assert recovered.clock.now == store.clock.now
+    finally:
         recovered.close()
 
 

@@ -12,10 +12,10 @@ defaults. The built-in defaults equal the paper-desk preset, so a bare
     paper-desk   180,000 files / 360,000 accesses, threshold 120,000
     paper-full   1,800,000 files / 3,600,000 accesses, threshold 1,200,000
 
-Both keep the recency window at 75% of the threshold, so a create-heavy
-phase evicts 25% of the hot tier per separation. An alternate full-scale
-threshold of 1,260,000 records (1.26M, the other commonly quoted figure)
-can be set with --threshold.
+Neither sets the recency window: unless --window is given it is 75% of the
+threshold in force, so a create-heavy phase evicts 25% of the hot tier per
+separation. An alternate full-scale threshold of 1,260,000 records (1.26M,
+the other commonly quoted figure) can be set with --threshold.
 """
 
 from __future__ import annotations
@@ -39,21 +39,16 @@ from .workload import WorkloadSpec, generate_trace, replay
 PRESETS: dict[str, dict[str, object]] = {
     "paper-desk": {
         "files": 180_000, "ops": 360_000, "untouched": 0.3, "skew": 1.0,
-        "mean_length": 65_536, "seed": 7, "threshold": 120_000, "window": 90_000,
+        "mean_length": 65_536, "seed": 7, "threshold": 120_000,
     },
     "paper-full": {
         "files": 1_800_000, "ops": 3_600_000, "untouched": 0.3, "skew": 1.0,
-        "mean_length": 65_536, "seed": 7, "threshold": 1_200_000, "window": 900_000,
+        "mean_length": 65_536, "seed": 7, "threshold": 1_200_000,
     },
 }
 
-# built-in defaults (the desk-scale preset); --window falls back to 75% of
-# the threshold instead of a fixed number
-_DEFAULTS: dict[str, object] = {
-    "files": 180_000, "ops": 360_000, "untouched": 0.3, "skew": 1.0,
-    "mean_length": 65_536, "seed": 7, "threshold": 120_000,
-    "bytes_per_record": 600,
-}
+# built-in defaults: the desk-scale preset plus the memory estimate
+_DEFAULTS: dict[str, object] = {**PRESETS["paper-desk"], "bytes_per_record": 600}
 
 _KNOB_TYPES = {
     "files": int, "ops": int, "untouched": float, "skew": float, "mean_length": int,

@@ -25,7 +25,7 @@ from .errors import (
     CorruptImageError,
     NotFoundError,
 )
-from .namespace import DEFAULT_DATANODE_COUNT, MetadataRecord
+from .namespace import MetadataRecord
 from .recordio import decode_last_access, decode_record, encode_record
 
 logger = logging.getLogger(__name__)
@@ -34,13 +34,11 @@ _TOMB_PREFIX = b"TOMB "
 
 
 class ColdStore:
-    """The cold file and its index; records are read back for a store of
-    ``datanode_count`` DataNodes, and a line whose blocks were placed on
-    another count fails its read (see :func:`decode_record`)."""
+    """The cold file and its index; a line that :func:`decode_record` refuses
+    (another geometry, say) fails the read of its path."""
 
-    def __init__(self, path: str | Path, datanode_count: int = DEFAULT_DATANODE_COUNT):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.datanode_count = datanode_count
         self._file = open(self.path, "a+b")
         self._index: dict[str, int] = {}
         try:
@@ -85,7 +83,7 @@ class ColdStore:
         self._file.seek(offset)
         line = self._file.readline().rstrip(b"\n").decode("utf-8")
         try:
-            return decode_record(line, self.datanode_count)
+            return decode_record(line)
         except ValueError as exc:
             raise CorruptImageError(f"{self.path}: offset {offset}: {exc}") from None
 

@@ -8,10 +8,15 @@ One operation per line, UTF-8, LF, space-separated:
 
 Ticks are strictly increasing within a log. Workload trace files use the
 same line format, so trace replay and edits replay share this parser.
+
+An append ends with its newline, so a last line without one is an append
+that a crash cut short. It was never acknowledged, and opening the log
+truncates it away.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,11 +25,13 @@ from typing import Iterator
 from .errors import CorruptLogError, OutOfOrderEditError
 from .recordio import parse_non_negative_int
 
+logger = logging.getLogger(__name__)
+
 OP_CREATE = "CREATE"
 OP_ACCESS = "ACCESS"
 OP_DELETE = "DELETE"
 
-# bytes read back from the end of the log to find its last line
+# bytes read at a time, back from the end of the log, to find its last line
 _TAIL_CHUNK = 4096
 
 
@@ -64,7 +71,8 @@ def parse_op_line(line: str) -> OpEvent:
 class EditsLog:
     """Append-only operation log backed by one file.
 
-    Opening an existing log parses only its final line to recover the last
+    Opening an existing log first truncates a torn last line (one with no
+    newline), then parses only the final complete line to recover the last
     tick, so the strictly-increasing append precondition survives process
     restarts without a second pass over the log. Since ticks increase, that
     line holds the largest; :meth:`entries` validates every line on replay.
@@ -84,26 +92,25 @@ class EditsLog:
                     self.last_tick = event.tick
 
     def _final_line(self) -> str | None:
-        """The log's last line without its newline, or None if there is none."""
+        """The log's last complete line without its newline, or None if there
+        is none; a torn line after it is truncated away first."""
         try:
             f = open(self.path, "rb")
         except FileNotFoundError:
             return None
         with f:
-            end = f.seek(0, os.SEEK_END)
-            if end == 0:
+            size = f.seek(0, os.SEEK_END)
+            end = _last_newline(f, size)
+            if end + 1 < size:
+                logger.warning(
+                    "%s: dropping a torn last line of %d bytes", self.path, size - end - 1
+                )
+                os.truncate(self.path, end + 1)
+            if end < 0:
                 return None
-            chunk = _TAIL_CHUNK
-            while True:
-                start = max(0, end - chunk)
-                f.seek(start)
-                data = f.read(end - start)
-                if data.endswith(b"\n"):
-                    data = data[:-1]
-                cut = data.rfind(b"\n")
-                if cut >= 0 or start == 0:
-                    return data[cut + 1:].decode("utf-8")
-                chunk *= 2
+            start = _last_newline(f, end) + 1
+            f.seek(start)
+            return f.read(end - start).decode("utf-8")
 
     def append(self, event: OpEvent) -> None:
         if event.tick <= self.last_tick:
@@ -144,3 +151,15 @@ class EditsLog:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
+
+
+def _last_newline(f, end: int) -> int:
+    """Offset of the last newline in the first ``end`` bytes of ``f``, or -1."""
+    while end > 0:
+        start = max(0, end - _TAIL_CHUNK)
+        f.seek(start)
+        cut = f.read(end - start).rfind(b"\n")
+        if cut >= 0:
+            return start + cut
+        end = start
+    return -1

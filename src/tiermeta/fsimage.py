@@ -14,12 +14,7 @@ from pathlib import Path
 
 from . import recordio
 from .errors import CorruptImageError
-from .namespace import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_DATANODE_COUNT,
-    DEFAULT_REPLICATION,
-    HotStore,
-)
+from .namespace import HotStore
 
 HEADER_MAGIC = "FSIMAGE"
 FORMAT_VERSION = "v1"
@@ -43,21 +38,14 @@ def save_fsimage(store: HotStore, dest: str | Path) -> None:
     os.replace(tmp, dest)
 
 
-def load_fsimage(
-    src: str | Path,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    replication: int = DEFAULT_REPLICATION,
-    datanode_count: int = DEFAULT_DATANODE_COUNT,
-) -> HotStore:
+def load_fsimage(src: str | Path) -> HotStore:
     """Read a checkpoint back into a fresh hot store.
 
-    The creation defaults are not part of the image; callers supply the same
-    configuration the namespace was running with. A record whose blocks were
-    placed on another ``datanode_count`` fails the load.
+    Every record is decoded and checked: one that :func:`recordio.decode_record`
+    refuses (a block list that is not the derived one, another geometry) fails
+    the load and names its line.
     """
-    store = HotStore(
-        block_size=block_size, replication=replication, datanode_count=datanode_count
-    )
+    store = HotStore()
     with open(src, "r", encoding="utf-8", newline="\n") as f:
         header = f.readline()
         if not header.endswith("\n"):
@@ -76,7 +64,7 @@ def load_fsimage(
             if not line.endswith("\n"):
                 raise CorruptImageError(f"{src}: line {lineno}: truncated record")
             try:
-                record = recordio.decode_record(line[:-1], datanode_count)
+                record = recordio.decode_record(line[:-1])
             except ValueError as exc:
                 raise CorruptImageError(f"{src}: line {lineno}: {exc}") from None
             if record.path in store:

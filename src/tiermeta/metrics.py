@@ -1,7 +1,7 @@
 """Counters and report output for tiering experiments.
 
-A :class:`MetricsRecorder` rides along with a store and is told about every
-lookup, separation, and hot-tier size change. :func:`build_report` turns the
+A :class:`MetricsRecorder` rides along with a store, which bumps its
+counters and appends its separation events. :func:`build_report` turns the
 recorder into an :class:`ExperimentReport` that serializes to CSV or JSON
 lines. Reports carry logical ticks only, never wall-clock time, so the same
 trace always produces byte-identical output files.
@@ -15,10 +15,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .namespace import estimate_memory
-
-LOOKUP_HOT = "hot"
-LOOKUP_COLD = "cold"
-LOOKUP_MISS = "miss"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,45 +45,9 @@ class MetricsRecorder:
     peak_hot_records: int = 0
     events: list[SeparationEvent] = field(default_factory=list)
 
-    def record_create(self) -> None:
-        self.creates += 1
-
-    def record_delete(self) -> None:
-        self.deletes += 1
-
-    def record_lookup(self, where: str) -> None:
-        if where == LOOKUP_HOT:
-            self.hot_hits += 1
-        elif where == LOOKUP_COLD:
-            self.cold_hits += 1
-        elif where == LOOKUP_MISS:
-            self.misses += 1
-        else:
-            raise ValueError(f"unknown lookup outcome {where!r}")
-
     def observe_hot_size(self, n_records: int) -> None:
         if n_records > self.peak_hot_records:
             self.peak_hot_records = n_records
-
-    def record_separation(
-        self,
-        tick: int,
-        hot_size_before: int,
-        kept_count: int,
-        evicted_count: int,
-        mean_count: float,
-        freed_bytes_estimate: int,
-    ) -> SeparationEvent:
-        event = SeparationEvent(
-            tick=tick,
-            hot_size_before=hot_size_before,
-            kept_count=kept_count,
-            evicted_count=evicted_count,
-            mean_count=mean_count,
-            freed_bytes_estimate=freed_bytes_estimate,
-        )
-        self.events.append(event)
-        return event
 
     @property
     def lookups(self) -> int:

@@ -10,13 +10,14 @@ consumes exactly one tick, so a given operation sequence always produces the
 same store state. Block ids encode (creation tick, block index), which keeps
 them unique for the life of the namespace and lets a checkpoint-plus-log
 replay mint identical ids without any allocator state in the checkpoint.
-Since a file's blocks follow from its length, geometry and creation tick,
-a record stores that tick and derives its blocks on demand.
+Since a file's blocks follow from its length and creation tick (the block
+size, replication and DataNode count are fixed), a record stores that tick
+and derives its blocks on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -26,9 +27,12 @@ from .errors import (
     PathExistsError,
 )
 
-DEFAULT_BLOCK_SIZE = 64 * 1024 * 1024
-DEFAULT_REPLICATION = 3
-DEFAULT_DATANODE_COUNT = 2
+# The record geometry: every file is laid out with these, and a record line
+# written with any other block size or replication, or placed for another
+# DataNode count, is refused on read.
+BLOCK_SIZE = 64 * 1024 * 1024
+REPLICATION = 3
+DATANODE_COUNT = 2
 
 # Low bits of a block id hold the block's index within its file; the rest
 # hold the file's creation tick.
@@ -52,28 +56,22 @@ class BlockInfo:
 class MetadataRecord:
     """Namespace entry for a single file.
 
-    The blocks are not stored: :attr:`blocks` derives them from ``length``,
-    ``block_size``, ``replication``, the creation tick ``created`` and the
-    store's ``datanode_count``. An empty file has no blocks and its
+    The blocks are not stored: :attr:`blocks` derives them from ``length``
+    and the creation tick ``created``. An empty file has no blocks and its
     ``created`` is 0. ``last_access`` and ``count`` are the only fields that
     change over a record's lifetime, and both are non-decreasing.
     """
 
     path: str
     length: int
-    block_size: int
-    replication: int
     created: int
     last_access: int
     count: int
-    datanode_count: int
 
     @property
     def blocks(self) -> tuple[BlockInfo, ...]:
         """The file's blocks, built anew on each read (see :func:`split_blocks`)."""
-        return split_blocks(
-            self.length, self.block_size, self.created, self.replication, self.datanode_count
-        )
+        return split_blocks(self.length, BLOCK_SIZE, self.created, REPLICATION, DATANODE_COUNT)
 
 
 class LogicalClock:
@@ -165,22 +163,15 @@ def estimate_memory(record_count: int, bytes_per_record: int) -> int:
     return record_count * bytes_per_record
 
 
-@dataclass
 class HotStore:
     """The hot tier: an insertion-ordered map of path to record.
-
-    The store also owns the creation defaults (block size, replication,
-    DataNode count) so that replaying a log of bare create events rebuilds
-    byte-identical records.
 
     Not internally synchronized: all mutations go through one logical owner,
     per the store-wide single-writer contract.
     """
 
-    block_size: int = DEFAULT_BLOCK_SIZE
-    replication: int = DEFAULT_REPLICATION
-    datanode_count: int = DEFAULT_DATANODE_COUNT
-    _records: dict[str, MetadataRecord] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._records: dict[str, MetadataRecord] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -207,16 +198,9 @@ class HotStore:
         """
         if path in self._records:
             raise PathExistsError(f"path already exists: {path}")
-        block_count(length, self.block_size)
+        block_count(length, BLOCK_SIZE)
         record = MetadataRecord(
-            path=path,
-            length=length,
-            block_size=self.block_size,
-            replication=self.replication,
-            created=tick if length else 0,
-            last_access=tick,
-            count=1,
-            datanode_count=self.datanode_count,
+            path=path, length=length, created=tick if length else 0, last_access=tick, count=1
         )
         self._records[path] = record
         return record

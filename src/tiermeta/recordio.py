@@ -8,10 +8,12 @@ One record per line, UTF-8, LF, tab-separated fields:
 entries, or the empty string for a zero-length file. The format is meant to be
 read with eyes and diffed with standard tools.
 
-A record does not store its blocks (see :class:`~tiermeta.namespace.MetadataRecord`):
-the writer derives the list, and the reader derives it again from the other
-fields, the first block id and the reading store's DataNode count, and
-requires the two to be equal.
+Every record has the same geometry (see :mod:`tiermeta.namespace`), so the
+``block_size`` and ``replication`` fields always hold ``BLOCK_SIZE`` and
+``REPLICATION``, and a line with any other value is refused. A record does
+not store its blocks (see :class:`~tiermeta.namespace.MetadataRecord`): the
+writer derives the list, and the reader derives it again from the length and
+the first block id and requires the two to be equal.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from .errors import FileTooLargeError
 from .namespace import (
     BLOCK_INDEX_BITS,
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_DATANODE_COUNT,
+    BLOCK_SIZE,
+    DATANODE_COUNT,
+    REPLICATION,
     MetadataRecord,
     block_count,
 )
@@ -28,43 +31,40 @@ from .namespace import (
 FIELD_COUNT = 7
 LAST_ACCESS_FIELD = 4
 _BLOCK_PARTS = ("block id", "size", "generation stamp", "replicas")
+_REPLICAS = range(min(REPLICATION, DATANODE_COUNT))
+_BLOCK_SIZE_TEXT = str(BLOCK_SIZE)
+_REPLICATION_TEXT = str(REPLICATION)
 
 
-def format_blocks(
-    length: int, block_size: int, created: int, replication: int, datanode_count: int
-) -> str:
+def format_blocks(length: int, created: int) -> str:
     """The ``blocks`` field of a record: :func:`~tiermeta.namespace.split_blocks`
     in line form, written from the same arithmetic without building blocks."""
-    n_blocks = block_count(length, block_size)
-    effective = range(min(replication, datanode_count))
+    n_blocks = block_count(length, BLOCK_SIZE)
     first = created << BLOCK_INDEX_BITS
     last = n_blocks - 1
     return ",".join([
-        f"{first + i}@{block_size if i < last else length - last * block_size}@{created}@"
-        + ";".join([str((first + i + j) % datanode_count) for j in effective])
+        f"{first + i}@{BLOCK_SIZE if i < last else length - last * BLOCK_SIZE}@{created}@"
+        + ";".join([str((first + i + j) % DATANODE_COUNT) for j in _REPLICAS])
         for i in range(n_blocks)
     ])
 
 
 def encode_record(record: MetadataRecord) -> str:
     """Serialize one record to its line form (no trailing newline)."""
-    blocks = format_blocks(
-        record.length, record.block_size, record.created, record.replication,
-        record.datanode_count,
-    )
+    blocks = format_blocks(record.length, record.created)
     return (
-        f"{record.path}\t{record.length}\t{record.block_size}\t"
-        f"{record.replication}\t{record.last_access}\t{record.count}\t{blocks}"
+        f"{record.path}\t{record.length}\t{BLOCK_SIZE}\t"
+        f"{REPLICATION}\t{record.last_access}\t{record.count}\t{blocks}"
     )
 
 
-def decode_record(line: str, datanode_count: int = DEFAULT_DATANODE_COUNT) -> MetadataRecord:
+def decode_record(line: str) -> MetadataRecord:
     """Parse one record line; raises ValueError on any malformation.
 
-    The creation tick is read from the first block id. The block list must
-    then equal, byte for byte, the one that tick and the other fields give
-    on ``datanode_count`` DataNodes, so every value on the line is checked
-    and ``encode_record(decode_record(line)) == line``.
+    The block size and replication must be the fixed ones, and the creation
+    tick is read from the first block id. The block list must then equal,
+    byte for byte, the one that tick and the length give, so every value on
+    the line is checked and ``encode_record(decode_record(line)) == line``.
     """
     fields = line.split("\t")
     if len(fields) != FIELD_COUNT:
@@ -73,22 +73,20 @@ def decode_record(line: str, datanode_count: int = DEFAULT_DATANODE_COUNT) -> Me
     if not path.startswith("/"):
         raise ValueError(f"record path is not absolute: {path!r}")
     length = parse_non_negative_int(length_s, "length")
-    block_size = parse_non_negative_int(bs_s, "block_size")
-    if block_size == DEFAULT_BLOCK_SIZE:
-        block_size = DEFAULT_BLOCK_SIZE  # one object for the common value
-    replication = parse_non_negative_int(repl_s, "replication")
+    if bs_s != _BLOCK_SIZE_TEXT:
+        raise ValueError(f"block_size is {bs_s!r}, not the fixed {BLOCK_SIZE}")
+    if repl_s != _REPLICATION_TEXT:
+        raise ValueError(f"replication is {repl_s!r}, not the fixed {REPLICATION}")
     last_access = parse_non_negative_int(la_s, "last_access")
     count = parse_non_negative_int(count_s, "count")
-    if not replication:
-        raise ValueError("replication is 0")
     try:
-        n_blocks = block_count(length, block_size)
+        n_blocks = block_count(length, BLOCK_SIZE)
     except FileTooLargeError as exc:
         raise ValueError(str(exc)) from None
     listed = blocks_s.count(",") + 1 if blocks_s else 0
     if listed != n_blocks:
         raise ValueError(
-            f"length {length} takes {n_blocks} blocks of {block_size}, the line lists {listed}"
+            f"length {length} takes {n_blocks} blocks of {BLOCK_SIZE}, the line lists {listed}"
         )
     created = 0
     if n_blocks:
@@ -98,19 +96,10 @@ def decode_record(line: str, datanode_count: int = DEFAULT_DATANODE_COUNT) -> Me
         created = int(first) >> BLOCK_INDEX_BITS
         if created == last_access:
             created = last_access  # the same object, as in a record never reopened
-        expected = format_blocks(length, block_size, created, replication, datanode_count)
+        expected = format_blocks(length, created)
         if blocks_s != expected:
             raise ValueError(_block_mismatch(blocks_s, expected))
-    return MetadataRecord(
-        path=path,
-        length=length,
-        block_size=block_size,
-        replication=replication,
-        created=created,
-        last_access=last_access,
-        count=count,
-        datanode_count=datanode_count,
-    )
+    return MetadataRecord(path, length, created, last_access, count)
 
 
 def _block_mismatch(got: str, expected: str) -> str:

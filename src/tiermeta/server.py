@@ -37,7 +37,7 @@ from .editlog import OP_DELETE, EditsLog
 from .errors import NotFoundError, PathExistsError, TierMetaError
 from .fsimage import load_fsimage
 from .metrics import MetricsRecorder
-from .namespace import LogicalClock, MetadataRecord, block_count
+from .namespace import BLOCK_SIZE, LogicalClock, MetadataRecord, block_count
 from .tiering import TieredStore, TieringConfig
 
 logger = logging.getLogger(__name__)
@@ -60,8 +60,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 
     Each file is scanned once, and only what stays in RAM is decoded:
 
-    - ``fsimage``: every record is decoded and checked, its block list
-      against ``config.datanode_count`` too.
+    - ``fsimage``: every record is decoded and checked.
     - ``fsimage2``: one scan builds the path-to-offset index and checks that
       each line is a record or a tombstone. The clock restart then reads back
       the live lines in offset order and takes only their ``last_access``
@@ -78,10 +77,8 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     image_path = data_dir / IMAGE_NAME
     hot = None
     if image_path.exists():
-        hot = load_fsimage(
-            image_path, config.block_size, config.replication, config.datanode_count
-        )
-    cold = ColdStore(data_dir / COLD_NAME, config.datanode_count)
+        hot = load_fsimage(image_path)
+    cold = ColdStore(data_dir / COLD_NAME)
     try:
         store = TieredStore(cold, config, hot=hot)
         store.clock = LogicalClock(1 + max(
@@ -115,7 +112,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 def format_record(record: MetadataRecord, tier: str | None = None) -> str:
     line = (
         f"OK path={record.path} length={record.length} "
-        f"blocks={block_count(record.length, record.block_size)} "
+        f"blocks={block_count(record.length, BLOCK_SIZE)} "
         f"last_access={record.last_access} count={record.count}"
     )
     if tier is not None:
@@ -211,10 +208,14 @@ class MetadataServer:
             t.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
+        rfile = conn.makefile("rb")
         try:
-            for line in rfile:
-                line = line.rstrip("\n")
+            for raw in rfile:
+                try:
+                    line = raw.rstrip(b"\n").decode("utf-8")
+                except UnicodeDecodeError:
+                    conn.sendall(b"ERR BADREQ request is not UTF-8\n")
+                    continue
                 with self._store_lock:
                     try:
                         response, quitting = self._dispatch(line)

@@ -22,11 +22,11 @@ from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from .errors import EmptyStoreError, NotFoundError, PathExistsError
 from .fsimage import save_fsimage
-from .metrics import LOOKUP_COLD, LOOKUP_HOT, LOOKUP_MISS, MetricsRecorder, SeparationEvent
+from .metrics import MetricsRecorder, SeparationEvent
 from .namespace import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_DATANODE_COUNT,
-    DEFAULT_REPLICATION,
+    BLOCK_SIZE,
+    DATANODE_COUNT,
+    REPLICATION,
     HotStore,
     LogicalClock,
     MetadataRecord,
@@ -43,7 +43,7 @@ TIER_COLD = "cold"
 
 @dataclass(frozen=True, slots=True)
 class TieringConfig:
-    """Knobs for the separation policy and record geometry.
+    """Knobs for the separation policy.
 
     ``recency_window`` defaults to three quarters of the threshold: with an
     all-counts-equal hot tier (the common state right after a create burst)
@@ -53,9 +53,6 @@ class TieringConfig:
     threshold_records: int = 1_200_000
     recency_window: int | None = None
     bytes_per_record: int = 600
-    block_size: int = DEFAULT_BLOCK_SIZE
-    replication: int = DEFAULT_REPLICATION
-    datanode_count: int = DEFAULT_DATANODE_COUNT
 
     def __post_init__(self) -> None:
         if self.recency_window is None:
@@ -66,19 +63,16 @@ class TieringConfig:
             raise ValueError("recency_window must be non-negative")
         if self.bytes_per_record < 1:
             raise ValueError("bytes_per_record must be positive")
-        if self.block_size < 1:
-            raise ValueError("block_size must be positive")
-        if self.replication < 1 or self.datanode_count < 1:
-            raise ValueError("replication and datanode_count must be positive")
 
     def as_dict(self) -> dict[str, object]:
+        """The knobs as reported, with the fixed record geometry alongside."""
         return {
             "threshold_records": self.threshold_records,
             "recency_window": self.recency_window,
             "bytes_per_record": self.bytes_per_record,
-            "block_size": self.block_size,
-            "replication": self.replication,
-            "datanode_count": self.datanode_count,
+            "block_size": BLOCK_SIZE,
+            "replication": REPLICATION,
+            "datanode_count": DATANODE_COUNT,
         }
 
 
@@ -126,11 +120,7 @@ class TieredStore:
     ):
         self.config = config or TieringConfig()
         self.cold = cold
-        self.hot = hot if hot is not None else HotStore(
-            block_size=self.config.block_size,
-            replication=self.config.replication,
-            datanode_count=self.config.datanode_count,
-        )
+        self.hot = hot if hot is not None else HotStore()
         self.clock = LogicalClock()
         self.edits = edits
         self.metrics = metrics or MetricsRecorder()
@@ -214,7 +204,7 @@ class TieredStore:
             self.cold.append_records(evicted)
             for record in evicted:
                 self.hot.remove(record.path)
-        event = self.metrics.record_separation(
+        event = SeparationEvent(
             tick=now,
             hot_size_before=n,
             kept_count=len(kept),
@@ -222,6 +212,7 @@ class TieredStore:
             mean_count=mean,
             freed_bytes_estimate=estimate_memory(len(evicted), self.config.bytes_per_record),
         )
+        self.metrics.events.append(event)
         logger.info(
             "separation at tick %d: %d hot -> %d kept, %d evicted (%.1f%%), mean count %.3f",
             now, n, event.kept_count, event.evicted_count,
@@ -256,9 +247,9 @@ class TieredStore:
             raise PathExistsError(f"path already exists: {path}")
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
-        block_count(length, self.hot.block_size)
+        block_count(length, BLOCK_SIZE)
         record = self.hot.create(path, length, self._tick(at))
-        self.metrics.record_create()
+        self.metrics.creates += 1
         self.metrics.observe_hot_size(len(self.hot))
         return record
 
@@ -266,7 +257,7 @@ class TieredStore:
         """Find a record in either tier for an access; promote if cold."""
         if path in self.hot:
             record = self.hot.access(path, self._tick(at))
-            self.metrics.record_lookup(LOOKUP_HOT)
+            self.metrics.hot_hits += 1
             return record
         record = self.cold.get(path)
         if record is not None:
@@ -274,10 +265,10 @@ class TieredStore:
             self.cold.delete(path)
             self.hot.insert(record)
             self.hot.access(path, tick)
-            self.metrics.record_lookup(LOOKUP_COLD)
+            self.metrics.cold_hits += 1
             self.metrics.observe_hot_size(len(self.hot))
             return record
-        self.metrics.record_lookup(LOOKUP_MISS)
+        self.metrics.misses += 1
         raise NotFoundError(f"no such path: {path}")
 
     def _delete(self, path: str, at: int | None) -> int:
@@ -290,8 +281,7 @@ class TieredStore:
             self.cold.delete(path)
         else:
             raise NotFoundError(f"no such path: {path}")
-        self.metrics.record_delete()
-        self.metrics.observe_hot_size(len(self.hot))
+        self.metrics.deletes += 1
         return tick
 
     def _log(self, event: OpEvent) -> None:

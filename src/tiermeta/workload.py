@@ -129,7 +129,7 @@ def replay(
     neither tier is counted as a miss and skipped.
     """
     open(cold_path, "wb").close()
-    cold = ColdStore(cold_path, config.datanode_count)
+    cold = ColdStore(cold_path)
     store = TieredStore(cold, config)
     applied = 0
     try:

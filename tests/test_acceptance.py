@@ -124,8 +124,7 @@ def test_criterion_3_separation_oracle():
         window = rng.randrange(0, now + 1)
         records = [
             MetadataRecord(
-                path=f"/o/{j}", length=0, block_size=1, replication=1, created=0,
-                datanode_count=2,
+                path=f"/o/{j}", length=0, created=0,
                 last_access=rng.randrange(now),
                 count=rng.choice((1, 1, 2, rng.randrange(1, 100))),
             )

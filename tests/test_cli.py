@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from tiermeta import cli, coldstore
-from tiermeta.cli import _build_parser, _resolve_knobs, main
+from tiermeta.cli import _build_parser, _resolve_knobs, _tiering_config, main
 from tiermeta.coldstore import ColdStore
 from tiermeta.fsimage import save_fsimage
 from tiermeta.namespace import HotStore, LogicalClock
@@ -54,6 +54,15 @@ def test_builtin_defaults_are_desk_scale():
     assert knobs["threshold"] == 120_000
     assert knobs["bytes_per_record"] == 600
     assert "window" not in knobs  # falls back to 75% of the threshold
+    desk = _build_parser().parse_args(["run-experiment", "--preset", "paper-desk"])
+    assert knobs == _resolve_knobs(desk)
+    assert _tiering_config(knobs).recency_window == 90_000
+
+
+@pytest.mark.parametrize("preset", [[], ["--preset", "paper-desk"]], ids=["bare", "paper-desk"])
+def test_the_window_follows_the_threshold_a_preset_is_overridden_with(preset):
+    args = _build_parser().parse_args(["run-experiment", *preset, "--threshold", "800"])
+    assert _tiering_config(_resolve_knobs(args)).recency_window == 600
 
 
 def test_run_experiment_with_preset_overridden_small(tmp_path, capsys):

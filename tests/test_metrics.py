@@ -3,32 +3,28 @@
 import csv
 import json
 
-import pytest
-
-from tiermeta.metrics import MetricsRecorder, build_report, write_csv, write_jsonl
+from tiermeta.metrics import (
+    MetricsRecorder,
+    SeparationEvent,
+    build_report,
+    write_csv,
+    write_jsonl,
+)
 
 
 def sample_recorder():
-    m = MetricsRecorder()
-    for _ in range(10):
-        m.record_create()
-    m.record_delete()
-    for _ in range(6):
-        m.record_lookup("hot")
-    for _ in range(3):
-        m.record_lookup("cold")
-    m.record_lookup("miss")
+    m = MetricsRecorder(creates=10, deletes=1, hot_hits=6, cold_hits=3, misses=1)
     m.observe_hot_size(4)
     m.observe_hot_size(9)
     m.observe_hot_size(7)
-    m.record_separation(
+    m.events.append(SeparationEvent(
         tick=100, hot_size_before=8, kept_count=6, evicted_count=2,
         mean_count=1.25, freed_bytes_estimate=1200,
-    )
-    m.record_separation(
+    ))
+    m.events.append(SeparationEvent(
         tick=200, hot_size_before=8, kept_count=5, evicted_count=3,
         mean_count=1.5, freed_bytes_estimate=1800,
-    )
+    ))
     return m
 
 
@@ -41,8 +37,6 @@ def test_counters_and_peak():
     assert m.peak_hot_records == 9
     assert [e.tick for e in m.events] == [100, 200]
     assert m.events[0].evicted_fraction == 0.25
-    with pytest.raises(ValueError):
-        m.record_lookup("elsewhere")
 
 
 def test_report_summary():
@@ -62,8 +56,7 @@ def test_report_summary():
 
 
 def test_rates_absent_without_lookups():
-    m = MetricsRecorder()
-    m.record_create()
+    m = MetricsRecorder(creates=1)
     report = build_report(m, config={}, bytes_per_record=600,
                           final_hot_records=1, final_cold_records=0)
     for key in ("hot_hit_rate", "cold_hit_rate", "miss_rate"):

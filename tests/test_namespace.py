@@ -11,7 +11,7 @@ from tiermeta.errors import (
 )
 from tiermeta.namespace import (
     BLOCK_INDEX_BITS,
-    DEFAULT_BLOCK_SIZE,
+    BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
     HotStore,
     LogicalClock,
@@ -24,7 +24,7 @@ MIB = 1024 * 1024
 
 
 def test_split_130mib_file():
-    blocks = split_blocks(130 * MIB, DEFAULT_BLOCK_SIZE, 42, 3, 2)
+    blocks = split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
     assert [b.size for b in blocks] == [64 * MIB, 64 * MIB, 2 * MIB]
     assert [b.block_id for b in blocks] == [(42 << BLOCK_INDEX_BITS) | i for i in range(3)]
     assert all(b.generation_stamp == 42 for b in blocks)
@@ -33,11 +33,11 @@ def test_split_130mib_file():
 
 
 def test_split_zero_length_has_no_blocks():
-    assert split_blocks(0, DEFAULT_BLOCK_SIZE, 0, 3, 2) == ()
+    assert split_blocks(0, BLOCK_SIZE, 0, 3, 2) == ()
 
 
 def test_split_exact_multiple():
-    blocks = split_blocks(64 * MIB, DEFAULT_BLOCK_SIZE, 0, 3, 2)
+    blocks = split_blocks(64 * MIB, BLOCK_SIZE, 0, 3, 2)
     assert len(blocks) == 1
     assert blocks[0].size == 64 * MIB
 
@@ -178,18 +178,18 @@ def test_store_against_dict_model():
 def test_created_record_holds_its_tick_and_derives_its_blocks():
     store = HotStore()
     record = store.create("/d/a", 130 * MIB, tick=42)
-    assert (record.created, record.datanode_count) == (42, 2)
-    assert record.blocks == split_blocks(130 * MIB, DEFAULT_BLOCK_SIZE, 42, 3, 2)
+    assert record.created == 42
+    assert record.blocks == split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
     store.access("/d/a", tick=50)
     assert record.created == 42
-    assert record.blocks == split_blocks(130 * MIB, DEFAULT_BLOCK_SIZE, 42, 3, 2)
+    assert record.blocks == split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
     assert store.create("/d/empty", 0, tick=51).created == 0
 
 
 def test_create_refuses_a_file_past_the_block_limit():
     store = HotStore()
     with pytest.raises(FileTooLargeError):
-        store.create("/big", MAX_BLOCKS_PER_FILE * DEFAULT_BLOCK_SIZE + 1, tick=0)
+        store.create("/big", MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1, tick=0)
     assert "/big" not in store and len(store) == 0
     # the largest file allowed is still created, without building its blocks
-    assert store.create("/max", MAX_BLOCKS_PER_FILE * DEFAULT_BLOCK_SIZE, tick=1).created == 1
+    assert store.create("/max", MAX_BLOCKS_PER_FILE * BLOCK_SIZE, tick=1).created == 1

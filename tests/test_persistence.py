@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -22,13 +23,13 @@ from tiermeta.errors import (
 )
 from tiermeta.fsimage import load_fsimage, save_fsimage
 from tiermeta.namespace import (
-    DEFAULT_BLOCK_SIZE,
+    BLOCK_SIZE,
     HotStore,
     LogicalClock,
     MetadataRecord,
     split_blocks,
 )
-from tiermeta.server import IMAGE_NAME, open_store
+from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import decode_record, encode_record
 
@@ -41,7 +42,7 @@ GOLDEN_LINE = (
 
 
 def test_record_line_format_is_pinned():
-    store = HotStore()  # defaults: 64 MiB blocks, replication 3, 2 nodes
+    store = HotStore()  # every record: 64 MiB blocks, replication 3, 2 nodes
     store.create("/data/report.txt", 130 * 1024 * 1024, tick=42)
     record = store.access("/data/report.txt", tick=50)
     assert encode_record(record) == GOLDEN_LINE
@@ -59,22 +60,16 @@ def test_zero_length_record_has_empty_blocks_field():
 @st.composite
 def record_strategy(draw):
     path = draw(st.from_regex(r"/[a-z0-9_.\-/]{1,30}", fullmatch=True))
-    block_size = draw(st.integers(min_value=1, max_value=2**30))
     n_blocks = draw(st.integers(min_value=0, max_value=5))
-    tail = draw(st.integers(min_value=1, max_value=block_size))
-    length = 0 if n_blocks == 0 else (n_blocks - 1) * block_size + tail
+    tail = draw(st.integers(min_value=1, max_value=BLOCK_SIZE))
+    length = 0 if n_blocks == 0 else (n_blocks - 1) * BLOCK_SIZE + tail
     tick = draw(st.integers(min_value=0, max_value=2**40))
-    replication = draw(st.integers(min_value=1, max_value=4))
-    nodes = draw(st.integers(min_value=1, max_value=5))
     return MetadataRecord(
         path=path,
         length=length,
-        block_size=block_size,
-        replication=replication,
         created=tick if length else 0,
         last_access=draw(st.integers(min_value=0, max_value=2**40)),
         count=draw(st.integers(min_value=1, max_value=10**6)),
-        datanode_count=nodes,
     )
 
 
@@ -90,7 +85,7 @@ def blocks_text(blocks):
 def test_record_round_trip(record):
     line = encode_record(record)
     assert line.split("\t")[6] == blocks_text(record.blocks)
-    assert decode_record(line, record.datanode_count) == record
+    assert decode_record(line) == record
 
 
 @pytest.mark.parametrize(
@@ -100,8 +95,8 @@ def test_record_round_trip(record):
         ("notabsolute\t1\t1\t1\t1\t1\t", "absolute"),
         ("/a\tx\t1\t1\t1\t1\t", "integer"),
         ("/a\t-1\t1\t1\t1\t1\t", "negative"),
-        ("/a\t1\t1\t1\t1\t1\t123@4", "block"),
-        ("/a\t1\t1\t1\t1\t1\t123@4@5@", "replicas"),
+        ("/a\t1\t67108864\t3\t1\t1\t123@4", "malformed block entry: '123@4'$"),
+        ("/a\t1\t67108864\t3\t1\t1\t123@4@5@", "no replicas"),
     ],
 )
 def test_record_decode_rejects(line, what):
@@ -114,14 +109,14 @@ def test_decode_rejects_ints_not_written_in_plain_digits():
         decode_record("/a\t1_0\t 64\t3\t+5\t1\t")
     for text in (" 64", "+5", "\u0663", "07"):
         with pytest.raises(ValueError, match="last_access is not an integer"):
-            decode_record(f"/a\t0\t64\t3\t{text}\t1\t")
+            decode_record(f"/a\t0\t67108864\t3\t{text}\t1\t")
 
 
 def test_decode_rejects_a_length_without_its_blocks():
-    with pytest.raises(ValueError, match="length 10 takes 1 blocks of 64, the line lists 0"):
-        decode_record("/a\t10\t64\t3\t5\t1\t")
+    with pytest.raises(ValueError, match="length 10 takes 1 blocks of 67108864, the line lists 0"):
+        decode_record("/a\t10\t67108864\t3\t5\t1\t")
     with pytest.raises(ValueError, match="length 0 takes 0 blocks"):
-        decode_record("/a\t0\t64\t3\t5\t1\t5242880@10@5@1;0")
+        decode_record("/a\t0\t67108864\t3\t5\t1\t5242880@10@5@1;0")
 
 
 def _golden_with_block(i, entry):
@@ -148,12 +143,13 @@ def test_decode_rejects_a_block_that_is_not_the_derived_one(i, entry, what):
 
 
 def test_a_line_written_for_three_datanodes_is_rejected_on_two():
-    store = HotStore(datanode_count=3)
-    line = encode_record(store.create("/three", 130 * 1024 * 1024, tick=42))
-    assert line.endswith("@42@0;1;2,44040193@67108864@42@1;2;0,44040194@2097152@42@2;0;1")
-    assert decode_record(line, 3) == store.get("/three")
+    line = (
+        "/three\t136314880\t67108864\t3\t42\t1\t"
+        "44040192@67108864@42@0;1;2,44040193@67108864@42@1;2;0,44040194@2097152@42@2;0;1"
+    )
+    assert line.split("\t")[6] == blocks_text(split_blocks(130 * 1024 * 1024, BLOCK_SIZE, 42, 3, 3))
     with pytest.raises(ValueError, match="replicas is not the derived '0;1'"):
-        decode_record(line, 2)
+        decode_record(line)
 
 
 @st.composite
@@ -183,7 +179,6 @@ def test_decoded_ints_reuse_equal_ints_of_their_line():
     line = "/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1"
     one = decode_record(line)
     assert one.created is one.last_access
-    assert one.block_size is DEFAULT_BLOCK_SIZE
     (block,) = one.blocks
     assert block.size is one.length
     assert block.generation_stamp is one.last_access
@@ -204,7 +199,7 @@ def test_records_hold_only_strings_and_ints(tmp_path):
     for record in (created, loaded, promoted):
         # a slotted instance refers to its class and to each field's value
         fields = [value for value in gc.get_referents(record) if value is not MetadataRecord]
-        assert len(fields) == 8 and record.path in fields
+        assert len(fields) == 5 and record.path in fields
         assert {type(value) for value in fields} == {str, int}, fields
 
 
@@ -226,8 +221,7 @@ def _objects_per_record(records):
     """Distinct objects the records hold, per record; a shared one counts once."""
     seen = set()
     for r in records:
-        fields = (r, r.path, r.length, r.block_size, r.replication, r.created, r.last_access,
-                  r.count, r.datanode_count)
+        fields = (r, r.path, r.length, r.created, r.last_access, r.count)
         seen.update(map(id, fields))
     return len(seen) / len(records)
 
@@ -315,6 +309,13 @@ def test_image_golden_bytes(tmp_path):
     )
 
 
+EMPTY_A = "/a\t0\t67108864\t3\t0\t1\t\n"
+# a record line after its path, with another geometry; one 10-byte block
+# gives the same block list under either
+BLOCK_SIZE_1024 = "\t10\t1024\t3\t5\t1\t5242880@10@5@0;1"
+REPLICATION_2 = "\t10\t67108864\t2\t5\t1\t5242880@10@5@0;1"
+
+
 @pytest.mark.parametrize(
     "content, what",
     [
@@ -322,11 +323,14 @@ def test_image_golden_bytes(tmp_path):
         ("BOGUS v1 0\n", "not an image"),
         ("FSIMAGE v9 0\n", "version"),
         ("FSIMAGE v1 x\n", "count"),
-        ("FSIMAGE v1 2\n/a\t0\t1\t1\t0\t1\t\n", "header says 2"),
-        ("FSIMAGE v1 1\n/a\t0\t1\t1\t0\t1\t\n/b\t0\t1\t1\t0\t1\t\n", "header says 1"),
+        ("FSIMAGE v1 2\n" + EMPTY_A, "header says 2"),
+        ("FSIMAGE v1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
         ("FSIMAGE v1 1\ngarbage line\n", "line 2"),
-        ("FSIMAGE v1 2\n/a\t0\t1\t1\t0\t1\t\n/a\t0\t1\t1\t0\t1\t\n", "duplicate"),
-        ("FSIMAGE v1 1\n/a\t0\t1\t1\t0\t1\t", "truncated"),
+        ("FSIMAGE v1 2\n" + EMPTY_A + EMPTY_A, "duplicate"),
+        ("FSIMAGE v1 1\n" + EMPTY_A[:-1], "truncated"),
+        ("FSIMAGE v1 1\n/a" + BLOCK_SIZE_1024 + "\n",
+         "line 2: block_size is '1024', not the fixed 67108864"),
+        ("FSIMAGE v1 1\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
     ],
 )
 def test_image_load_rejects_corruption(tmp_path, content, what):
@@ -393,8 +397,13 @@ def test_log_reads_its_last_tick_from_the_final_line(tmp_path):
         log.append(event)
     log.close()
     assert EditsLog(path).last_tick == 8
-    path.write_bytes(path.read_bytes() + b"ACCESS /a 11")  # no final newline
-    assert EditsLog(path).last_tick == 11
+    complete = path.read_bytes()
+    path.write_bytes(complete + b"ACCESS /a 11")  # a torn append: no final newline
+    assert EditsLog(path).last_tick == 8
+    assert path.read_bytes() == complete
+    path.write_bytes(b"CREATE /a9 1")
+    assert EditsLog(path).last_tick == -1
+    assert path.read_bytes() == b""
     path.write_bytes(b"")
     assert EditsLog(path).last_tick == -1
 
@@ -407,6 +416,24 @@ def test_log_rejects_corruption(tmp_path):
     path.write_text("CREATE /a 5 7\nACCESS /a 7\n")
     with pytest.raises(CorruptLogError, match="not increasing"):
         list(EditsLog(path).entries())
+
+
+def test_a_torn_last_edit_is_dropped_and_the_store_opens(tmp_path, caplog):
+    log = tmp_path / EDITS_NAME
+    log.write_bytes(b"CREATE /a 1 0\nCREATE /a9 1")  # a kill during the second append
+    store = open_store(tmp_path)
+    assert [r.message for r in caplog.records] == [
+        f"{log}: dropping a torn last line of 12 bytes"
+    ]
+    assert list(store.hot.paths()) == ["/a"]
+    store.create("/b", 1)
+    store.close()
+    assert log.read_bytes() == b"CREATE /a 1 0\nCREATE /b 1 1\n"
+    reopened = open_store(tmp_path)
+    try:
+        assert sorted(reopened.hot.paths()) == ["/a", "/b"]
+    finally:
+        reopened.close()
 
 
 def test_recovery_over_an_empty_log_leaves_the_image_unchanged(tmp_path):
@@ -625,6 +652,28 @@ def test_cold_append_is_all_or_nothing(tmp_path):
         "/e/0000", "/e/0001", "/e/0002"
     ]
     cold2.close()
+
+
+@pytest.mark.parametrize(
+    "rest, reason",
+    [
+        (BLOCK_SIZE_1024, "block_size is '1024', not the fixed 67108864"),
+        (REPLICATION_2, "replication is '2', not the fixed 3"),
+    ],
+    ids=["block-size", "replication"],
+)
+def test_cold_refuses_a_record_of_another_geometry_on_first_read(tmp_path, rest, reason):
+    path = tmp_path / "c2"
+    good = cold_records(1)[0]
+    line = f"/c/odd{rest}\n"
+    path.write_text(line + encode_record(good) + "\n")
+    cold = ColdStore(path)  # the index scan reads paths only
+    try:
+        assert cold.get(good.path) == good
+        with pytest.raises(CorruptImageError, match=re.escape(f"{path}: offset 0: {reason}")):
+            cold.get("/c/odd")
+    finally:
+        cold.close()
 
 
 def test_cold_rejects_corrupt_line(tmp_path):

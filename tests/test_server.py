@@ -91,6 +91,15 @@ def test_pipelined_requests(running_server):
     client.close()
 
 
+def test_a_request_that_is_not_utf8_is_answered_and_keeps_the_connection(running_server):
+    server = running_server()
+    client = Client(server.bound_port)
+    client.sock.sendall(b"OPEN /\xff\nCREATE /u 1\n")
+    assert client.f.readline() == "ERR BADREQ request is not UTF-8\n"
+    assert client.f.readline() == "OK created /u\n"
+    client.close()
+
+
 def test_internal_error_answers_and_keeps_the_connection(running_server, monkeypatch):
     server = running_server()
     client = Client(server.bound_port)

@@ -22,7 +22,7 @@ from tiermeta.errors import (
     PathExistsError,
     TierMetaError,
 )
-from tiermeta.namespace import MAX_BLOCKS_PER_FILE, MetadataRecord
+from tiermeta.namespace import BLOCK_SIZE, MAX_BLOCKS_PER_FILE, MetadataRecord
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
 
@@ -39,10 +39,7 @@ def oracle_partition(records, now, window):
 
 
 def plain_record(path, count, last_access):
-    return MetadataRecord(
-        path=path, length=0, block_size=1, replication=1, created=0,
-        last_access=last_access, count=count, datanode_count=2,
-    )
+    return MetadataRecord(path=path, length=0, created=0, last_access=last_access, count=count)
 
 
 # Six-record worked example: now=100, W=20, counts sum 24 so mean is 4.0.
@@ -218,7 +215,7 @@ def test_refused_operations_consume_no_tick(tmp_path):
     store.open("/b")  # promotes
     assert "/a" in store.cold and "/b" in store.hot
     assert store.clock.now == 3
-    too_large = MAX_BLOCKS_PER_FILE * store.config.block_size + 1
+    too_large = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
     refused = [
         (FileTooLargeError, store.create, "/big", too_large),
         (ValueError, store.create, "/neg", -1),
@@ -378,7 +375,7 @@ def test_fuzz_against_flat_reference(tmp_path):
 def test_live_and_replay_agree(tmp_path):
     """Applying a live store's edits log to a fresh store rebuilds it exactly."""
     config = TieringConfig(threshold_records=30, recency_window=20)
-    too_large = MAX_BLOCKS_PER_FILE * config.block_size + 1
+    too_large = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
     for seed in range(10):
         rng = random.Random(seed)
         live = TieredStore(

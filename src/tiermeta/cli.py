@@ -264,9 +264,9 @@ def _print_report(report: ExperimentReport) -> None:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.image:
+        store = load_fsimage(args.image)  # checks the header before it is printed
         with open(args.image, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\n")
-        store = load_fsimage(args.image)
         if args.path:
             record = store.get(args.path)
             if record is None:

@@ -8,6 +8,9 @@ Later entries win, so deleting or promoting a record is one appended
 tombstone, never a rewrite. An in-memory path-to-offset index is rebuilt
 by a single scan on open; lookups then cost one seek and one readline.
 Record paths always start with "/", so a TOMB prefix is unambiguous.
+An append ends with its newline, so a last line without one was cut short
+by a crash: it was never acknowledged, and opening the file truncates it
+away, as opening the edits log does.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -26,7 +29,7 @@ from .errors import (
     NotFoundError,
 )
 from .namespace import MetadataRecord
-from .recordio import decode_last_access, decode_record, encode_record
+from .recordio import decode_record, encode_record
 
 logger = logging.getLogger(__name__)
 
@@ -54,16 +57,19 @@ class ColdStore:
         lineno = 0
         for raw in self._file:
             lineno += 1
-            if raw.startswith(_TOMB_PREFIX):
-                path = raw[len(_TOMB_PREFIX):].rstrip(b"\n").decode("utf-8")
-                self._index.pop(path, None)
-            elif raw.startswith(b"/") and b"\t" in raw:
-                path = raw.split(b"\t", 1)[0].decode("utf-8")
-                self._index[path] = offset
-            else:
-                raise CorruptImageError(
-                    f"{self.path}: line {lineno}: neither record nor tombstone"
-                )
+            if not raw.endswith(b"\n"):
+                logger.warning("%s: dropping a torn last line of %d bytes", self.path, len(raw))
+                self._file.truncate(offset)
+                break
+            try:
+                if raw.startswith(_TOMB_PREFIX):
+                    self._index.pop(raw[len(_TOMB_PREFIX):-1].decode("utf-8"), None)
+                elif raw.startswith(b"/") and b"\t" in raw:
+                    self._index[raw.split(b"\t", 1)[0].decode("utf-8")] = offset
+                else:
+                    raise ValueError("neither record nor tombstone")
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise CorruptImageError(f"{self.path}: line {lineno}: {exc}") from None
             offset += len(raw)
 
     def __contains__(self, path: str) -> bool:
@@ -81,9 +87,8 @@ class ColdStore:
         if offset is None:
             return None
         self._file.seek(offset)
-        line = self._file.readline().rstrip(b"\n").decode("utf-8")
         try:
-            return decode_record(line)
+            return decode_record(self._file.readline()[:-1].decode("utf-8"))
         except ValueError as exc:
             raise CorruptImageError(f"{self.path}: offset {offset}: {exc}") from None
 
@@ -93,21 +98,6 @@ class ColdStore:
             record = self.get(path)
             assert record is not None
             yield record
-
-    def last_accesses(self) -> Iterator[int]:
-        """Yield the ``last_access`` of every live record, in file order.
-
-        Only that field is read (see :func:`decode_last_access`), so a fault
-        elsewhere in a line is found by the first :meth:`get` of its path.
-        Tombstoned and superseded lines are not read at all.
-        """
-        seek, readline = self._file.seek, self._file.readline
-        for offset in sorted(self._index.values()):
-            seek(offset)
-            try:
-                yield decode_last_access(readline())
-            except ValueError as exc:
-                raise CorruptImageError(f"{self.path}: offset {offset}: {exc}") from None
 
     def append_records(self, records: list[MetadataRecord]) -> None:
         """Append records atomically: on failure the file is restored to its

@@ -85,13 +85,13 @@ class EditsLog:
         tail = self._final_line()
         if tail is not None:
             try:
-                self.last_tick = parse_op_line(tail).tick
-            except ValueError:
+                self.last_tick = parse_op_line(tail.decode("utf-8")).tick
+            except ValueError:  # UnicodeDecodeError included
                 # a full scan names the line and the reason
                 for event in self.entries():
                     self.last_tick = event.tick
 
-    def _final_line(self) -> str | None:
+    def _final_line(self) -> bytes | None:
         """The log's last complete line without its newline, or None if there
         is none; a torn line after it is truncated away first."""
         try:
@@ -110,7 +110,7 @@ class EditsLog:
                 return None
             start = _last_newline(f, end) + 1
             f.seek(start)
-            return f.read(end - start).decode("utf-8")
+            return f.read(end - start)
 
     def append(self, event: OpEvent) -> None:
         if event.tick <= self.last_tick:
@@ -128,11 +128,11 @@ class EditsLog:
         if not self.path.exists():
             return
         last = -1
-        with open(self.path, "r", encoding="utf-8", newline="\n") as f:
+        with open(self.path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 try:
-                    event = parse_op_line(line.rstrip("\n"))
-                except ValueError as exc:
+                    event = parse_op_line(line.rstrip(b"\n").decode("utf-8"))
+                except ValueError as exc:  # UnicodeDecodeError included
                     raise CorruptLogError(f"{self.path}: line {lineno}: {exc}") from None
                 if event.tick <= last:
                     raise CorruptLogError(

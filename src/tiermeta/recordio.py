@@ -29,7 +29,6 @@ from .namespace import (
 )
 
 FIELD_COUNT = 7
-LAST_ACCESS_FIELD = 4
 _BLOCK_PARTS = ("block id", "size", "generation stamp", "replicas")
 _REPLICAS = range(min(REPLICATION, DATANODE_COUNT))
 _BLOCK_SIZE_TEXT = str(BLOCK_SIZE)
@@ -116,19 +115,6 @@ def _block_mismatch(got: str, expected: str) -> str:
             if part != derived:
                 return f"malformed block entry: {entry!r}: {name} is not the derived {derived!r}"
     return f"block list is not the derived {expected!r}"
-
-
-def decode_last_access(line: bytes) -> int:
-    """Read only the ``last_access`` of one encoded record line.
-
-    Checks the field count and that one field; the rest is left to
-    :func:`decode_record`. Raises ValueError on either fault.
-    """
-    fields = line.split(b"\t")
-    if len(fields) != FIELD_COUNT:
-        raise ValueError(f"expected {FIELD_COUNT} tab-separated fields, got {len(fields)}")
-    last_access = fields[LAST_ACCESS_FIELD].decode("utf-8", "replace")
-    return parse_non_negative_int(last_access, "last_access")
 
 
 def _is_decimal(text: str) -> bool:

@@ -35,7 +35,7 @@ from pathlib import Path
 from .coldstore import ColdStore
 from .editlog import OP_DELETE, EditsLog
 from .errors import NotFoundError, PathExistsError, TierMetaError
-from .fsimage import load_fsimage
+from .fsimage import load_fsimage, read_clock
 from .metrics import MetricsRecorder
 from .namespace import BLOCK_SIZE, LogicalClock, MetadataRecord, block_count
 from .tiering import TieredStore, TieringConfig
@@ -50,24 +50,23 @@ EDITS_NAME = "edits.log"
 def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> TieredStore:
     """Open (or initialize) the store living in ``data_dir``.
 
-    Recovery order: load the checkpoint image, open the cold store, restart
-    the clock past every persisted tick, then replay the edits log with
-    accesses resolved through both tiers so promotions are reproduced. A
-    DELETE whose path is in neither tier is already applied (a cold delete's
-    tombstone is durable the moment it is acknowledged), so only its tick is
-    consumed. Any other edit that no longer applies is logged and skipped;
-    recovery keeps what it can rather than refusing to start.
+    Recovery order: load the checkpoint image and start the clock at the
+    tick it stores (0 with no image), open the cold store, then replay the
+    edits log with accesses resolved through both tiers so promotions are
+    reproduced. A DELETE whose path is in neither tier is already applied (a
+    cold delete's tombstone is durable the moment it is acknowledged), so it
+    is skipped. Any other edit that no longer applies, one below the image's
+    clock included, is logged and skipped; recovery keeps what it can rather
+    than refusing to start. Every tick the store took is below the image's
+    clock or in the log, so ending past the log's last tick issues none twice.
 
     Each file is scanned once, and only what stays in RAM is decoded:
 
     - ``fsimage``: every record is decoded and checked.
     - ``fsimage2``: one scan builds the path-to-offset index and checks that
-      each line is a record or a tombstone. The clock restart then reads back
-      the live lines in offset order and takes only their ``last_access``
-      field; the clock starts at the max over hot and live cold records, plus
-      1, so a tombstoned line's tick does not count. The rest of a cold
-      record is decoded and checked on its first read, so a bad block list
-      raises CorruptImageError there, not here.
+      each line is a record or a tombstone. A cold record is decoded and
+      checked on its first read, so a bad line raises CorruptImageError
+      there, not here.
     - ``edits.log``: its final line gives the log's last tick; the replay
       parses and checks every line once.
     """
@@ -75,30 +74,28 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     image_path = data_dir / IMAGE_NAME
-    hot = None
+    hot, clock = None, 0
     if image_path.exists():
         hot = load_fsimage(image_path)
+        clock = read_clock(image_path)
     cold = ColdStore(data_dir / COLD_NAME)
     try:
         store = TieredStore(cold, config, hot=hot)
-        store.clock = LogicalClock(1 + max(
-            max((record.last_access for record in store.hot), default=-1),
-            max(cold.last_accesses(), default=-1),
-        ))
+        store.clock = LogicalClock(clock)
         edits = EditsLog(data_dir / EDITS_NAME)
         skipped = 0
         for event in edits.entries():
             path = event.path
+            if event.op == OP_DELETE and not (path in store.hot or path in store.cold):
+                continue
             try:
-                if event.op == OP_DELETE and not (path in store.hot or path in store.cold):
-                    store.clock.tick_at(event.tick)
-                else:
-                    store.apply_event(event)
+                store.apply_event(event)
             except (TierMetaError, ValueError) as exc:
                 skipped += 1
                 logger.warning("skipping unreplayable edit %s %s: %s", event.op, path, exc)
         if skipped:
             logger.warning("recovery skipped %d of the logged edits", skipped)
+        store.clock.now = max(store.clock.now, edits.last_tick + 1)
     except BaseException:
         cold.close()  # a store that failed to recover is never handed out
         raise

@@ -224,7 +224,7 @@ class TieredStore:
 
     def checkpoint(self, image_path) -> None:
         """Write the hot tier to an image and reset the edits log."""
-        save_fsimage(self.hot, image_path)
+        save_fsimage(self.hot, image_path, self.clock.now)
         if self.edits is not None:
             self.edits.reset()
 

@@ -215,8 +215,8 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     for record in rng.sample(sorted(store.paths()), 200):
         store.access(record, clock.tick())
     first, second = tmp_path / "img1", tmp_path / "img2"
-    save_fsimage(store, first)
-    save_fsimage(load_fsimage(first), second)
+    save_fsimage(store, first, clock.now)
+    save_fsimage(load_fsimage(first), second, clock.now)
     assert first.read_bytes() == second.read_bytes()
 
     # checkpoint + edits replay equals live state, 100 randomized traces,
@@ -227,7 +227,6 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
         data_dir = tmp_path / f"store{seed}"
         live = open_store(data_dir, config)
         live.checkpoint(data_dir / IMAGE_NAME)
-        tail = None  # "lost": the last ticks went to DELETEs, then a checkpoint
         for _ in range(rng.randrange(50, 300)):
             roll = rng.random()
             paths = [r.path for r in live.hot]
@@ -235,24 +234,19 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
                 path = f"/t/{rng.randrange(150):03d}"
                 if path not in live.hot:
                     live.create(path, rng.randrange(10**9))
-                    tail = None
             elif roll < 0.8:
                 live.open(rng.choice(paths))
-                tail = None
             elif roll < 0.95:
                 live.delete(rng.choice(paths))
-                tail = "delete"
             else:
                 live.checkpoint(data_dir / IMAGE_NAME)
-                tail = "lost" if tail in ("delete", "lost") else None
         live.close()
         caplog.clear()
         recovered = open_store(data_dir, config)
         assert not caplog.records, caplog.text  # no edit was skipped
         assert {r.path: r for r in recovered.hot} == {r.path: r for r in live.hot}
         assert len(recovered.cold) == 0
-        if tail != "lost":  # ROADMAP item 1(f); pinned in test_persistence.py
-            assert recovered.clock.now == live.clock.now
+        assert recovered.clock.now == live.clock.now
         recovered.close()
 
     # cold store: scan-built index agrees across reopen

@@ -121,20 +121,20 @@ def test_replay_names_the_malformed_line(tmp_path, capsys):
 
 def test_inspect_image(tmp_path, capsys):
     empty = tmp_path / "img0"
-    save_fsimage(HotStore(), empty)
+    save_fsimage(HotStore(), empty, 0)
     code, out, _ = run(capsys, "inspect", "--image", str(empty))
     assert code == 0
-    assert out == "FSIMAGE v1 0\n"
+    assert out == "FSIMAGE v2 0 0\n"
 
     store = HotStore()
     store.create("/i/a", 10, tick=0)
     store.create("/i/b", 0, tick=1)
     image = tmp_path / "img"
-    save_fsimage(store, image)
+    save_fsimage(store, image, 2)
     code, out, _ = run(capsys, "inspect", "--image", str(image))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "FSIMAGE v1 2"
+    assert lines[0] == "FSIMAGE v2 2 2"
     assert [line.split("\t")[0] for line in lines[1:]] == ["/i/a", "/i/b"]
 
     code, out, _ = run(capsys, "inspect", "--image", str(image), "--path", "/i/b")

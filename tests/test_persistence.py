@@ -21,7 +21,7 @@ from tiermeta.errors import (
     OutOfOrderEditError,
     PathExistsError,
 )
-from tiermeta.fsimage import load_fsimage, save_fsimage
+from tiermeta.fsimage import load_fsimage, read_clock, save_fsimage
 from tiermeta.namespace import (
     BLOCK_SIZE,
     HotStore,
@@ -236,7 +236,7 @@ def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path):
         return store
 
     created, created_bytes = _traced_bytes(build)
-    save_fsimage(created, tmp_path / "img")
+    save_fsimage(created, tmp_path / "img", 100_000)
     loaded, loaded_bytes = _traced_bytes(lambda: load_fsimage(tmp_path / "img"))
     assert list(loaded) == list(created)
     assert _objects_per_record(list(loaded)) <= _objects_per_record(list(created))
@@ -248,6 +248,7 @@ def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path):
 # -- checkpoint image ------------------------------------------------------
 
 def sample_store(n=5):
+    """A hot store of ``n + 1`` ticks' history; its clock is at ``n + 1``."""
     store = HotStore()
     clock = LogicalClock()
     for i in range(n):
@@ -259,30 +260,32 @@ def sample_store(n=5):
 def test_image_round_trip(tmp_path):
     store = sample_store()
     dest = tmp_path / "img"
-    save_fsimage(store, dest)
+    save_fsimage(store, dest, 6)
     loaded = load_fsimage(dest)
     assert {r.path: r for r in loaded} == {r.path: r for r in store}
+    assert read_clock(dest) == 6
 
 
 def test_image_save_load_save_is_byte_identical(tmp_path):
     store = sample_store()
     first, second = tmp_path / "img1", tmp_path / "img2"
-    save_fsimage(store, first)
-    save_fsimage(load_fsimage(first), second)
+    save_fsimage(store, first, 6)
+    save_fsimage(load_fsimage(first), second, read_clock(first))
     assert first.read_bytes() == second.read_bytes()
     assert not (tmp_path / "img1.tmp").exists()
 
 
 def test_image_empty_namespace_is_header_only(tmp_path):
     dest = tmp_path / "img"
-    save_fsimage(HotStore(), dest)
-    assert dest.read_text() == "FSIMAGE v1 0\n"
+    save_fsimage(HotStore(), dest, 7)  # every record deleted, the clock kept
+    assert dest.read_text() == "FSIMAGE v2 0 7\n"
     assert len(load_fsimage(dest)) == 0
+    assert read_clock(dest) == 7
 
 
 def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch):
     dest = tmp_path / "img"
-    save_fsimage(sample_store(), dest)
+    save_fsimage(sample_store(), dest, 6)
     original = dest.read_bytes()
 
     def boom(fd):
@@ -290,7 +293,7 @@ def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", boom)
     with pytest.raises(OSError):
-        save_fsimage(HotStore(), dest)
+        save_fsimage(HotStore(), dest, 6)
     assert dest.read_bytes() == original
     assert not (tmp_path / "img.tmp").exists()
 
@@ -301,9 +304,9 @@ def test_image_golden_bytes(tmp_path):
     store.create("/data/report.txt", 130 * 1024 * 1024, tick=42)
     store.access("/data/report.txt", tick=50)
     dest = tmp_path / "img"
-    save_fsimage(store, dest)
+    save_fsimage(store, dest, 51)
     assert dest.read_text() == (
-        "FSIMAGE v1 2\n"
+        "FSIMAGE v2 2 51\n"
         "/a/empty\t0\t67108864\t3\t0\t1\t\n"
         + GOLDEN_LINE + "\n"
     )
@@ -314,23 +317,32 @@ EMPTY_A = "/a\t0\t67108864\t3\t0\t1\t\n"
 # gives the same block list under either
 BLOCK_SIZE_1024 = "\t10\t1024\t3\t5\t1\t5242880@10@5@0;1"
 REPLICATION_2 = "\t10\t67108864\t2\t5\t1\t5242880@10@5@0;1"
+ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5242880@10@5@0;1"
 
 
 @pytest.mark.parametrize(
     "content, what",
     [
         ("", "header"),
-        ("BOGUS v1 0\n", "not an image"),
-        ("FSIMAGE v9 0\n", "version"),
-        ("FSIMAGE v1 x\n", "count"),
-        ("FSIMAGE v1 2\n" + EMPTY_A, "header says 2"),
-        ("FSIMAGE v1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
-        ("FSIMAGE v1 1\ngarbage line\n", "line 2"),
-        ("FSIMAGE v1 2\n" + EMPTY_A + EMPTY_A, "duplicate"),
-        ("FSIMAGE v1 1\n" + EMPTY_A[:-1], "truncated"),
-        ("FSIMAGE v1 1\n/a" + BLOCK_SIZE_1024 + "\n",
+        ("BOGUS v2 0 1\n", "not an image"),
+        ("FSIMAGE v9 0 1\n", "version"),
+        ("FSIMAGE v1 0\n", "unsupported version in header 'FSIMAGE v1 0'"),
+        ("FSIMAGE\n", "version"),
+        ("FSIMAGE v2 x 1\n", "record count is not an integer: 'x'"),
+        ("FSIMAGE v2 0\n", "header is not 'FSIMAGE v2 <count> <clock>'"),
+        ("FSIMAGE v2 0 1 2\n", "header is not"),
+        ("FSIMAGE v2 0 0_0\n", "clock is not an integer: '0_0'"),
+        ("FSIMAGE v2 0 -1\n", "clock is negative: -1"),
+        ("FSIMAGE v2 1 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
+        ("FSIMAGE v2 1 4\n/a" + ONE_BLOCK + "\n", "line 2: last_access 5 is not below the clock 4"),
+        ("FSIMAGE v2 2 1\n" + EMPTY_A, "header says 2"),
+        ("FSIMAGE v2 1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
+        ("FSIMAGE v2 1 1\ngarbage line\n", "line 2"),
+        ("FSIMAGE v2 2 1\n" + EMPTY_A + EMPTY_A, "duplicate"),
+        ("FSIMAGE v2 1 1\n" + EMPTY_A[:-1], "truncated"),
+        ("FSIMAGE v2 1 6\n/a" + BLOCK_SIZE_1024 + "\n",
          "line 2: block_size is '1024', not the fixed 67108864"),
-        ("FSIMAGE v1 1\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
+        ("FSIMAGE v2 1 6\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
     ],
 )
 def test_image_load_rejects_corruption(tmp_path, content, what):
@@ -480,7 +492,6 @@ def test_checkpoint_plus_log_replay_equals_live(tmp_path, caplog):
         data_dir = tmp_path / f"store-{seed}"
         store = open_store(data_dir, config)
         store.checkpoint(data_dir / IMAGE_NAME)
-        tail = None  # "lost": the last ticks went to DELETEs, then a checkpoint
         for _ in range(1000):
             roll = rng.random()
             live = [r.path for r in store.hot]
@@ -488,29 +499,22 @@ def test_checkpoint_plus_log_replay_equals_live(tmp_path, caplog):
                 path = f"/t/{rng.randrange(200):03d}"
                 if path not in store.hot:
                     store.create(path, rng.randrange(10**10))
-                    tail = None
             elif roll < 0.8:
                 store.open(rng.choice(live))
-                tail = None
             elif roll < 0.95:
                 store.delete(rng.choice(live))
-                tail = "delete"
             else:
                 store.checkpoint(data_dir / IMAGE_NAME)
-                tail = "lost" if tail in ("delete", "lost") else None
         store.close()
         caplog.clear()
         recovered = open_store(data_dir, config)
         assert not caplog.records, caplog.text  # no edit was skipped
         assert {r.path: r for r in recovered.hot} == {r.path: r for r in store.hot}
         assert len(recovered.cold) == 0
-        if tail != "lost":  # see test_reopen_after_delete_and_checkpoint_keeps_the_clock
-            assert recovered.clock.now == store.clock.now
+        assert recovered.clock.now == store.clock.now
         recovered.close()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(f): a checkpoint drops the ticks of "
-                   "the DELETEs before it, so a reopen restarts the clock below the live one")
 def test_reopen_after_delete_and_checkpoint_keeps_the_clock(tmp_path):
     store = open_store(tmp_path)
     store.create("/keep", 10)
@@ -523,6 +527,63 @@ def test_reopen_after_delete_and_checkpoint_keeps_the_clock(tmp_path):
         assert recovered.clock.now == store.clock.now
     finally:
         recovered.close()
+
+
+
+def test_a_log_left_by_a_checkpoint_that_did_not_reset_it_is_refused(tmp_path, caplog):
+    # a crash between the image rename and the log reset: every logged tick
+    # is below the new image's clock, and none of those edits is applied again
+    store = open_store(tmp_path, TieringConfig(recency_window=0))
+    for path in ("/a", "/b", "/c"):
+        store.create(path, 10)
+    store.separate()  # all three go cold
+    store.checkpoint(tmp_path / IMAGE_NAME)
+    store.open("/a")  # 3: a promotion
+    store.create("/d", 10)  # 4
+    store.delete("/d")  # 5
+    store.open("/a")  # 6
+    store.delete("/c")  # 7: a cold delete, its tombstone on disk
+    save_fsimage(store.hot, tmp_path / IMAGE_NAME, store.clock.now)
+    store.close()
+    assert (tmp_path / EDITS_NAME).read_text().count("\n") == 5
+    caplog.clear()
+    recovered = open_store(tmp_path)
+    try:
+        image = load_fsimage(tmp_path / IMAGE_NAME)
+        assert {r.path: r for r in recovered.hot} == {r.path: r for r in image}
+        assert recovered.cold.paths() == ["/b"]
+        assert recovered.clock.now == read_clock(tmp_path / IMAGE_NAME) == 8
+        # the two DELETEs find their path in neither tier and are skipped silently
+        assert [r.message for r in caplog.records] == [
+            "skipping unreplayable edit ACCESS /a: tick 3 is in the past (clock is at 8)",
+            "skipping unreplayable edit CREATE /d: tick 4 is in the past (clock is at 8)",
+            "skipping unreplayable edit ACCESS /a: tick 6 is in the past (clock is at 8)",
+            "recovery skipped 3 of the logged edits",
+        ]
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b"CREATE /a 1 0\nCREATE /\xff 1 1\n", "line 2"),  # the final line
+        (b"CREATE /\xff 1 0\nCREATE /b 1 1\n", "line 1"),
+    ],
+    ids=["last-line", "first-line"],
+)
+def test_a_log_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path, content, where):
+    (tmp_path / EDITS_NAME).write_bytes(content)
+    with pytest.raises(CorruptLogError, match=f"{EDITS_NAME}: {where}: 'utf-8' codec"):
+        open_store(tmp_path)
+
+
+def test_an_image_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path):
+    (tmp_path / IMAGE_NAME).write_bytes(
+        b"FSIMAGE v2 2 1\n" + EMPTY_A.encode() + EMPTY_A.replace("/a", "/\xff").encode("latin-1")
+    )
+    with pytest.raises(CorruptImageError, match=f"{IMAGE_NAME}: line 3: 'utf-8' codec"):
+        open_store(tmp_path)
 
 
 # -- cold store ------------------------------------------------------------
@@ -688,3 +749,68 @@ def test_cold_closes_its_file_when_the_index_scan_fails(tmp_path, opened_files):
     with pytest.raises(CorruptImageError, match="line 2"):
         ColdStore(tmp_path / "c2")
     assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        (b"/\xff\t0\t67108864\t3\t0\t1\t\n", "line 2"),
+        (b"TOMB /\xff\n", "line 2"),
+    ],
+    ids=["record-path", "tombstone-path"],
+)
+def test_a_cold_path_that_is_not_utf8_fails_the_open_naming_its_line(tmp_path, line, where):
+    path = tmp_path / "c2"
+    path.write_bytes(encode_record(cold_records(1)[0]).encode() + b"\n" + line)
+    with pytest.raises(CorruptImageError, match=f"{path}: {where}: 'utf-8' codec"):
+        ColdStore(path)
+
+
+def test_a_cold_field_that_is_not_utf8_fails_the_read_naming_its_offset(tmp_path):
+    path = tmp_path / "c2"
+    good = encode_record(cold_records(1)[0]).encode() + b"\n"
+    path.write_bytes(good + b"/c/odd\t1\xff\t67108864\t3\t0\t1\t\n")
+    cold = ColdStore(path)
+    try:
+        with pytest.raises(CorruptImageError, match=f"{path}: offset {len(good)}: 'utf-8' codec"):
+            cold.get("/c/odd")
+    finally:
+        cold.close()
+
+
+def test_a_torn_last_cold_record_is_dropped(tmp_path, caplog):
+    path = tmp_path / "c2"
+    first, second = cold_records(2)
+    complete = encode_record(first).encode() + b"\n"
+    path.write_bytes(complete + encode_record(second).encode()[:9])  # a kill mid-append
+    cold = ColdStore(path)
+    assert [r.message for r in caplog.records] == [f"{path}: dropping a torn last line of 9 bytes"]
+    assert path.read_bytes() == complete
+    assert cold.paths() == [first.path]
+    cold.append_records([second])
+    cold.close()
+    reopened = ColdStore(path)
+    try:
+        assert [reopened.get(p) for p in reopened.paths()] == [first, second]
+    finally:
+        reopened.close()
+
+
+def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
+    path = tmp_path / "c2"
+    store, clock = HotStore(), LogicalClock()
+    records = [store.create(p, 10, clock.tick()) for p in ("/c1", "/c10", "/c2")]
+    complete = b"".join(encode_record(r).encode() + b"\n" for r in records)
+    path.write_bytes(complete + b"TOMB /c1")  # cut from "TOMB /c10\n"
+    cold = ColdStore(path)
+    assert len(caplog.records) == 1
+    assert path.read_bytes() == complete
+    assert cold.paths() == ["/c1", "/c10", "/c2"]
+    cold.delete("/c2")
+    cold.close()
+    assert path.read_bytes() == complete + b"TOMB /c2\n"
+    reopened = ColdStore(path)
+    try:
+        assert reopened.paths() == ["/c1", "/c10"]
+    finally:
+        reopened.close()

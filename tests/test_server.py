@@ -301,9 +301,9 @@ def test_serve_writes_one_checkpoint_per_shutdown(tmp_path, monkeypatch, stop):
     saves = []
     real_save = tiering.save_fsimage
 
-    def counting_save(hot, path):
+    def counting_save(hot, path, clock):
         saves.append(path)
-        real_save(hot, path)
+        real_save(hot, path, clock)
 
     monkeypatch.setattr(tiering, "save_fsimage", counting_save)
     started = []
@@ -366,18 +366,21 @@ def test_serve_checkpoints_on_sigterm(tmp_path):
 # -- what recovery reads ---------------------------------------------------
 
 
-def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=()):
+def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=(), clock=None):
     """Lay out a store directory by hand.
 
     ``hot`` and ``cold`` map paths to the ``last_access`` of a one-block
-    record; the image holds the hot ones, the cold file the cold ones in the
+    record; the image holds the hot ones with ``clock`` in its header (by
+    default one past every tick of both), the cold file the cold ones in the
     order given. Each path in ``tombstoned`` is then deleted from the cold
     file, and ``edits`` go to the log.
     """
     image = HotStore()
     for path, tick in hot.items():
         image.create(path, 10, tick)
-    save_fsimage(image, data_dir / IMAGE_NAME)
+    if clock is None:
+        clock = 1 + max([*hot.values(), *cold.values()], default=-1)
+    save_fsimage(image, data_dir / IMAGE_NAME, clock)
     spilled = HotStore()
     cold_store = ColdStore(data_dir / COLD_NAME)
     cold_store.append_records([spilled.create(p, 10, tick) for p, tick in cold.items()])
@@ -404,23 +407,32 @@ def rewrite_cold_field(data_dir, line, field, value):
     return sum(len(x) for x in lines[:line])
 
 
-@pytest.mark.parametrize(
-    "cold, tombstoned, start",
-    [
-        # the highest persisted tick belongs only to a live cold record
-        ({"/c/old": 3, "/c/live": 9}, (), 10),
-        # a tombstoned cold line holds a higher tick than any live record
-        ({"/c/dead": 20, "/c/live": 6}, ("/c/dead",), 8),
-    ],
-    ids=["live-cold-max", "tombstoned-max"],
-)
-def test_clock_restarts_past_hot_and_live_cold_records(tmp_path, cold, tombstoned, start):
-    write_store_dir(tmp_path, hot={"/h/a": 5, "/h/b": 7}, cold=cold, tombstoned=tombstoned)
+def test_clock_restarts_at_the_image_clock(tmp_path):
+    # the stored clock is above every record's tick: DELETEs took the rest
+    cold = {"/c/old": 3, "/c/dead": 20, "/c/live": 9}
+    write_store_dir(tmp_path, {"/h/a": 5, "/h/b": 7}, cold, ("/c/dead",), clock=25)
     store = open_store(tmp_path)
     try:
-        assert store.clock.now == start
+        assert store.clock.now == 25
     finally:
         store.close()
+
+
+def test_clock_restarts_past_a_refused_last_edit(tmp_path, caplog):
+    # no image yet: a spill, then a crash before the checkpoint after it
+    store = open_store(tmp_path, TieringConfig(recency_window=0))
+    store.create("/a", 10)
+    store.create("/b", 10)
+    store.separate()
+    store.close()
+    assert not (tmp_path / IMAGE_NAME).exists()
+    recovered = open_store(tmp_path)
+    try:
+        assert "recovery skipped 2 of the logged edits" in caplog.text  # both CREATEs
+        assert recovered.clock.now == 2
+        assert recovered.create("/c", 10).created == 2
+    finally:
+        recovered.close()
 
 
 def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, monkeypatch):
@@ -486,11 +498,17 @@ def test_corrupt_log_fails_open_store(tmp_path, text, where):
     ],
     ids=["negative", "not-integer", "missing-field"],
 )
-def test_bad_last_access_in_a_live_cold_line_fails_open_store(tmp_path, value, reason):
+def test_bad_last_access_in_a_live_cold_line_fails_its_first_read(tmp_path, value, reason):
     write_store_dir(tmp_path, hot={}, cold={"/c/a": 1, "/c/b": 2})
     offset = rewrite_cold_field(tmp_path, 1, 4, value)
-    with pytest.raises(CorruptImageError, match=f"{COLD_NAME}: offset {offset}: {reason}"):
-        open_store(tmp_path)
+    store = open_store(tmp_path)  # opening decodes no cold line
+    try:
+        assert store.clock.now == 3
+        assert store.stat("/c/a")[0].last_access == 1
+        with pytest.raises(CorruptImageError, match=f"{COLD_NAME}: offset {offset}: {reason}"):
+            store.open("/c/b")
+    finally:
+        store.close()
 
 
 def test_bad_last_access_in_a_tombstoned_cold_line_is_not_read(tmp_path):
@@ -507,7 +525,7 @@ def test_bad_last_access_in_a_tombstoned_cold_line_is_not_read(tmp_path):
 def test_bad_block_list_in_a_cold_line_fails_its_first_read(running_server, tmp_path):
     write_store_dir(tmp_path, hot={"/h/a": 0}, cold={"/c/bad": 1, "/c/good": 2})
     rewrite_cold_field(tmp_path, 0, 6, b"garbage")
-    server = running_server()  # opening reads last_access only
+    server = running_server()  # opening decodes no cold line
     assert server.store.clock.now == 3
     problem = f"{tmp_path / COLD_NAME}: offset 0: malformed block entry: 'garbage'"
     with pytest.raises(CorruptImageError, match=re.escape(problem)):

@@ -1,0 +1,121 @@
+"""Run the benchmark on two checkouts in interleaved pairs and write BENCH_*.json.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
+
+Each DIR is a checkout of one commit (``git archive`` or ``git clone``) with
+its own ``perfbench/``. Pair i of ten runs every workload of the change's
+``BENCHMARK.json`` once on each side with seed 101 + i and the benchmark's
+``run_seconds``; the side that goes first alternates from pair to pair, and
+no two runs overlap. A traced ``replay-desk`` run at seed 7 on each side then
+gives the per-layer values. Every run's JSON result is appended to
+``BENCH_N.runs.jsonl`` as it finishes, and a run already there is not
+repeated, so an interrupted series resumes where it stopped.
+
+For each workload and end-to-end metric the output holds both sides'
+median and quartiles (inclusive method), each run's value, and how many
+pairs each side won by the metric's ``better`` direction; a tie counts for
+neither.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+SEEDS = list(range(101, 111))
+TRACED_SEED = 7
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, traced: bool) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``; its last output line, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(int(traced))]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(bench: dict, runs: list[dict]) -> dict:
+    workloads = {}
+    for w in bench["workloads"]:
+        name = w["name"]
+        by = {(r["side"], r["seed"]): r["result"] for r in runs
+              if r["workload"] == name and not r["traced"]}
+        row = {
+            "correct": {s: all(by[s, seed]["correct"] for seed in SEEDS) for s in SIDES},
+            "failed_share_max": {
+                s: max(by[s, seed]["failed"] / max(by[s, seed]["attempted"], 1) for seed in SEEDS)
+                for s in SIDES
+            },
+            "metrics": {},
+        }
+        for m in bench["end_to_end"]:
+            values = {s: [by[s, seed]["metrics"][m["name"]]["value"] for seed in SEEDS]
+                      for s in SIDES}
+            sign = 1 if m["better"] == "higher" else -1
+            diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            row["metrics"][m["name"]] = {
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                **{s: quartiles(values[s]) for s in SIDES},
+                "pairs_won": {"change": sum(d > 0 for d in diffs),
+                              "parent": sum(d < 0 for d in diffs)},
+            }
+        workloads[name] = row
+    return workloads
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+    raw = args.out.with_suffix(".runs.jsonl")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    runs = [json.loads(line) for line in raw.read_text().splitlines()] if raw.exists() else []
+    done = {(r["side"], r["workload"], r["seed"], r["traced"]) for r in runs}
+    plan = []
+    for i, seed in enumerate(SEEDS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        plan += [(side, w["name"], seed, False) for w in bench["workloads"] for side in order]
+    plan += [(side, "replay-desk", TRACED_SEED, True) for side in SIDES]
+    for side, workload, seed, traced in plan:
+        if (side, workload, seed, traced) in done:
+            continue
+        checkout = args.parent if side == "parent" else args.change
+        result = run_once(checkout, workload, seed, seconds, traced)
+        run = {"side": side, "workload": workload, "seed": seed, "traced": traced,
+               "result": result}
+        runs.append(run)
+        with open(raw, "a", encoding="utf-8") as f:
+            f.write(json.dumps(run) + "\n")
+        print(f"{side} {workload} seed={seed} traced={int(traced)} correct={result['correct']}",
+              flush=True)
+    traced = {r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
+              for r in runs if r["traced"] and r["seed"] == TRACED_SEED}
+    out = {
+        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()},
+        "run_seconds": seconds,
+        "seeds": SEEDS,
+        "workloads": summarize(bench, runs),
+        "traced": {"workload": "replay-desk", "seed": TRACED_SEED, **traced},
+    }
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

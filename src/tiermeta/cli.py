@@ -31,6 +31,7 @@ from .coldstore import ColdStore
 from .errors import NotFoundError, TierMetaError
 from .fsimage import load_fsimage
 from .metrics import ExperimentReport, write_csv, write_jsonl
+from .namespace import MetadataRecord
 from .recordio import encode_record
 from .server import serve
 from .tiering import TieringConfig
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--image", help="checkpoint image to read")
     which.add_argument("--cold", help="cold-store file to read")
-    p.add_argument("--path", help="print only this path's record")
+    p.add_argument("--path", help="print only this path's record and its derived blocks")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("compact", help="drop dead entries from a cold-store file")
@@ -268,10 +269,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         with open(args.image, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\n")
         if args.path:
-            record = store.get(args.path)
-            if record is None:
-                raise NotFoundError(f"no such path in {args.image}: {args.path}")
-            print(encode_record(record))
+            _print_with_blocks(store.get(args.path), args.image, args.path)
             return 0
         print(header)
         for record in sorted(store, key=lambda r: r.path):
@@ -283,10 +281,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     cold = ColdStore(args.cold)
     try:
         if args.path:
-            record = cold.get(args.path)
-            if record is None:
-                raise NotFoundError(f"no such path in {args.cold}: {args.path}")
-            print(encode_record(record))
+            _print_with_blocks(cold.get(args.path), args.cold, args.path)
             return 0
         print(f"{len(cold)} live records")
         for record in cold.records():
@@ -294,6 +289,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     finally:
         cold.close()
     return 0
+
+
+def _print_with_blocks(record: MetadataRecord | None, src: str, path: str) -> None:
+    """One record line, then the blocks it derives, one line each."""
+    if record is None:
+        raise NotFoundError(f"no such path in {src}: {path}")
+    print(encode_record(record))
+    for b in record.blocks:
+        replicas = ";".join(map(str, b.replicas))
+        print(f"block {b.block_id} size={b.size} stamp={b.generation_stamp} replicas={replicas}")
 
 
 def cmd_compact(args: argparse.Namespace) -> int:

@@ -1,12 +1,14 @@
 """Checkpoint image: a complete snapshot of the hot-tier namespace.
 
-File layout: a single header line ``FSIMAGE v2 <record_count> <clock>``
+File layout: a single header line ``FSIMAGE v3 <record_count> <clock>``
 followed by one record line per file (see :mod:`tiermeta.recordio`), sorted
 by path so that saving the same namespace twice yields byte-identical files.
 ``clock`` is the logical clock at the checkpoint: every tick taken before it,
 a DELETE's included, is below it, so a restart issues none of them again.
 Writes go to a temp file in the destination directory and are renamed into
 place, so a partially written image is never visible at the destination path.
+A version 3 record line ends in the creation tick where a version 2 line
+listed the blocks; an image of any other version is refused, not converted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import CorruptImageError
 from .namespace import HotStore
 
 HEADER_MAGIC = "FSIMAGE"
-FORMAT_VERSION = "v2"
+FORMAT_VERSION = "v3"
 
 
 def save_fsimage(store: HotStore, dest: str | Path, clock: int) -> None:
@@ -52,7 +54,9 @@ def _read_header(f, src: str | Path) -> tuple[int, int]:
     if len(parts) < 2 or parts[1] != FORMAT_VERSION:
         raise CorruptImageError(f"{src}: unsupported version in header {text!r}")
     if len(parts) != 4:
-        raise CorruptImageError(f"{src}: header is not 'FSIMAGE v2 <count> <clock>': {text!r}")
+        raise CorruptImageError(
+            f"{src}: header is not '{HEADER_MAGIC} {FORMAT_VERSION} <count> <clock>': {text!r}"
+        )
     try:
         return (recordio.parse_non_negative_int(parts[2], "record count"),
                 recordio.parse_non_negative_int(parts[3], "clock"))
@@ -70,9 +74,9 @@ def load_fsimage(src: str | Path) -> HotStore:
     """Read a checkpoint back into a fresh hot store.
 
     Every record is decoded and checked: a line that is not UTF-8, that
-    :func:`recordio.decode_record` refuses (a block list that is not the
-    derived one, another geometry) or whose ``last_access`` is not below the
-    clock fails the load and is named.
+    :func:`recordio.decode_record` refuses (another geometry, a creation tick
+    after ``last_access``) or whose ``last_access`` is not below the clock
+    fails the load and is named.
     """
     store = HotStore()
     with open(src, "rb") as f:

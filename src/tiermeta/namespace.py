@@ -28,8 +28,7 @@ from .errors import (
 )
 
 # The record geometry: every file is laid out with these, and a record line
-# written with any other block size or replication, or placed for another
-# DataNode count, is refused on read.
+# written with any other block size or replication is refused on read.
 BLOCK_SIZE = 64 * 1024 * 1024
 REPLICATION = 3
 DATANODE_COUNT = 2

@@ -11,6 +11,7 @@ from tiermeta.cli import _build_parser, _resolve_knobs, _tiering_config, main
 from tiermeta.coldstore import ColdStore
 from tiermeta.fsimage import save_fsimage
 from tiermeta.namespace import HotStore, LogicalClock
+from tiermeta.recordio import encode_record
 
 
 def run(capsys, *argv):
@@ -124,7 +125,7 @@ def test_inspect_image(tmp_path, capsys):
     save_fsimage(HotStore(), empty, 0)
     code, out, _ = run(capsys, "inspect", "--image", str(empty))
     assert code == 0
-    assert out == "FSIMAGE v2 0 0\n"
+    assert out == "FSIMAGE v3 0 0\n"
 
     store = HotStore()
     store.create("/i/a", 10, tick=0)
@@ -134,15 +135,41 @@ def test_inspect_image(tmp_path, capsys):
     code, out, _ = run(capsys, "inspect", "--image", str(image))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "FSIMAGE v2 2 2"
+    assert lines[0] == "FSIMAGE v3 2 2"
     assert [line.split("\t")[0] for line in lines[1:]] == ["/i/a", "/i/b"]
 
     code, out, _ = run(capsys, "inspect", "--image", str(image), "--path", "/i/b")
     assert code == 0
-    assert out.startswith("/i/b\t0\t")
+    assert out == "/i/b\t0\t67108864\t3\t1\t1\t0\n"  # an empty file has no blocks
     code, _, err = run(capsys, "inspect", "--image", str(image), "--path", "/nope")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("tier", ["--image", "--cold"])
+def test_inspect_path_prints_the_derived_blocks_under_the_record(tmp_path, capsys, tier):
+    store = HotStore()
+    store.create("/data/report.txt", 130 * 1024 * 1024, tick=42)
+    store.access("/data/report.txt", tick=50)
+    store.create("/data/other", 10, tick=51)
+    target = tmp_path / "f"
+    if tier == "--image":
+        save_fsimage(store, target, 52)
+    else:
+        cold = ColdStore(target)
+        cold.append_records(list(store))
+        cold.close()
+    code, out, _ = run(capsys, "inspect", tier, str(target), "--path", "/data/report.txt")
+    assert code == 0
+    assert out.splitlines() == [
+        "/data/report.txt\t136314880\t67108864\t3\t50\t2\t42",
+        "block 44040192 size=67108864 stamp=42 replicas=0;1",
+        "block 44040193 size=67108864 stamp=42 replicas=1;0",
+        "block 44040194 size=2097152 stamp=42 replicas=0;1",
+    ]
+    code, out, _ = run(capsys, "inspect", tier, str(target))  # the whole file: records only
+    assert code == 0
+    assert sorted(out.splitlines()[1:]) == sorted(encode_record(r) for r in store)
 
 
 def test_inspect_and_compact_cold(tmp_path, capsys):
@@ -158,9 +185,11 @@ def test_inspect_and_compact_cold(tmp_path, capsys):
     assert lines[0].endswith("live records")
     first_path = lines[1].split("\t")[0]
 
+    assert not any(line.startswith("block ") for line in lines)
     code, out, _ = run(capsys, "inspect", "--cold", str(cold), "--path", first_path)
     assert code == 0
-    assert out == lines[1] + "\n"
+    assert out.splitlines()[0] == lines[1]
+    assert all(line.startswith("block ") for line in out.splitlines()[1:])
     code, _, err = run(capsys, "inspect", "--cold", str(cold), "--path", "/nope")
     assert code == 1
     assert "error:" in err

@@ -24,10 +24,10 @@ from tiermeta.errors import (
 from tiermeta.fsimage import load_fsimage, read_clock, save_fsimage
 from tiermeta.namespace import (
     BLOCK_SIZE,
+    MAX_BLOCKS_PER_FILE,
     HotStore,
     LogicalClock,
     MetadataRecord,
-    split_blocks,
 )
 from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
@@ -35,7 +35,9 @@ from tiermeta.recordio import decode_record, encode_record
 
 # -- record lines ----------------------------------------------------------
 
-GOLDEN_LINE = (
+GOLDEN_LINE = "/data/report.txt\t136314880\t67108864\t3\t50\t2\t42"
+# the same record as version 2 wrote it, with its block list in place of the tick
+V2_GOLDEN_LINE = (
     "/data/report.txt\t136314880\t67108864\t3\t50\t2\t"
     "44040192@67108864@42@0;1,44040193@67108864@42@1;0,44040194@2097152@42@0;1"
 )
@@ -49,11 +51,11 @@ def test_record_line_format_is_pinned():
     assert decode_record(GOLDEN_LINE) == record
 
 
-def test_zero_length_record_has_empty_blocks_field():
+def test_zero_length_record_is_created_at_0():
     store = HotStore()
-    record = store.create("/a/empty", 0, tick=0)
+    record = store.create("/a/empty", 0, tick=9)
     line = encode_record(record)
-    assert line == "/a/empty\t0\t67108864\t3\t0\t1\t"
+    assert line == "/a/empty\t0\t67108864\t3\t9\t1\t0"
     assert decode_record(line) == record
 
 
@@ -68,94 +70,70 @@ def record_strategy(draw):
         path=path,
         length=length,
         created=tick if length else 0,
-        last_access=draw(st.integers(min_value=0, max_value=2**40)),
+        last_access=tick + draw(st.integers(min_value=0, max_value=2**40)),
         count=draw(st.integers(min_value=1, max_value=10**6)),
-    )
-
-
-def blocks_text(blocks):
-    """The blocks field written entry by entry from BlockInfo objects."""
-    return ",".join(
-        f"{b.block_id}@{b.size}@{b.generation_stamp}@" + ";".join(str(n) for n in b.replicas)
-        for b in blocks
     )
 
 
 @given(record_strategy())
 def test_record_round_trip(record):
     line = encode_record(record)
-    assert line.split("\t")[6] == blocks_text(record.blocks)
+    assert line.split("\t")[6] == str(record.created)
     assert decode_record(line) == record
+
+
+TOO_LONG = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
 
 
 @pytest.mark.parametrize(
     "line, what",
     [
         ("/a\t1\t2", "fields"),
-        ("notabsolute\t1\t1\t1\t1\t1\t", "absolute"),
-        ("/a\tx\t1\t1\t1\t1\t", "integer"),
-        ("/a\t-1\t1\t1\t1\t1\t", "negative"),
-        ("/a\t1\t67108864\t3\t1\t1\t123@4", "malformed block entry: '123@4'$"),
-        ("/a\t1\t67108864\t3\t1\t1\t123@4@5@", "no replicas"),
+        ("/a\t1\t67108864\t3\t1\t1", "expected 7 tab-separated fields, got 6"),
+        ("/a\t1\t67108864\t3\t1\t1\t1\t1", "expected 7 tab-separated fields, got 8"),
+        ("notabsolute\t1\t67108864\t3\t1\t1\t1", "absolute"),
+        ("/a\tx\t67108864\t3\t1\t1\t1", "length is not an integer: 'x'"),
+        ("/a\t-1\t67108864\t3\t1\t1\t1", "length is negative: -1"),
+        (f"/a\t{TOO_LONG}\t67108864\t3\t1\t1\t1",
+         "1048577 blocks exceeds the per-file limit of 1048576"),
+        ("/a\t1\t1024\t3\t1\t1\t1", "block_size is '1024', not the fixed 67108864"),
+        ("/a\t1\t67108864\t2\t1\t1\t1", "replication is '2', not the fixed 3"),
+        ("/a\t1\t67108864\t3\tx\t1\t1", "last_access is not an integer: 'x'"),
+        ("/a\t1\t67108864\t3\t1\t-1\t1", "count is negative: -1"),
+        ("/a\t1\t67108864\t3\t1\tx\t1", "count is not an integer: 'x'"),
+        ("/a\t1\t67108864\t3\t1\t1\tx", "created is not an integer: 'x'"),
+        ("/a\t1\t67108864\t3\t1\t1\t", "created is not an integer: ''"),
+        ("/a\t1\t67108864\t3\t1\t1\t-1", "created is negative: -1"),
+        ("/a\t1\t67108864\t3\t1\t1\t01", "created is not an integer: '01'"),
+        ("/a\t1\t67108864\t3\t1\t1\t2", "created 2 is after last_access 1"),
+        ("/a\t0\t67108864\t3\t5\t1\t5", "created is 5 for a zero-length file, not 0"),
+        (V2_GOLDEN_LINE, "created is not an integer: '44040192@67108864@42@0;1,"),
     ],
 )
 def test_record_decode_rejects(line, what):
-    with pytest.raises(ValueError, match=what):
+    with pytest.raises(ValueError, match=re.escape(what)):
         decode_record(line)
+
+
+def test_decode_accepts_the_longest_file():
+    line = f"/a\t{TOO_LONG - 1}\t67108864\t3\t1\t1\t1"
+    assert encode_record(decode_record(line)) == line
 
 
 def test_decode_rejects_ints_not_written_in_plain_digits():
     with pytest.raises(ValueError, match="length is not an integer: '1_0'"):
-        decode_record("/a\t1_0\t 64\t3\t+5\t1\t")
+        decode_record("/a\t1_0\t 64\t3\t+5\t1\t0")
     for text in (" 64", "+5", "\u0663", "07"):
         with pytest.raises(ValueError, match="last_access is not an integer"):
-            decode_record(f"/a\t0\t67108864\t3\t{text}\t1\t")
-
-
-def test_decode_rejects_a_length_without_its_blocks():
-    with pytest.raises(ValueError, match="length 10 takes 1 blocks of 67108864, the line lists 0"):
-        decode_record("/a\t10\t67108864\t3\t5\t1\t")
-    with pytest.raises(ValueError, match="length 0 takes 0 blocks"):
-        decode_record("/a\t0\t67108864\t3\t5\t1\t5242880@10@5@1;0")
-
-
-def _golden_with_block(i, entry):
-    entries = GOLDEN_LINE.split("\t")[6].split(",")
-    entries[i] = entry
-    return "\t".join(GOLDEN_LINE.split("\t")[:6] + [",".join(entries)])
-
-
-@pytest.mark.parametrize(
-    "i, entry, what",
-    [
-        (0, "44040195@67108864@42@0;1", "block id"),
-        (1, "44040192@67108864@42@1;0", "block id"),
-        (2, "44040194@2097153@42@0;1", "size"),
-        (1, "44040193@67108864@43@1;0", "generation stamp"),
-        (1, "44040193@67108864@42@0;1", "replicas"),
-        (2, "44040194@2097152@42@0", "replicas"),
-    ],
-)
-def test_decode_rejects_a_block_that_is_not_the_derived_one(i, entry, what):
-    line = _golden_with_block(i, entry)
-    with pytest.raises(ValueError, match=f"malformed block entry: '{entry}': {what} is not"):
-        decode_record(line)
-
-
-def test_a_line_written_for_three_datanodes_is_rejected_on_two():
-    line = (
-        "/three\t136314880\t67108864\t3\t42\t1\t"
-        "44040192@67108864@42@0;1;2,44040193@67108864@42@1;2;0,44040194@2097152@42@2;0;1"
-    )
-    assert line.split("\t")[6] == blocks_text(split_blocks(130 * 1024 * 1024, BLOCK_SIZE, 42, 3, 3))
-    with pytest.raises(ValueError, match="replicas is not the derived '0;1'"):
-        decode_record(line)
+            decode_record(f"/a\t0\t67108864\t3\t{text}\t1\t0")
+        with pytest.raises(ValueError, match="created is not an integer"):
+            decode_record(f"/a\t10\t67108864\t3\t99\t1\t{text}")
 
 
 @st.composite
 def one_character_off(draw, line):
     i = draw(st.integers(min_value=0, max_value=len(line)))
-    char = draw(st.one_of(st.sampled_from("0123456789@;,\t/ -+_\u0663"), st.characters()))
+    char = draw(st.one_of(st.sampled_from("0123456789\t/ -+_\u0663"), st.characters()))
     how = draw(st.sampled_from(("replace", "insert", "delete")))
     if how == "insert":
         return line[:i] + char + line[i:]
@@ -167,6 +145,7 @@ def one_character_off(draw, line):
 @given(one_character_off(GOLDEN_LINE))
 @example(GOLDEN_LINE.replace("\t50\t", "\t05\t"))
 @example(GOLDEN_LINE.replace("\t3\t", "\t4\t"))
+@example(GOLDEN_LINE[:-2] + "51")
 def test_every_line_decode_accepts_encodes_back_to_itself(line):
     try:
         record = decode_record(line)
@@ -176,7 +155,7 @@ def test_every_line_decode_accepts_encodes_back_to_itself(line):
 
 
 def test_decoded_ints_reuse_equal_ints_of_their_line():
-    line = "/one\t100\t67108864\t3\t42\t1\t44040192@100@42@0;1"
+    line = "/one\t100\t67108864\t3\t42\t1\t42"
     one = decode_record(line)
     assert one.created is one.last_access
     (block,) = one.blocks
@@ -278,7 +257,7 @@ def test_image_save_load_save_is_byte_identical(tmp_path):
 def test_image_empty_namespace_is_header_only(tmp_path):
     dest = tmp_path / "img"
     save_fsimage(HotStore(), dest, 7)  # every record deleted, the clock kept
-    assert dest.read_text() == "FSIMAGE v2 0 7\n"
+    assert dest.read_text() == "FSIMAGE v3 0 7\n"
     assert len(load_fsimage(dest)) == 0
     assert read_clock(dest) == 7
 
@@ -306,43 +285,45 @@ def test_image_golden_bytes(tmp_path):
     dest = tmp_path / "img"
     save_fsimage(store, dest, 51)
     assert dest.read_text() == (
-        "FSIMAGE v2 2 51\n"
-        "/a/empty\t0\t67108864\t3\t0\t1\t\n"
+        "FSIMAGE v3 2 51\n"
+        "/a/empty\t0\t67108864\t3\t0\t1\t0\n"
         + GOLDEN_LINE + "\n"
     )
 
 
-EMPTY_A = "/a\t0\t67108864\t3\t0\t1\t\n"
-# a record line after its path, with another geometry; one 10-byte block
-# gives the same block list under either
-BLOCK_SIZE_1024 = "\t10\t1024\t3\t5\t1\t5242880@10@5@0;1"
-REPLICATION_2 = "\t10\t67108864\t2\t5\t1\t5242880@10@5@0;1"
-ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5242880@10@5@0;1"
+EMPTY_A = "/a\t0\t67108864\t3\t0\t1\t0\n"
+# a record line after its path, with another geometry
+BLOCK_SIZE_1024 = "\t10\t1024\t3\t5\t1\t5"
+REPLICATION_2 = "\t10\t67108864\t2\t5\t1\t5"
+ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5"
 
 
 @pytest.mark.parametrize(
     "content, what",
     [
         ("", "header"),
-        ("BOGUS v2 0 1\n", "not an image"),
+        ("BOGUS v3 0 1\n", "not an image"),
+        ("FSIMAGE v2 0 1\n", "unsupported version in header 'FSIMAGE v2 0 1'"),
+        ("FSIMAGE v2 1 51\n" + V2_GOLDEN_LINE + "\n", "unsupported version"),
         ("FSIMAGE v9 0 1\n", "version"),
         ("FSIMAGE v1 0\n", "unsupported version in header 'FSIMAGE v1 0'"),
         ("FSIMAGE\n", "version"),
-        ("FSIMAGE v2 x 1\n", "record count is not an integer: 'x'"),
-        ("FSIMAGE v2 0\n", "header is not 'FSIMAGE v2 <count> <clock>'"),
-        ("FSIMAGE v2 0 1 2\n", "header is not"),
-        ("FSIMAGE v2 0 0_0\n", "clock is not an integer: '0_0'"),
-        ("FSIMAGE v2 0 -1\n", "clock is negative: -1"),
-        ("FSIMAGE v2 1 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
-        ("FSIMAGE v2 1 4\n/a" + ONE_BLOCK + "\n", "line 2: last_access 5 is not below the clock 4"),
-        ("FSIMAGE v2 2 1\n" + EMPTY_A, "header says 2"),
-        ("FSIMAGE v2 1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
-        ("FSIMAGE v2 1 1\ngarbage line\n", "line 2"),
-        ("FSIMAGE v2 2 1\n" + EMPTY_A + EMPTY_A, "duplicate"),
-        ("FSIMAGE v2 1 1\n" + EMPTY_A[:-1], "truncated"),
-        ("FSIMAGE v2 1 6\n/a" + BLOCK_SIZE_1024 + "\n",
+        ("FSIMAGE v3 x 1\n", "record count is not an integer: 'x'"),
+        ("FSIMAGE v3 0\n", "header is not 'FSIMAGE v3 <count> <clock>'"),
+        ("FSIMAGE v3 0 1 2\n", "header is not"),
+        ("FSIMAGE v3 0 0_0\n", "clock is not an integer: '0_0'"),
+        ("FSIMAGE v3 0 -1\n", "clock is negative: -1"),
+        ("FSIMAGE v3 1 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
+        ("FSIMAGE v3 1 4\n/a" + ONE_BLOCK + "\n", "line 2: last_access 5 is not below the clock 4"),
+        ("FSIMAGE v3 2 1\n" + EMPTY_A, "header says 2"),
+        ("FSIMAGE v3 1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
+        ("FSIMAGE v3 1 1\ngarbage line\n", "line 2"),
+        ("FSIMAGE v3 2 1\n" + EMPTY_A + EMPTY_A, "duplicate"),
+        ("FSIMAGE v3 1 1\n" + EMPTY_A[:-1], "truncated"),
+        ("FSIMAGE v3 1 6\n/a" + BLOCK_SIZE_1024 + "\n",
          "line 2: block_size is '1024', not the fixed 67108864"),
-        ("FSIMAGE v2 1 6\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
+        ("FSIMAGE v3 1 6\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
+        ("FSIMAGE v3 1 51\n" + V2_GOLDEN_LINE + "\n", "line 2: created is not an integer"),
     ],
 )
 def test_image_load_rejects_corruption(tmp_path, content, what):
@@ -580,7 +561,7 @@ def test_a_log_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path, conten
 
 def test_an_image_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path):
     (tmp_path / IMAGE_NAME).write_bytes(
-        b"FSIMAGE v2 2 1\n" + EMPTY_A.encode() + EMPTY_A.replace("/a", "/\xff").encode("latin-1")
+        b"FSIMAGE v3 2 1\n" + EMPTY_A.encode() + EMPTY_A.replace("/a", "/\xff").encode("latin-1")
     )
     with pytest.raises(CorruptImageError, match=f"{IMAGE_NAME}: line 3: 'utf-8' codec"):
         open_store(tmp_path)
@@ -754,7 +735,7 @@ def test_cold_closes_its_file_when_the_index_scan_fails(tmp_path, opened_files):
 @pytest.mark.parametrize(
     "line, where",
     [
-        (b"/\xff\t0\t67108864\t3\t0\t1\t\n", "line 2"),
+        (b"/\xff\t0\t67108864\t3\t0\t1\t0\n", "line 2"),
         (b"TOMB /\xff\n", "line 2"),
     ],
     ids=["record-path", "tombstone-path"],
@@ -769,7 +750,7 @@ def test_a_cold_path_that_is_not_utf8_fails_the_open_naming_its_line(tmp_path, l
 def test_a_cold_field_that_is_not_utf8_fails_the_read_naming_its_offset(tmp_path):
     path = tmp_path / "c2"
     good = encode_record(cold_records(1)[0]).encode() + b"\n"
-    path.write_bytes(good + b"/c/odd\t1\xff\t67108864\t3\t0\t1\t\n")
+    path.write_bytes(good + b"/c/odd\t1\xff\t67108864\t3\t0\t1\t0\n")
     cold = ColdStore(path)
     try:
         with pytest.raises(CorruptImageError, match=f"{path}: offset {len(good)}: 'utf-8' codec"):

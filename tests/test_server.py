@@ -522,12 +522,14 @@ def test_bad_last_access_in_a_tombstoned_cold_line_is_not_read(tmp_path):
         store.close()
 
 
-def test_bad_block_list_in_a_cold_line_fails_its_first_read(running_server, tmp_path):
+def test_a_cold_line_in_the_v2_form_fails_its_first_read(running_server, tmp_path):
     write_store_dir(tmp_path, hot={"/h/a": 0}, cold={"/c/bad": 1, "/c/good": 2})
-    rewrite_cold_field(tmp_path, 0, 6, b"garbage")
+    # version 2 wrote the block list where the creation tick now is
+    v2_blocks = "1048576@10@1@0;1"
+    rewrite_cold_field(tmp_path, 0, 6, v2_blocks.encode())
     server = running_server()  # opening decodes no cold line
     assert server.store.clock.now == 3
-    problem = f"{tmp_path / COLD_NAME}: offset 0: malformed block entry: 'garbage'"
+    problem = f"{tmp_path / COLD_NAME}: offset 0: created is not an integer: '{v2_blocks}'"
     with pytest.raises(CorruptImageError, match=re.escape(problem)):
         server.store.cold.get("/c/bad")
     client = Client(server.bound_port)

@@ -4,9 +4,8 @@ Subcommands cover the whole experiment loop: generate a workload trace,
 replay it against a tiered store, or do both in one go; plus serving a store
 over TCP and inspecting or compacting its on-disk files.
 
-Knobs resolve in precedence order: explicit flags, then --config file
-entries (key=value lines, # comments), then --preset values, then built-in
-defaults. The built-in defaults equal the paper-desk preset, so a bare
+Knobs resolve in precedence order: explicit flags, then the --preset
+values. With no --preset the paper-desk preset is in force, so a bare
 ``run-experiment`` finishes in well under a minute. The presets:
 
     paper-desk   180,000 files / 360,000 accesses, threshold 120,000
@@ -15,7 +14,9 @@ defaults. The built-in defaults equal the paper-desk preset, so a bare
 Neither sets the recency window: unless --window is given it is 75% of the
 threshold in force, so a create-heavy phase evicts 25% of the hot tier per
 separation. An alternate full-scale threshold of 1,260,000 records (1.26M,
-the other commonly quoted figure) can be set with --threshold.
+the other commonly quoted figure) can be set with --threshold. The trace's
+shape is fixed (see :mod:`tiermeta.workload`): 30% of files untouched,
+rank skew 1.0, mean file length 64 KiB.
 """
 
 from __future__ import annotations
@@ -37,46 +38,24 @@ from .server import serve
 from .tiering import TieringConfig
 from .workload import WorkloadSpec, generate_trace, replay
 
-PRESETS: dict[str, dict[str, object]] = {
-    "paper-desk": {
-        "files": 180_000, "ops": 360_000, "untouched": 0.3, "skew": 1.0,
-        "mean_length": 65_536, "seed": 7, "threshold": 120_000,
-    },
-    "paper-full": {
-        "files": 1_800_000, "ops": 3_600_000, "untouched": 0.3, "skew": 1.0,
-        "mean_length": 65_536, "seed": 7, "threshold": 1_200_000,
-    },
+PRESETS: dict[str, dict[str, int]] = {
+    "paper-desk": {"files": 180_000, "ops": 360_000, "seed": 7, "threshold": 120_000},
+    "paper-full": {"files": 1_800_000, "ops": 3_600_000, "seed": 7, "threshold": 1_200_000},
 }
+_DEFAULT_PRESET = "paper-desk"
 
-# built-in defaults: the desk-scale preset plus the memory estimate
-_DEFAULTS: dict[str, object] = {**PRESETS["paper-desk"], "bytes_per_record": 600}
-
-_KNOB_TYPES = {
-    "files": int, "ops": int, "untouched": float, "skew": float, "mean_length": int,
-    "seed": int, "threshold": int, "window": int, "bytes_per_record": int,
-}
-
+# every knob is an int flag of the same name
 _KNOB_HELP = {
     "files": "files created by the trace",
     "ops": "access operations after the creates",
-    "untouched": "fraction of files never accessed",
-    "skew": "rank-skew exponent of access popularity",
-    "mean_length": "mean file length in bytes",
     "seed": "workload RNG seed",
     "threshold": "hot-tier record count that triggers separation",
     "window": "recency window in ticks",
-    "bytes_per_record": "estimated bytes per hot-tier record",
 }
 
-_SPEC_KEYS = {
-    "files": "n_files", "ops": "access_ops", "untouched": "untouched_fraction",
-    "skew": "access_skew", "mean_length": "mean_file_length", "seed": "seed",
-}
+_SPEC_KEYS = {"files": "n_files", "ops": "access_ops", "seed": "seed"}
 
-_CONFIG_KEYS = {
-    "threshold": "threshold_records", "window": "recency_window",
-    "bytes_per_record": "bytes_per_record",
-}
+_CONFIG_KEYS = {"threshold": "threshold_records", "window": "recency_window"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,24 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-trace", help="write a synthetic workload trace")
-    _add_knobs(p, ("files", "ops", "untouched", "skew", "mean_length", "seed"))
+    _add_knobs(p, ("files", "ops", "seed"))
     p.add_argument("--out", required=True, help="trace file to write")
     p.set_defaults(func=cmd_gen_trace)
 
     p = sub.add_parser("replay", help="replay a trace against a fresh store")
-    _add_knobs(p, ("threshold", "window", "bytes_per_record"))
+    _add_knobs(p, ("threshold", "window"))
     p.add_argument("--trace", required=True, help="trace file to replay")
     p.add_argument("--cold", help="cold-store file (default: <trace>.cold, truncated)")
-    p.add_argument("--report", help="write the report to this file")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                   help="report file format (default csv)")
+    _add_report_files(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("run-experiment", help="generate a trace and replay it")
-    _add_knobs(p, tuple(_KNOB_TYPES))
+    _add_knobs(p, tuple(_KNOB_HELP))
     p.add_argument("--workdir", help="where trace and cold file go (default: temp dir)")
-    p.add_argument("--csv", help="write the report as CSV")
-    p.add_argument("--jsonl", help="write the report as JSON lines")
+    _add_report_files(p)
     p.set_defaults(func=cmd_run_experiment)
 
     p = sub.add_parser("inspect", help="print a tier's records, or one record")
@@ -139,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("serve", help="serve a data directory over TCP until QUIT")
-    _add_knobs(p, ("threshold", "window", "bytes_per_record"))
+    _add_knobs(p, ("threshold", "window"))
     p.add_argument("data_dir", help="directory holding fsimage, fsimage2, edits.log")
     p.add_argument("--bind", default="127.0.0.1:0",
                    help="host:port to listen on (default 127.0.0.1:0; port 0 picks a free one)")
@@ -149,54 +125,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_knobs(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named parameter set (unset: built-in desk-scale defaults)")
-    p.add_argument("--config", help="key=value file, overrides preset")
+    p.add_argument("--preset", choices=sorted(PRESETS), default=_DEFAULT_PRESET,
+                   help=f"named parameter set (default {_DEFAULT_PRESET})")
+    defaults = PRESETS[_DEFAULT_PRESET]
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        default = "75%% of the threshold" if key == "window" else _DEFAULTS[key]
-        p.add_argument(flag, dest=key, type=_KNOB_TYPES[key], default=None,
-                       help=f"{_KNOB_HELP[key]} (default {default})")
+        default = "75%% of the threshold" if key == "window" else defaults[key]
+        p.add_argument("--" + key, type=int, help=f"{_KNOB_HELP[key]} (default {default})")
 
 
-def _resolve_knobs(args: argparse.Namespace) -> dict[str, object]:
-    knobs = dict(_DEFAULTS)
-    if getattr(args, "preset", None):
-        knobs.update(PRESETS[args.preset])
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _KNOB_TYPES:
-                raise ValueError(f"{args.config}: unknown setting {key!r}")
-            knobs[key] = _KNOB_TYPES[key](raw)
-    for key in _KNOB_TYPES:
+def _add_report_files(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--csv", help="write the report as CSV")
+    p.add_argument("--jsonl", help="write the report as JSON lines")
+
+
+def _resolve_knobs(args: argparse.Namespace) -> dict[str, int]:
+    """The preset's values, each overridden by its flag where one is given."""
+    knobs = dict(PRESETS[args.preset])
+    for key in _KNOB_HELP:
         value = getattr(args, key, None)
         if value is not None:
             knobs[key] = value
     return knobs
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    settings: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            settings[key.strip().replace("-", "_")] = value.strip()
-    return settings
+def _workload_spec(knobs: dict[str, int]) -> WorkloadSpec:
+    return WorkloadSpec(**{_SPEC_KEYS[k]: v for k, v in knobs.items() if k in _SPEC_KEYS})
 
 
-def _workload_spec(knobs: dict[str, object]) -> WorkloadSpec:
-    kwargs = {_SPEC_KEYS[k]: v for k, v in knobs.items() if k in _SPEC_KEYS}
-    return WorkloadSpec(**kwargs)  # type: ignore[arg-type]
-
-
-def _tiering_config(knobs: dict[str, object]) -> TieringConfig:
-    kwargs = {_CONFIG_KEYS[k]: v for k, v in knobs.items() if k in _CONFIG_KEYS}
-    return TieringConfig(**kwargs)  # type: ignore[arg-type]
+def _tiering_config(knobs: dict[str, int]) -> TieringConfig:
+    return TieringConfig(**{_CONFIG_KEYS[k]: v for k, v in knobs.items() if k in _CONFIG_KEYS})
 
 
 def _parse_bind(value: str) -> tuple[str, int]:
@@ -219,12 +176,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _tiering_config(_resolve_knobs(args))
     cold_path = Path(args.cold) if args.cold else Path(args.trace + ".cold")
-    report = replay(args.trace, config, cold_path)
-    _print_report(report)
-    if args.report:
-        writer = write_csv if args.format == "csv" else write_jsonl
-        writer(report, args.report)
-        print(f"wrote {args.report}")
+    _emit_report(replay(args.trace, config, cold_path), args)
     return 0
 
 
@@ -241,18 +193,13 @@ def cmd_run_experiment(args: argparse.Namespace) -> int:
             f"trace: {summary.n_files} creates, {summary.access_ops} accesses, "
             f"{summary.untouched_count} files never accessed again"
         )
-        report = replay(trace, config, workdir / "trace.cold")
-        _print_report(report)
-        if args.csv:
-            write_csv(report, args.csv)
-            print(f"wrote {args.csv}")
-        if args.jsonl:
-            write_jsonl(report, args.jsonl)
-            print(f"wrote {args.jsonl}")
+        _emit_report(replay(trace, config, workdir / "trace.cold"), args)
     return 0
 
 
-def _print_report(report: ExperimentReport) -> None:
+def _emit_report(report: ExperimentReport, args: argparse.Namespace) -> None:
+    """Print each separation event and the summary, then write the report
+    files that --csv and --jsonl name."""
     for event in report.events:
         print(
             f"separation tick={event.tick} hot_before={event.hot_size_before} "
@@ -261,6 +208,10 @@ def _print_report(report: ExperimentReport) -> None:
             f"freed_bytes={event.freed_bytes_estimate}"
         )
     print("summary " + " ".join(f"{k}={v}" for k, v in sorted(report.summary.items())))
+    for dest, writer in ((args.csv, write_csv), (args.jsonl, write_jsonl)):
+        if dest:
+            writer(report, dest)
+            print(f"wrote {dest}")
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -69,7 +69,6 @@ class ExperimentReport:
 def build_report(
     recorder: MetricsRecorder,
     config: dict[str, object],
-    bytes_per_record: int,
     final_hot_records: int,
     final_cold_records: int,
 ) -> ExperimentReport:
@@ -85,7 +84,7 @@ def build_report(
         "total_evicted": sum(e.evicted_count for e in recorder.events),
         "total_freed_bytes_estimate": sum(e.freed_bytes_estimate for e in recorder.events),
         "peak_hot_records": recorder.peak_hot_records,
-        "peak_hot_bytes_estimate": estimate_memory(recorder.peak_hot_records, bytes_per_record),
+        "peak_hot_bytes_estimate": estimate_memory(recorder.peak_hot_records),
         "final_hot_records": final_hot_records,
         "final_cold_records": final_cold_records,
     }

@@ -33,6 +33,10 @@ BLOCK_SIZE = 64 * 1024 * 1024
 REPLICATION = 3
 DATANODE_COUNT = 2
 
+# The RAM a hot record is estimated to take, for the reports' memory figures
+# (an estimate of the modelled NameNode, not a measurement of this process).
+BYTES_PER_RECORD = 600
+
 # Low bits of a block id hold the block's index within its file; the rest
 # hold the file's creation tick.
 BLOCK_INDEX_BITS = 20
@@ -155,11 +159,11 @@ def split_blocks(
     return tuple(blocks)
 
 
-def estimate_memory(record_count: int, bytes_per_record: int) -> int:
+def estimate_memory(record_count: int) -> int:
     """Estimated RAM held by ``record_count`` hot records."""
-    if record_count < 0 or bytes_per_record < 0:
-        raise ValueError("arguments must be non-negative")
-    return record_count * bytes_per_record
+    if record_count < 0:
+        raise ValueError("record_count must be non-negative")
+    return record_count * BYTES_PER_RECORD
 
 
 class HotStore:

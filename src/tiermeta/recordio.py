@@ -38,9 +38,10 @@ def decode_record(line: str) -> MetadataRecord:
     """Parse one record line; raises ValueError on any malformation.
 
     The block size and replication must be the fixed ones, the length within
-    the per-file block limit, and the creation tick 0 for an empty file and
-    never after ``last_access``. Every integer is in the one form ``str``
-    writes, so ``encode_record(decode_record(line)) == line``.
+    the per-file block limit, the count at least 1, and the creation tick 0
+    for an empty file and never after ``last_access``. Every integer is in
+    the one form ``str`` writes, so ``encode_record(decode_record(line)) ==
+    line``.
     """
     fields = line.split("\t")
     if len(fields) != FIELD_COUNT:
@@ -55,6 +56,8 @@ def decode_record(line: str) -> MetadataRecord:
         raise ValueError(f"replication is {repl_s!r}, not the fixed {REPLICATION}")
     last_access = parse_non_negative_int(la_s, "last_access")
     count = parse_non_negative_int(count_s, "count")
+    if not count:
+        raise ValueError("count is 0, but a record counts its own creation")
     created = parse_non_negative_int(created_s, "created")
     try:
         block_count(length, BLOCK_SIZE)

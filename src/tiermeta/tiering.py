@@ -25,6 +25,7 @@ from .fsimage import save_fsimage
 from .metrics import MetricsRecorder, SeparationEvent
 from .namespace import (
     BLOCK_SIZE,
+    BYTES_PER_RECORD,
     DATANODE_COUNT,
     REPLICATION,
     HotStore,
@@ -52,7 +53,6 @@ class TieringConfig:
 
     threshold_records: int = 1_200_000
     recency_window: int | None = None
-    bytes_per_record: int = 600
 
     def __post_init__(self) -> None:
         if self.recency_window is None:
@@ -61,15 +61,14 @@ class TieringConfig:
             raise ValueError("threshold_records must be at least 1")
         if self.recency_window < 0:
             raise ValueError("recency_window must be non-negative")
-        if self.bytes_per_record < 1:
-            raise ValueError("bytes_per_record must be positive")
 
     def as_dict(self) -> dict[str, object]:
-        """The knobs as reported, with the fixed record geometry alongside."""
+        """The knobs as reported, with the fixed record geometry and memory
+        estimate alongside."""
         return {
             "threshold_records": self.threshold_records,
             "recency_window": self.recency_window,
-            "bytes_per_record": self.bytes_per_record,
+            "bytes_per_record": BYTES_PER_RECORD,
             "block_size": BLOCK_SIZE,
             "replication": REPLICATION,
             "datanode_count": DATANODE_COUNT,
@@ -210,7 +209,7 @@ class TieredStore:
             kept_count=len(kept),
             evicted_count=len(evicted),
             mean_count=mean,
-            freed_bytes_estimate=estimate_memory(len(evicted), self.config.bytes_per_record),
+            freed_bytes_estimate=estimate_memory(len(evicted)),
         )
         self.metrics.events.append(event)
         logger.info(

@@ -2,10 +2,11 @@
 
 A trace is a plain text file of CREATE/ACCESS lines (the edits-log line
 format): first every file is created, ticks 0..n_files-1, then access_ops
-ACCESS lines follow. A configured fraction of the files is never accessed
-again after creation; every remaining file is accessed at least once, with
-the extra accesses drawn from a Zipf-like rank distribution so a few files
-soak up most of the traffic.
+ACCESS lines follow. The trace's shape is fixed: ``UNTOUCHED_FRACTION`` of
+the files is never accessed again after creation; every remaining file is
+accessed at least once, with the extra accesses drawn with weight
+rank^-``ACCESS_SKEW`` so a few files soak up most of the traffic; file
+lengths are exponential with mean ``MEAN_FILE_LENGTH``.
 
 Everything is driven by one ``random.Random(seed)``, so a spec maps to
 exactly one trace, byte for byte.
@@ -20,8 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coldstore import ColdStore
-from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, OpEvent, parse_op_line
-from .errors import InvalidSpecError, MalformedTraceError, NotFoundError
+from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, parse_op_line
+from .errors import (
+    FileTooLargeError,
+    InvalidPathError,
+    InvalidSpecError,
+    MalformedTraceError,
+    NotFoundError,
+    PathExistsError,
+)
 from .metrics import ExperimentReport, build_report
 from .tiering import TieredStore, TieringConfig
 
@@ -30,14 +38,20 @@ logger = logging.getLogger(__name__)
 PATH_TEMPLATE = "/w/f{:07d}"
 _PROGRESS_EVERY = 500_000
 
+# The trace shape: the share of files never accessed after creation, the
+# rank-skew exponent of access popularity, and the mean file length in bytes.
+UNTOUCHED_FRACTION = 0.3
+ACCESS_SKEW = 1.0
+MEAN_FILE_LENGTH = 64 * 1024
+
+# What apply_event raises for an event the store refuses: a bad trace line.
+_REFUSALS = (ValueError, PathExistsError, InvalidPathError, FileTooLargeError)
+
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
     n_files: int
     access_ops: int
-    untouched_fraction: float = 0.3
-    access_skew: float = 1.0
-    mean_file_length: int = 64 * 1024
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -45,15 +59,7 @@ class WorkloadSpec:
             raise InvalidSpecError("n_files must be at least 1")
         if self.access_ops < 0:
             raise InvalidSpecError("access_ops must be non-negative")
-        if not 0.0 <= self.untouched_fraction <= 1.0:
-            raise InvalidSpecError("untouched_fraction must lie in [0, 1]")
-        if self.access_skew < 0.0:
-            raise InvalidSpecError("access_skew must be non-negative")
-        if self.mean_file_length < 1:
-            raise InvalidSpecError("mean_file_length must be positive")
         touched = self.n_files - self.untouched_count
-        if self.access_ops > 0 and touched == 0:
-            raise InvalidSpecError("access_ops > 0 but every file is untouched")
         if 0 < self.access_ops < touched:
             raise InvalidSpecError(
                 f"access_ops={self.access_ops} cannot touch all "
@@ -62,7 +68,7 @@ class WorkloadSpec:
 
     @property
     def untouched_count(self) -> int:
-        return round(self.n_files * self.untouched_fraction)
+        return round(self.n_files * UNTOUCHED_FRACTION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +82,7 @@ class TraceSummary:
 def generate_trace(spec: WorkloadSpec, dest: str | Path) -> TraceSummary:
     """Write the trace for ``spec`` to ``dest``."""
     rng = random.Random(spec.seed)
-    rate = 1.0 / spec.mean_file_length
+    rate = 1.0 / MEAN_FILE_LENGTH
 
     # Untouched files are an arbitrary subset, not the oldest ones, so the
     # access pattern is uncorrelated with creation order.
@@ -92,7 +98,7 @@ def generate_trace(spec: WorkloadSpec, dest: str | Path) -> TraceSummary:
         extra = spec.access_ops - len(touched)
         if extra > 0:
             cum = list(itertools.accumulate(
-                (r + 1) ** -spec.access_skew for r in range(len(touched))
+                (r + 1) ** -ACCESS_SKEW for r in range(len(touched))
             ))
             targets.extend(rng.choices(touched, cum_weights=cum, k=extra))
         rng.shuffle(targets)
@@ -118,7 +124,6 @@ def replay(
     trace_path: str | Path,
     config: TieringConfig,
     cold_path: str | Path,
-    config_echo: dict[str, object] | None = None,
 ) -> ExperimentReport:
     """Run a trace against a fresh tiered store and report what happened.
 
@@ -126,7 +131,9 @@ def replay(
     cold file at ``cold_path`` (truncated first: a replay never inherits
     state) and the returned report. A separation check runs after every
     CREATE and DELETE, mirroring the live service. An ACCESS to a path in
-    neither tier is counted as a miss and skipped.
+    neither tier is counted as a miss and skipped; a line that does not
+    parse, or an event the store refuses (a path that exists, a bad path or
+    length, a tick in the past), raises MalformedTraceError naming the line.
     """
     open(cold_path, "wb").close()
     cold = ColdStore(cold_path)
@@ -137,28 +144,23 @@ def replay(
             for lineno, line in enumerate(f, start=1):
                 try:
                     event = parse_op_line(line.rstrip("\n"))
-                except ValueError as exc:
-                    raise MalformedTraceError(
-                        f"{trace_path}: line {lineno}: {exc}"
-                    ) from None
-                try:
                     store.apply_event(event)
                 except NotFoundError:
                     logger.warning("%s: line %d: %s of unknown path %s",
                                    trace_path, lineno, event.op, event.path)
+                except _REFUSALS as exc:
+                    raise MalformedTraceError(
+                        f"{trace_path}: line {lineno}: {exc}"
+                    ) from None
                 if event.op in (OP_CREATE, OP_DELETE):
                     store.maybe_separate()
                 applied += 1
                 if applied % _PROGRESS_EVERY == 0:
                     logger.info("replayed %d events (hot %d, cold %d)",
                                 applied, len(store.hot), len(store.cold))
-        echo = dict(config_echo) if config_echo else {}
-        echo.update(config.as_dict())
-        echo["trace"] = str(trace_path)
         return build_report(
             store.metrics,
-            config=echo,
-            bytes_per_record=config.bytes_per_record,
+            config={**config.as_dict(), "trace": str(trace_path)},
             final_hot_records=len(store.hot),
             final_cold_records=len(store.cold),
         )

@@ -98,8 +98,8 @@ def test_criterion_1_full_scale_experiment(tmp_path):
 
 def test_criterion_2_memory_accounting(desk_runs):
     gb, mb = 10**9, 10**6
-    est_capacity = estimate_memory(1_800_000, 600)
-    est_threshold = estimate_memory(1_260_000, 600)
+    est_capacity = estimate_memory(1_800_000)
+    est_threshold = estimate_memory(1_260_000)
     assert abs(est_capacity - gb) <= 0.10 * gb
     assert abs(est_threshold - 700 * mb) <= 0.10 * 700 * mb
     for event in desk_runs[0]["events"]:

@@ -1,8 +1,12 @@
 """Command-line entry points, knob precedence, exit codes."""
 
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ def test_gen_trace_and_replay(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     code, out, _ = run(
         capsys, "gen-trace", "--files", "400", "--ops", "900",
-        "--untouched", "0.3", "--seed", "7", "--out", str(trace),
+        "--seed", "7", "--out", str(trace),
     )
     assert code == 0
     assert "400 creates, 900 accesses, 120 files never accessed" in out
@@ -33,7 +37,7 @@ def test_gen_trace_and_replay(tmp_path, capsys):
     jsonl_path = tmp_path / "r.jsonl"
     code, out, _ = run(
         capsys, "replay", "--trace", str(trace), "--threshold", "200",
-        "--window", "150", "--report", str(jsonl_path), "--format", "jsonl",
+        "--window", "150", "--jsonl", str(jsonl_path),
     )
     assert code == 0
     assert "separation tick=200" in out
@@ -41,9 +45,9 @@ def test_gen_trace_and_replay(tmp_path, capsys):
     kinds = [json.loads(line)["kind"] for line in jsonl_path.read_text().splitlines()]
     assert kinds[0] == "config" and kinds[-1] == "summary" and "event" in kinds
 
-    csv_path = tmp_path / "r.csv"  # csv is the default format
+    csv_path = tmp_path / "r.csv"
     code, _, _ = run(capsys, "replay", "--trace", str(trace), "--threshold", "200",
-                     "--window", "150", "--report", str(csv_path))
+                     "--window", "150", "--csv", str(csv_path))
     assert code == 0
     assert csv_path.read_text().splitlines()[0].startswith("kind,")
 
@@ -53,7 +57,7 @@ def test_builtin_defaults_are_desk_scale():
     knobs = _resolve_knobs(args)
     assert knobs["files"] == 180_000
     assert knobs["threshold"] == 120_000
-    assert knobs["bytes_per_record"] == 600
+    assert _tiering_config(knobs).as_dict()["bytes_per_record"] == 600
     assert "window" not in knobs  # falls back to 75% of the threshold
     desk = _build_parser().parse_args(["run-experiment", "--preset", "paper-desk"])
     assert knobs == _resolve_knobs(desk)
@@ -78,29 +82,9 @@ def test_run_experiment_with_preset_overridden_small(tmp_path, capsys):
     assert (tmp_path / "w" / "trace.txt").exists()
 
 
-def test_config_file_precedence(tmp_path, capsys):
-    cfg = tmp_path / "exp.conf"
-    cfg.write_text("files = 300\nops=600 # inline comment\nthreshold = 9999\nseed=5\n")
-    trace = tmp_path / "t.txt"
-    code, out, _ = run(capsys, "gen-trace", "--config", str(cfg),
-                       "--ops", "700", "--out", str(trace))
-    assert code == 0
-    # file supplied files/seed; the flag overrode ops
-    assert "300 creates, 700 accesses" in out
-
-
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "exp.conf"
-    cfg.write_text("wat = 1\n")
-    code, _, err = run(capsys, "gen-trace", "--config", str(cfg),
-                       "--files", "10", "--ops", "0", "--out", str(tmp_path / "t"))
-    assert code == 1
-    assert "error:" in err and "wat" in err
-
-
 def test_invalid_spec_is_a_one_line_error(tmp_path, capsys):
     code, _, err = run(capsys, "gen-trace", "--files", "10", "--ops", "5",
-                       "--untouched", "1.0", "--out", str(tmp_path / "t"))
+                       "--out", str(tmp_path / "t"))
     assert code == 1
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
@@ -259,3 +243,46 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _readme_commands():
+    """Every ``tiermeta ...`` command in a fenced block of the README, with
+    its backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in re.sub(r"\\\n\s*", "", block).splitlines():
+            if line.startswith("tiermeta "):
+                commands.append(line)
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_commands_parse(command):
+    argv = shlex.split(command, comments=True)
+    _build_parser().parse_args(argv[1:])
+
+
+def test_readme_has_commands():
+    assert len(_readme_commands()) >= 5
+
+
+def test_each_subcommand_takes_exactly_these_options():
+    # a new flag, or one gone, has to be named here
+    expected = {
+        "gen-trace": {"--preset", "--files", "--ops", "--seed", "--out"},
+        "replay": {"--preset", "--threshold", "--window", "--trace", "--cold", "--csv", "--jsonl"},
+        "run-experiment": {"--preset", "--files", "--ops", "--seed", "--threshold", "--window",
+                           "--workdir", "--csv", "--jsonl"},
+        "inspect": {"--image", "--cold", "--path"},
+        "compact": {"--cold"},
+        "serve": {"--preset", "--threshold", "--window", "data_dir", "--bind"},
+    }
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def options(p):
+        return {s for a in p._actions for s in (a.option_strings or [a.dest])} - {"-h", "--help"}
+
+    assert options(parser) == {"-v", "--verbose", "command"}
+    assert {name: options(p) for name, p in sub.choices.items()} == expected

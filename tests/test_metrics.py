@@ -42,12 +42,12 @@ def test_counters_and_peak():
 def test_report_summary():
     report = build_report(
         sample_recorder(), config={"threshold_records": 8},
-        bytes_per_record=600, final_hot_records=7, final_cold_records=2,
+        final_hot_records=7, final_cold_records=2,
     )
     s = report.summary
     assert s["separations"] == 2
     assert s["total_evicted"] == 5
-    # freed bytes are exactly evicted x bytes-per-record
+    # freed bytes are exactly evicted x BYTES_PER_RECORD
     assert s["total_freed_bytes_estimate"] == 5 * 600
     assert s["peak_hot_bytes_estimate"] == 9 * 600
     assert s["hot_hit_rate"] == 0.6
@@ -57,8 +57,8 @@ def test_report_summary():
 
 def test_rates_absent_without_lookups():
     m = MetricsRecorder(creates=1)
-    report = build_report(m, config={}, bytes_per_record=600,
-                          final_hot_records=1, final_cold_records=0)
+    report = build_report(m, config={}, final_hot_records=1,
+                          final_cold_records=0)
     for key in ("hot_hit_rate", "cold_hit_rate", "miss_rate"):
         assert key not in report.summary
 
@@ -66,7 +66,7 @@ def test_rates_absent_without_lookups():
 def make_report():
     return build_report(
         sample_recorder(), config={"threshold_records": 8, "recency_window": 6},
-        bytes_per_record=600, final_hot_records=7, final_cold_records=2,
+        final_hot_records=7, final_cold_records=2,
     )
 
 
@@ -94,8 +94,8 @@ def test_jsonl_layout(tmp_path):
 
 
 def test_empty_run_serializes_summary_only(tmp_path):
-    report = build_report(MetricsRecorder(), config={}, bytes_per_record=600,
-                          final_hot_records=0, final_cold_records=0)
+    report = build_report(MetricsRecorder(), config={}, final_hot_records=0,
+                          final_cold_records=0)
     write_csv(report, tmp_path / "r.csv")
     with open(tmp_path / "r.csv", newline="") as f:
         rows = list(csv.DictReader(f))

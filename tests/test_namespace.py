@@ -90,18 +90,18 @@ def test_path_validation():
 
 
 def test_memory_estimate_scales_linearly():
-    assert estimate_memory(0, 600) == 0
-    assert estimate_memory(1, 600) == 600
-    assert estimate_memory(10, 600) == 6000
+    assert estimate_memory(0) == 0
+    assert estimate_memory(1) == 600
+    assert estimate_memory(10) == 6000
     with pytest.raises(ValueError):
-        estimate_memory(-1, 600)
+        estimate_memory(-1)
 
 
 def test_memory_estimate_matches_capacity_claims():
     # 1.8M records should land within 10% of 1 GB,
     # the 1.26M threshold within 10% of 700 MB (decimal units)
-    assert abs(estimate_memory(1_800_000, 600) - 1_000_000_000) <= 100_000_000
-    assert abs(estimate_memory(1_260_000, 600) - 700_000_000) <= 70_000_000
+    assert abs(estimate_memory(1_800_000) - 1_000_000_000) <= 100_000_000
+    assert abs(estimate_memory(1_260_000) - 700_000_000) <= 70_000_000
 
 
 def test_create_counts_as_first_access():

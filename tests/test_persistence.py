@@ -101,6 +101,7 @@ TOO_LONG = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
         ("/a\t1\t67108864\t3\tx\t1\t1", "last_access is not an integer: 'x'"),
         ("/a\t1\t67108864\t3\t1\t-1\t1", "count is negative: -1"),
         ("/a\t1\t67108864\t3\t1\tx\t1", "count is not an integer: 'x'"),
+        ("/a\t1\t67108864\t3\t1\t0\t1", "count is 0, but a record counts its own creation"),
         ("/a\t1\t67108864\t3\t1\t1\tx", "created is not an integer: 'x'"),
         ("/a\t1\t67108864\t3\t1\t1\t", "created is not an integer: ''"),
         ("/a\t1\t67108864\t3\t1\t1\t-1", "created is negative: -1"),

@@ -22,7 +22,7 @@ from tiermeta.errors import (
     PathExistsError,
     TierMetaError,
 )
-from tiermeta.namespace import BLOCK_SIZE, MAX_BLOCKS_PER_FILE, MetadataRecord
+from tiermeta.namespace import BLOCK_SIZE, BYTES_PER_RECORD, MAX_BLOCKS_PER_FILE, MetadataRecord
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
 
@@ -130,8 +130,8 @@ def test_mean_uses_state_before_eviction():
 # -- facade ------------------------------------------------------------------
 
 
-def make_store(tmp_path, threshold=8, window=None, **kwargs):
-    config = TieringConfig(threshold_records=threshold, recency_window=window, **kwargs)
+def make_store(tmp_path, threshold=8, window=None):
+    config = TieringConfig(threshold_records=threshold, recency_window=window)
     return TieredStore(ColdStore(tmp_path / "fsimage2"), config)
 
 
@@ -154,7 +154,7 @@ def test_maybe_separate_fires_exactly_at_threshold(tmp_path):
     assert outcome.evicted_count == 2
     assert len(store.hot) == 6
     assert sorted(store.cold.paths()) == ["/f0", "/f1"]
-    assert outcome.freed_bytes_estimate == 2 * store.config.bytes_per_record
+    assert outcome.freed_bytes_estimate == 2 * BYTES_PER_RECORD
     store.close()
 
 

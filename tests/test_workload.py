@@ -1,9 +1,12 @@
 """Trace generation and trace replay."""
 
+import re
+
 import pytest
 
 from tiermeta.editlog import parse_op_line
 from tiermeta.errors import InvalidSpecError, MalformedTraceError
+from tiermeta.namespace import BLOCK_SIZE, MAX_BLOCKS_PER_FILE
 from tiermeta.tiering import TieringConfig
 from tiermeta.workload import WorkloadSpec, generate_trace, replay
 
@@ -14,28 +17,26 @@ def read_trace(path):
 
 
 def test_spec_validation():
-    WorkloadSpec(n_files=10, access_ops=0, untouched_fraction=1.0)
     with pytest.raises(InvalidSpecError):
         WorkloadSpec(n_files=0, access_ops=0)
     with pytest.raises(InvalidSpecError):
-        WorkloadSpec(n_files=10, access_ops=5, untouched_fraction=1.0)
-    with pytest.raises(InvalidSpecError):
         WorkloadSpec(n_files=10, access_ops=-1)
     with pytest.raises(InvalidSpecError):
-        WorkloadSpec(n_files=10, access_ops=10, untouched_fraction=1.5)
-    with pytest.raises(InvalidSpecError):
         # 7 touched files cannot all be touched by 5 accesses
-        WorkloadSpec(n_files=10, access_ops=5, untouched_fraction=0.3)
+        WorkloadSpec(n_files=10, access_ops=5)
 
 
 def test_untouched_count_uses_round():
-    assert WorkloadSpec(n_files=10, access_ops=10, untouched_fraction=0.25).untouched_count == 2
-    assert WorkloadSpec(n_files=1000, access_ops=1000, untouched_fraction=0.3).untouched_count == 300
+    # 30% of 1, 2 and 12 files is 0.3, 0.6 and 3.6: neither floor nor ceiling
+    assert WorkloadSpec(n_files=1, access_ops=1).untouched_count == 0
+    assert WorkloadSpec(n_files=2, access_ops=2).untouched_count == 1
+    assert WorkloadSpec(n_files=12, access_ops=12).untouched_count == 4
+    assert WorkloadSpec(n_files=1000, access_ops=1000).untouched_count == 300
     assert WorkloadSpec(n_files=180_000, access_ops=360_000).untouched_count == 54_000
 
 
 def test_trace_shape(tmp_path):
-    spec = WorkloadSpec(n_files=500, access_ops=1200, untouched_fraction=0.3, seed=7)
+    spec = WorkloadSpec(n_files=500, access_ops=1200, seed=7)
     out = tmp_path / "t"
     summary = generate_trace(spec, out)
     assert summary.untouched_count == 150
@@ -58,7 +59,7 @@ def test_trace_shape(tmp_path):
 
 def test_all_files_untouched_means_creates_only(tmp_path):
     out = tmp_path / "t"
-    generate_trace(WorkloadSpec(n_files=50, access_ops=0, untouched_fraction=1.0), out)
+    generate_trace(WorkloadSpec(n_files=50, access_ops=0), out)
     events = read_trace(out)
     assert len(events) == 50
     assert {e.op for e in events} == {"CREATE"}
@@ -67,8 +68,7 @@ def test_all_files_untouched_means_creates_only(tmp_path):
 def test_trace_counts_at_reported_scale(tmp_path):
     # counted straight off the emitted file, not the spec arithmetic
     out = tmp_path / "t"
-    generate_trace(WorkloadSpec(n_files=180_000, access_ops=360_000,
-                                untouched_fraction=0.3, seed=7), out)
+    generate_trace(WorkloadSpec(n_files=180_000, access_ops=360_000, seed=7), out)
     created, accessed = set(), set()
     with open(out, encoding="utf-8") as f:
         for line in f:
@@ -80,8 +80,7 @@ def test_trace_counts_at_reported_scale(tmp_path):
 
 def test_skewed_accesses_concentrate(tmp_path):
     out = tmp_path / "t"
-    generate_trace(WorkloadSpec(n_files=200, access_ops=4000, untouched_fraction=0.0,
-                                access_skew=1.2, seed=3), out)
+    generate_trace(WorkloadSpec(n_files=200, access_ops=4000, seed=3), out)
     per_path: dict[str, int] = {}
     for e in read_trace(out):
         if e.op == "ACCESS":
@@ -102,7 +101,7 @@ def test_generation_is_deterministic(tmp_path):
 
 
 def test_replay_reports_experiment(tmp_path):
-    spec = WorkloadSpec(n_files=400, access_ops=800, untouched_fraction=0.3, seed=7)
+    spec = WorkloadSpec(n_files=400, access_ops=800, seed=7)
     trace = tmp_path / "t"
     generate_trace(spec, trace)
     config = TieringConfig(threshold_records=200, recency_window=150)
@@ -133,6 +132,24 @@ def test_replay_rejects_malformed_line(tmp_path):
     trace = tmp_path / "t"
     trace.write_text("CREATE /a 5 0\nACCESS\n")
     with pytest.raises(MalformedTraceError, match="line 2"):
+        replay(trace, TieringConfig(threshold_records=10), tmp_path / "cold")
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("CREATE /a 5 0\nCREATE /a 5 1\n", "line 2: path already exists: /a"),
+        ("CREATE /a 5 5\nACCESS /a 3\n", "line 2: tick 3 is in the past (clock is at 6)"),
+        (f"CREATE /a {MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1} 0\n",
+         "line 1: 1048577 blocks exceeds"),
+        ("CREATE /a 5 0\nCREATE relative 5 1\n", "line 2: path is not absolute"),
+    ],
+    ids=["duplicate-create", "past-tick", "too-large", "bad-path"],
+)
+def test_replay_names_the_line_of_a_refused_event(tmp_path, text, what):
+    trace = tmp_path / "t"
+    trace.write_text(text)
+    with pytest.raises(MalformedTraceError, match=re.escape(f"{trace}: {what}")):
         replay(trace, TieringConfig(threshold_records=10), tmp_path / "cold")
 
 

@@ -5,12 +5,26 @@ The file holds record lines (see recordio) interleaved with tombstones:
     TOMB <path>
 
 Later entries win, so deleting or promoting a record is one appended
-tombstone, never a rewrite. An in-memory path-to-offset index is rebuilt
-by a single scan on open; lookups then cost one seek and one readline.
-Record paths always start with "/", so a TOMB prefix is unambiguous.
-An append ends with its newline, so a last line without one was cut short
-by a crash: it was never acknowledged, and opening the file truncates it
-away, as opening the edits log does.
+tombstone, never a rewrite. Record paths always start with "/", so a TOMB
+prefix is unambiguous. An append ends with its newline, so a last line
+without one was cut short by a crash: it was never acknowledged, and
+opening the file truncates it away, as opening the edits log does.
+
+The index holds no path. It is an open-addressing hash table, rebuilt on
+open by a line count that sizes it once and one scan that fills it, kept
+in two ``array("q")`` with a power-of-two number of slots: ``_keys``
+holds each live path's :func:`_key` (0 marks an empty slot) and ``_offs``
+the offset of its live record line (-1 marks an entry a tombstone or a
+promotion removed). Lookups probe linearly from the key. A key match is
+confirmed against the path stored in the file, so a 64-bit collision
+never merges two paths: :meth:`ColdStore.get` checks the line it reads
+anyway, and everything else reads ``path + "\\t"`` at the offset with
+``os.pread``, which leaves the buffered position alone. The table is kept
+at most half full, removed slots counted, and is rehashed to fit when
+fewer than 1/8 of its slots are live, down to 16 slots. At 16 B a slot,
+an entry costs 32-64 B in a table a quarter to half full, and at most
+128 B just before a shrink; a path-keyed dict cost 114-236 B. A cold
+``get`` is one probe and one readline.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import os
+from array import array
 from pathlib import Path
 from typing import Iterator
 
@@ -34,6 +49,26 @@ from .recordio import decode_record, encode_record
 logger = logging.getLogger(__name__)
 
 _TOMB_PREFIX = b"TOMB "
+_REMOVED = -1
+_MIN_SLOTS = 16
+# bytes read at a time by the line count that sizes the table on open
+_COUNT_CHUNK = 1 << 16
+
+
+def _key(path: str) -> int:
+    """The table key of ``path``: its str hash, never the empty mark 0.
+
+    The hash is salted per process, which is fine: the table is rebuilt on
+    every open and never written out."""
+    return hash(path) or 1
+
+
+def _slots_for(entries: int) -> int:
+    """The power-of-two slot count that holds ``entries`` at most half full."""
+    slots = _MIN_SLOTS
+    while slots < 2 * entries:
+        slots *= 2
+    return slots
 
 
 class ColdStore:
@@ -43,15 +78,111 @@ class ColdStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = open(self.path, "a+b")
-        self._index: dict[str, int] = {}
         try:
             self._rebuild_index()
         except BaseException:
             self._file.close()
             raise
 
+    # -- the table ---------------------------------------------------------
+
+    def _allocate(self, slots: int) -> None:
+        # array * n fills the table in place: no second copy exists meanwhile
+        self._keys = array("q", [0]) * slots
+        self._offs = array("q", [_REMOVED]) * slots
+        self._mask = slots - 1
+        self._live = 0
+        self._used = 0  # live plus removed slots
+
+    def _rehash(self, entries: int) -> None:
+        """Move the live entries into a table sized for ``entries``."""
+        keys, offs = self._keys, self._offs
+        self._allocate(_slots_for(entries))
+        new_keys, new_offs, mask = self._keys, self._offs, self._mask
+        for key, offset in zip(keys, offs):
+            if offset >= 0:
+                i = key & mask
+                while new_keys[i]:
+                    i = (i + 1) & mask
+                new_keys[i] = key
+                new_offs[i] = offset
+                self._live += 1
+        self._used = self._live
+
+    def _holds(self, offset: int, prefix: bytes) -> bool:
+        return os.pread(self._file.fileno(), len(prefix), offset) == prefix
+
+    def _find(self, path: str, read_line: bool = False) -> tuple[int, bytes]:
+        """The slot of ``path``'s live entry and, with ``read_line``, its line.
+
+        Returns ``(-1, b"")`` when ``path`` is not live. Without ``read_line``
+        only ``path + "\t"`` is read, and the buffered position is left alone.
+        """
+        keys = self._keys
+        mask = self._mask
+        key = _key(path)
+        i = key & mask
+        k = keys[i]
+        while k:
+            if k == key:
+                offset = self._offs[i]
+                if offset >= 0:
+                    prefix = path.encode("utf-8") + b"\t"
+                    if read_line:
+                        self._file.seek(offset)
+                        line = self._file.readline()
+                        if line.startswith(prefix):
+                            return i, line
+                    elif self._holds(offset, prefix):
+                        return i, prefix
+            i = (i + 1) & mask
+            k = keys[i]
+        return -1, b""
+
+    def _put(self, path: str, offset: int) -> None:
+        """Point ``path`` at the record line at ``offset``; the line is on disk
+        and the table has a free slot."""
+        keys, offs, mask = self._keys, self._offs, self._mask
+        key = _key(path)
+        i = key & mask
+        free = -1
+        k = keys[i]
+        while k:
+            if offs[i] < 0:
+                if free < 0:
+                    free = i
+            elif k == key and self._holds(offs[i], path.encode("utf-8") + b"\t"):
+                offs[i] = offset
+                return
+            i = (i + 1) & mask
+            k = keys[i]
+        if free < 0:
+            free = i
+            self._used += 1
+        keys[free] = key
+        offs[free] = offset
+        self._live += 1
+
+    def _remove(self, slot: int) -> None:
+        self._offs[slot] = _REMOVED
+        self._live -= 1
+
+    def _shrink_if_sparse(self) -> None:
+        if self._live < len(self._keys) // 8 and len(self._keys) > _MIN_SLOTS:
+            self._rehash(self._live)
+
+    def _live_lines(self) -> Iterator[tuple[int, bytes]]:
+        """Each live record line with its offset, in file (append) order."""
+        for offset in sorted(o for o in self._offs if o >= 0):
+            self._file.seek(offset)
+            yield offset, self._file.readline()
+
     def _rebuild_index(self) -> None:
-        self._index.clear()
+        self._keys = self._offs = array("q")  # the old table goes first
+        self._file.seek(0)
+        chunks = iter(lambda: self._file.read(_COUNT_CHUNK), b"")
+        # every line fills at most one slot, so the scan never grows the table
+        self._allocate(_slots_for(sum(chunk.count(b"\n") for chunk in chunks)))
         self._file.seek(0)
         offset = 0
         lineno = 0
@@ -63,41 +194,47 @@ class ColdStore:
                 break
             try:
                 if raw.startswith(_TOMB_PREFIX):
-                    self._index.pop(raw[len(_TOMB_PREFIX):-1].decode("utf-8"), None)
+                    slot = self._find(raw[len(_TOMB_PREFIX):-1].decode("utf-8"))[0]
+                    if slot >= 0:
+                        self._remove(slot)
                 elif raw.startswith(b"/") and b"\t" in raw:
-                    self._index[raw.split(b"\t", 1)[0].decode("utf-8")] = offset
+                    self._put(raw.split(b"\t", 1)[0].decode("utf-8"), offset)
                 else:
                     raise ValueError("neither record nor tombstone")
             except ValueError as exc:  # UnicodeDecodeError included
                 raise CorruptImageError(f"{self.path}: line {lineno}: {exc}") from None
             offset += len(raw)
+        self._shrink_if_sparse()
+
+    # -- the store ---------------------------------------------------------
 
     def __contains__(self, path: str) -> bool:
-        return path in self._index
+        return self._find(path)[0] >= 0
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._live
 
     def paths(self) -> list[str]:
-        return list(self._index)
+        """Live paths in file (append) order."""
+        return [line.split(b"\t", 1)[0].decode("utf-8") for _, line in self._live_lines()]
 
-    def get(self, path: str) -> MetadataRecord | None:
-        """Return the live record for ``path``, or None if absent."""
-        offset = self._index.get(path)
-        if offset is None:
-            return None
-        self._file.seek(offset)
+    def _decode(self, line: bytes, offset: int) -> MetadataRecord:
         try:
-            return decode_record(self._file.readline()[:-1].decode("utf-8"))
+            return decode_record(line[:-1].decode("utf-8"))
         except ValueError as exc:
             raise CorruptImageError(f"{self.path}: offset {offset}: {exc}") from None
 
+    def get(self, path: str) -> MetadataRecord | None:
+        """Return the live record for ``path``, or None if absent."""
+        slot, line = self._find(path, read_line=True)
+        if slot < 0:
+            return None
+        return self._decode(line, self._offs[slot])
+
     def records(self) -> Iterator[MetadataRecord]:
         """Yield all live records in file (append) order."""
-        for path, _ in sorted(self._index.items(), key=lambda kv: kv[1]):
-            record = self.get(path)
-            assert record is not None
-            yield record
+        for offset, line in self._live_lines():
+            yield self._decode(line, offset)
 
     def append_records(self, records: list[MetadataRecord]) -> None:
         """Append records atomically: on failure the file is restored to its
@@ -117,19 +254,23 @@ class ColdStore:
             raise ColdStoreWriteFailureError(
                 f"append of {len(records)} records failed: {exc}"
             ) from exc
+        if 2 * (self._used + len(records)) > len(self._keys):
+            self._rehash(self._live + len(records))  # once for the whole batch
         offset = start
         for record, line in zip(records, lines):
-            self._index[record.path] = offset
+            self._put(record.path, offset)
             offset += len(line)
 
     def delete(self, path: str) -> None:
         """Tombstone ``path``; the tombstone is flushed before returning."""
-        if path not in self._index:
+        slot = self._find(path)[0]
+        if slot < 0:
             raise NotFoundError(f"{path} not in cold store")
         self._file.seek(0, os.SEEK_END)
         self._file.write(_TOMB_PREFIX + path.encode("utf-8") + b"\n")
         self._file.flush()
-        del self._index[path]
+        self._remove(slot)
+        self._shrink_if_sparse()
 
     def compact(self) -> int:
         """Rewrite the file with live records only, preserving append order.
@@ -140,9 +281,8 @@ class ColdStore:
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:
             with open(tmp, "wb") as out:
-                for _, offset in sorted(self._index.items(), key=lambda kv: kv[1]):
-                    self._file.seek(offset)
-                    out.write(self._file.readline())
+                for _, line in self._live_lines():
+                    out.write(line)
                 out.flush()
                 os.fsync(out.fileno())
         except OSError as exc:
@@ -152,8 +292,8 @@ class ColdStore:
         self._file.close()
         self._file = open(self.path, "a+b")
         self._rebuild_index()
-        logger.info("compacted %s down to %d live records", self.path, len(self._index))
-        return len(self._index)
+        logger.info("compacted %s down to %d live records", self.path, self._live)
+        return self._live
 
     def close(self) -> None:
         self._file.close()

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CorruptLogError, OutOfOrderEditError
 from .recordio import parse_non_negative_int
@@ -35,9 +34,11 @@ OP_DELETE = "DELETE"
 _TAIL_CHUNK = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class OpEvent:
-    """One logged operation; ``length`` is meaningful for CREATE only."""
+class OpEvent(NamedTuple):
+    """One logged operation; ``length`` is meaningful for CREATE only.
+
+    A tuple, not a frozen dataclass: replay builds one per trace line, and a
+    frozen dataclass's ``__init__`` costs two thirds of a line's parse."""
 
     op: str
     path: str

@@ -4,7 +4,9 @@ import gc
 import os
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -183,7 +185,9 @@ def test_records_hold_only_strings_and_ints(tmp_path):
         assert {type(value) for value in fields} == {str, int}, fields
 
 
-def _traced_bytes(build):
+def _traced_bytes(build, with_peak=False):
+    """What ``build()`` returns and the bytes it leaves allocated; with
+    ``with_peak``, also the most it held at once while it ran."""
     # A full collection also empties the free lists of small objects, so the
     # objects built are all counted and none freed while building is.
     gc.collect()
@@ -191,8 +195,10 @@ def _traced_bytes(build):
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
         gc.collect()
-        return result, tracemalloc.get_traced_memory()[0] - base
+        retained = tracemalloc.get_traced_memory()[0] - base
+        return (result, retained, peak) if with_peak else (result, retained)
     finally:
         tracemalloc.stop()
 
@@ -796,3 +802,87 @@ def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
         assert reopened.paths() == ["/c1", "/c10"]
     finally:
         reopened.close()
+
+
+def one_block_records(n):
+    store = HotStore()
+    return [store.create(f"/k/{i:06d}", 1, i) for i in range(n)]
+
+
+def test_the_cold_index_costs_at_most_64_bytes_per_record(tmp_path):
+    path = tmp_path / "c2"
+    path.write_bytes(b"".join(encode_record(r).encode() + b"\n" for r in one_block_records(40_000)))
+    cold, retained, peak = _traced_bytes(lambda: ColdStore(path), with_peak=True)
+    try:
+        assert len(cold) == 40_000
+        assert retained / len(cold) <= 64
+        # a temporary copy of the table, or one grown by doubling, peaks higher
+        assert peak <= 2 * retained
+    finally:
+        cold.close()
+
+
+def _index_bytes(cold):
+    """Bytes of the containers a cold store keeps its index in."""
+    return sum(sys.getsizeof(v) for v in vars(cold).values() if isinstance(v, (array, dict)))
+
+
+def test_promoting_every_cold_record_shrinks_the_index_to_its_floor(tmp_path):
+    records = one_block_records(40_000)
+    store = TieredStore(ColdStore(tmp_path / "c2"))
+    empty = ColdStore(tmp_path / "empty")
+    try:
+        store.cold.append_records(records)
+        for record in records:
+            store.open(record.path)
+        assert len(store.cold) == 0 and len(store.hot) == 40_000
+        assert _index_bytes(store.cold) == _index_bytes(empty)
+        assert len(store.cold._keys) == len(store.cold._offs) == coldstore._MIN_SLOTS
+    finally:
+        store.close()
+        empty.close()
+
+
+def _cold_scenario(directory):
+    """Every cold-store operation on a few paths, /c1 and /c10 among them;
+    what each one gave, and the file compaction leaves."""
+    directory.mkdir()
+    path = directory / "c2"
+    store, clock = HotStore(), LogicalClock()
+    c1, c10, c2, c3 = (store.create(p, 10 * i + 1, clock.tick())
+                       for i, p in enumerate(["/c1", "/c10", "/c2", "/c3"]))
+    bulk = [store.create(f"/d/{i:02d}", 1, clock.tick()) for i in range(30)]
+    seen = {}
+    cold = ColdStore(path)
+    cold.append_records([c1, c10, c2, c3])
+    seen["in"] = [p in cold for p in ("/c1", "/c10", "/c100", "/c", "/c2")]
+    seen["get"] = [cold.get(p) for p in ("/c10", "/c100")]
+    cold.delete("/c1")
+    seen["after delete"] = ["/c1" in cold, cold.get("/c1"), cold.get("/c10"), cold.paths()]
+    with pytest.raises(NotFoundError):
+        cold.delete("/c1")
+    cold.append_records([c1])  # the same path again, after its tombstone
+    newer_c3 = MetadataRecord(c3.path, c3.length, c3.created, clock.tick(), 99)
+    cold.append_records([newer_c3] + bulk)  # a later line wins without a tombstone
+    seen["grown"] = [len(cold), cold.get("/c3"), cold.paths()]
+    for record in bulk[2:]:
+        cold.delete(record.path)
+    cold.delete("/c2")
+    seen["shrunk"] = [len(cold), cold.paths(), list(cold.records())]
+    cold.close()
+    cold = ColdStore(path)  # record, tombstone and record-again lines
+    seen["reopened"] = [len(cold), cold.paths(), list(cold.records()), cold.get("/c1"), "/c2" in cold]
+    seen["compacted"] = [cold.compact(), cold.paths(), [cold.get(p) for p in cold.paths()]]
+    cold.close()
+    seen["file"] = path.read_bytes()
+    return seen
+
+
+def test_colliding_cold_keys_change_no_result(tmp_path, monkeypatch):
+    apart = _cold_scenario(tmp_path / "apart")
+    assert apart["in"] == [True, True, False, False, True]
+    assert apart["after delete"][:2] == [False, None]
+    assert apart["reopened"][1] == ["/c10", "/c1", "/c3", "/d/00", "/d/01"]
+    assert apart["reopened"][2][2].count == 99
+    monkeypatch.setattr(coldstore, "_key", lambda path: 1)
+    assert _cold_scenario(tmp_path / "colliding") == apart

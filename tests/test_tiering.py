@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiermeta import coldstore
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import OP_ACCESS, EditsLog
 from tiermeta.errors import (
@@ -429,3 +430,8 @@ def test_live_and_replay_agree(tmp_path):
         assert live.metrics.events, "threshold 30 must force separations"
         live.close()
         replica.close()
+
+
+def test_live_and_replay_agree_when_every_cold_key_collides(tmp_path, monkeypatch):
+    monkeypatch.setattr(coldstore, "_key", lambda path: 1)
+    test_live_and_replay_agree(tmp_path)

@@ -34,7 +34,7 @@ from .fsimage import load_fsimage
 from .metrics import ExperimentReport, write_csv, write_jsonl
 from .namespace import MetadataRecord
 from .recordio import encode_record
-from .server import serve
+from .server import IMAGE_NAME, serve
 from .tiering import TieringConfig
 from .workload import WorkloadSpec, generate_trace, replay
 
@@ -253,6 +253,9 @@ def _print_with_blocks(record: MetadataRecord | None, src: str, path: str) -> No
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
+    image = Path(args.cold).with_name(IMAGE_NAME)
+    if image.exists():  # moving lines under a committed length would break the store
+        raise ValueError(f"not compacting {args.cold}: {image} beside it commits its length")
     with open(args.cold, "rb") as f:
         before = sum(1 for _ in f)
     cold = ColdStore(args.cold)

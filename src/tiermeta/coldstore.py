@@ -8,7 +8,7 @@ Later entries win, so deleting or promoting a record is one appended
 tombstone, never a rewrite. Record paths always start with "/", so a TOMB
 prefix is unambiguous. An append ends with its newline, so a last line
 without one was cut short by a crash: it was never acknowledged, and
-opening the file truncates it away, as opening the edits log does.
+opening the file truncates it away, as reading the edits log does.
 
 The index holds no path. It is an open-addressing hash table, rebuilt on
 open by a line count that sizes it once and one scan that fills it, kept
@@ -260,6 +260,11 @@ class ColdStore:
         for record, line in zip(records, lines):
             self._put(record.path, offset)
             offset += len(line)
+
+    def sync(self) -> int:
+        """Make the file durable; returns its length, the end an image commits."""
+        os.fsync(self._file.fileno())
+        return os.fstat(self._file.fileno()).st_size
 
     def delete(self, path: str) -> None:
         """Tombstone ``path``; the tombstone is flushed before returning."""

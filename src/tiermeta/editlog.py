@@ -10,7 +10,7 @@ Ticks are strictly increasing within a log. Workload trace files use the
 same line format, so trace replay and edits replay share this parser.
 
 An append ends with its newline, so a last line without one is an append
-that a crash cut short. It was never acknowledged, and opening the log
+that a crash cut short. It was never acknowledged, and reading the log
 truncates it away.
 """
 
@@ -29,9 +29,6 @@ logger = logging.getLogger(__name__)
 OP_CREATE = "CREATE"
 OP_ACCESS = "ACCESS"
 OP_DELETE = "DELETE"
-
-# bytes read at a time, back from the end of the log, to find its last line
-_TAIL_CHUNK = 4096
 
 
 class OpEvent(NamedTuple):
@@ -72,48 +69,21 @@ def parse_op_line(line: str) -> OpEvent:
 class EditsLog:
     """Append-only operation log backed by one file.
 
-    Opening an existing log first truncates a torn last line (one with no
-    newline), then parses only the final complete line to recover the last
-    tick, so the strictly-increasing append precondition survives process
-    restarts without a second pass over the log. Since ticks increase, that
-    line holds the largest; :meth:`entries` validates every line on replay.
+    :meth:`entries` reads the whole log, truncating a torn last line (one
+    with no newline), and leaves :attr:`last_tick` at the last entry's tick,
+    so the strictly-increasing append precondition survives restarts. A log
+    that holds entries refuses :meth:`append` until they have been read.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.last_tick = -1
         self._writer = None
-        tail = self._final_line()
-        if tail is not None:
-            try:
-                self.last_tick = parse_op_line(tail.decode("utf-8")).tick
-            except ValueError:  # UnicodeDecodeError included
-                # a full scan names the line and the reason
-                for event in self.entries():
-                    self.last_tick = event.tick
-
-    def _final_line(self) -> bytes | None:
-        """The log's last complete line without its newline, or None if there
-        is none; a torn line after it is truncated away first."""
-        try:
-            f = open(self.path, "rb")
-        except FileNotFoundError:
-            return None
-        with f:
-            size = f.seek(0, os.SEEK_END)
-            end = _last_newline(f, size)
-            if end + 1 < size:
-                logger.warning(
-                    "%s: dropping a torn last line of %d bytes", self.path, size - end - 1
-                )
-                os.truncate(self.path, end + 1)
-            if end < 0:
-                return None
-            start = _last_newline(f, end) + 1
-            f.seek(start)
-            return f.read(end - start)
+        self._unread = self.path.exists() and self.path.stat().st_size > 0
 
     def append(self, event: OpEvent) -> None:
+        if self._unread:
+            raise OutOfOrderEditError(f"{self.path}: read its entries before appending")
         if event.tick <= self.last_tick:
             raise OutOfOrderEditError(
                 f"tick {event.tick} does not advance the log (last was {self.last_tick})"
@@ -129,10 +99,17 @@ class EditsLog:
         if not self.path.exists():
             return
         last = -1
+        offset = 0
         with open(self.path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
+                if not line.endswith(b"\n"):
+                    logger.warning("%s: dropping a torn last line of %d bytes",
+                                   self.path, len(line))
+                    os.truncate(self.path, offset)
+                    break
+                offset += len(line)
                 try:
-                    event = parse_op_line(line.rstrip(b"\n").decode("utf-8"))
+                    event = parse_op_line(line[:-1].decode("utf-8"))
                 except ValueError as exc:  # UnicodeDecodeError included
                     raise CorruptLogError(f"{self.path}: line {lineno}: {exc}") from None
                 if event.tick <= last:
@@ -141,26 +118,17 @@ class EditsLog:
                     )
                 last = event.tick
                 yield event
+        self.last_tick = last
+        self._unread = False
 
     def reset(self) -> None:
         """Drop all entries, e.g. after a checkpoint made them redundant."""
         self.close()
         open(self.path, "w").close()
         self.last_tick = -1
+        self._unread = False
 
     def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-
-
-def _last_newline(f, end: int) -> int:
-    """Offset of the last newline in the first ``end`` bytes of ``f``, or -1."""
-    while end > 0:
-        start = max(0, end - _TAIL_CHUNK)
-        f.seek(start)
-        cut = f.read(end - start).rfind(b"\n")
-        if cut >= 0:
-            return start + cut
-        end = start
-    return -1

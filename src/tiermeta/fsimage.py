@@ -1,14 +1,15 @@
-"""Checkpoint image: a complete snapshot of the hot-tier namespace.
+"""Checkpoint image: the hot tier, and the commit point of both tiers.
 
-File layout: a single header line ``FSIMAGE v3 <record_count> <clock>``
-followed by one record line per file (see :mod:`tiermeta.recordio`), sorted
-by path so that saving the same namespace twice yields byte-identical files.
-``clock`` is the logical clock at the checkpoint: every tick taken before it,
-a DELETE's included, is below it, so a restart issues none of them again.
+File layout: a single header line ``FSIMAGE v4 <record_count> <clock>
+<cold_end>`` followed by one record line per file (see
+:mod:`tiermeta.recordio`), sorted by path so that saving the same namespace
+twice yields byte-identical files. ``clock`` is the logical clock at the
+checkpoint: every tick taken before it, a DELETE's included, is below it.
+``cold_end`` is the length of the cold file ``fsimage2``, fsynced before the
+image is written; the image covers that prefix and nothing after it.
 Writes go to a temp file in the destination directory and are renamed into
 place, so a partially written image is never visible at the destination path.
-A version 3 record line ends in the creation tick where a version 2 line
-listed the blocks; an image of any other version is refused, not converted.
+An image of any other version is refused, not converted.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ from .errors import CorruptImageError
 from .namespace import HotStore
 
 HEADER_MAGIC = "FSIMAGE"
-FORMAT_VERSION = "v3"
+FORMAT_VERSION = "v4"
 
 
-def save_fsimage(store: HotStore, dest: str | Path, clock: int) -> None:
-    """Atomically write a checkpoint of ``store``, taken at tick ``clock``, to ``dest``."""
+def save_fsimage(store: HotStore, dest: str | Path, clock: int, cold_end: int) -> None:
+    """Atomically write a checkpoint of ``store``, taken at tick ``clock``, to
+    ``dest``; it commits the first ``cold_end`` bytes of the cold file."""
     dest = Path(dest)
     tmp = dest.with_name(dest.name + ".tmp")
     records = sorted(store, key=lambda r: r.path)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {len(records)} {clock}\n")
+            f.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {len(records)} {clock} {cold_end}\n")
             for record in records:
                 f.write(recordio.encode_record(record) + "\n")
             f.flush()
@@ -42,8 +44,9 @@ def save_fsimage(store: HotStore, dest: str | Path, clock: int) -> None:
     os.replace(tmp, dest)
 
 
-def _read_header(f, src: str | Path) -> tuple[int, int]:
-    """The record count and clock in the header of image ``src``, open as ``f``."""
+def _read_header(f, src: str | Path) -> tuple[int, int, int]:
+    """The record count, clock and cold end in the header of image ``src``,
+    open as ``f``."""
     header = f.readline()
     if not header.endswith(b"\n"):
         raise CorruptImageError(f"{src}: truncated or missing header")
@@ -53,21 +56,23 @@ def _read_header(f, src: str | Path) -> tuple[int, int]:
         raise CorruptImageError(f"{src}: not an image file: {text!r}")
     if len(parts) < 2 or parts[1] != FORMAT_VERSION:
         raise CorruptImageError(f"{src}: unsupported version in header {text!r}")
-    if len(parts) != 4:
+    if len(parts) != 5:
         raise CorruptImageError(
-            f"{src}: header is not '{HEADER_MAGIC} {FORMAT_VERSION} <count> <clock>': {text!r}"
+            f"{src}: header is not '{HEADER_MAGIC} {FORMAT_VERSION} <count> <clock> <cold_end>':"
+            f" {text!r}"
         )
     try:
         return (recordio.parse_non_negative_int(parts[2], "record count"),
-                recordio.parse_non_negative_int(parts[3], "clock"))
+                recordio.parse_non_negative_int(parts[3], "clock"),
+                recordio.parse_non_negative_int(parts[4], "cold_end"))
     except ValueError as exc:
         raise CorruptImageError(f"{src}: header: {exc}") from None
 
 
-def read_clock(src: str | Path) -> int:
-    """The clock stored in the header of the image ``src``."""
+def read_commit(src: str | Path) -> tuple[int, int]:
+    """The clock and the cold end stored in the header of the image ``src``."""
     with open(src, "rb") as f:
-        return _read_header(f, src)[1]
+        return _read_header(f, src)[1:]
 
 
 def load_fsimage(src: str | Path) -> HotStore:
@@ -80,7 +85,7 @@ def load_fsimage(src: str | Path) -> HotStore:
     """
     store = HotStore()
     with open(src, "rb") as f:
-        expected, clock = _read_header(f, src)
+        expected, clock, _ = _read_header(f, src)
         loaded = 0
         for lineno, line in enumerate(f, start=2):
             if not line.endswith(b"\n"):

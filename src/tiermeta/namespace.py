@@ -74,7 +74,7 @@ class MetadataRecord:
     @property
     def blocks(self) -> tuple[BlockInfo, ...]:
         """The file's blocks, built anew on each read (see :func:`split_blocks`)."""
-        return split_blocks(self.length, BLOCK_SIZE, self.created, REPLICATION, DATANODE_COUNT)
+        return split_blocks(self.length, self.created)
 
 
 class LogicalClock:
@@ -114,17 +114,15 @@ def validate_path(path: str) -> None:
         raise InvalidPathError(f"path contains whitespace or NUL: {path!r}")
 
 
-def block_count(length: int, block_size: int) -> int:
-    """How many blocks a file of ``length`` bytes takes.
+def block_count(length: int) -> int:
+    """How many ``BLOCK_SIZE`` blocks a file of ``length`` bytes takes.
 
-    Raises ValueError for a negative length or a block size below 1, and
-    FileTooLargeError past ``MAX_BLOCKS_PER_FILE``.
+    Raises ValueError for a negative length and FileTooLargeError past
+    ``MAX_BLOCKS_PER_FILE``.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    n_blocks = -(-length // block_size)
+    n_blocks = -(-length // BLOCK_SIZE)
     if n_blocks > MAX_BLOCKS_PER_FILE:
         raise FileTooLargeError(
             f"{n_blocks} blocks exceeds the per-file limit of {MAX_BLOCKS_PER_FILE}"
@@ -132,29 +130,24 @@ def block_count(length: int, block_size: int) -> int:
     return n_blocks
 
 
-def split_blocks(
-    length: int,
-    block_size: int,
-    creation_tick: int,
-    replication: int,
-    datanode_count: int,
-) -> tuple[BlockInfo, ...]:
-    """Split a file of ``length`` bytes into fixed-size blocks.
+def split_blocks(length: int, creation_tick: int) -> tuple[BlockInfo, ...]:
+    """Split a file of ``length`` bytes, created at ``creation_tick``, into blocks.
 
-    Every block except possibly the last has exactly ``block_size`` bytes;
+    Every block except possibly the last has exactly ``BLOCK_SIZE`` bytes;
     a zero-length file has no blocks. Replicas are placed round-robin over
-    the virtual DataNodes starting at ``block_id mod datanode_count``, with
-    the effective replication capped at the node count.
+    the ``DATANODE_COUNT`` virtual DataNodes starting at ``block_id mod
+    DATANODE_COUNT``, with the effective replication ``REPLICATION`` capped
+    at the node count.
     """
-    n_blocks = block_count(length, block_size)
-    effective = min(replication, datanode_count)
+    n_blocks = block_count(length)
+    effective = min(REPLICATION, DATANODE_COUNT)
     blocks = []
     remaining = length
     for i in range(n_blocks):
-        size = min(block_size, remaining)
+        size = min(BLOCK_SIZE, remaining)
         remaining -= size
         block_id = (creation_tick << BLOCK_INDEX_BITS) | i
-        replicas = tuple((block_id + j) % datanode_count for j in range(effective))
+        replicas = tuple((block_id + j) % DATANODE_COUNT for j in range(effective))
         blocks.append(BlockInfo(block_id, size, creation_tick, replicas))
     return tuple(blocks)
 
@@ -201,7 +194,7 @@ class HotStore:
         """
         if path in self._records:
             raise PathExistsError(f"path already exists: {path}")
-        block_count(length, BLOCK_SIZE)
+        block_count(length)
         record = MetadataRecord(
             path=path, length=length, created=tick if length else 0, last_access=tick, count=1
         )

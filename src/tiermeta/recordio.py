@@ -60,7 +60,7 @@ def decode_record(line: str) -> MetadataRecord:
         raise ValueError("count is 0, but a record counts its own creation")
     created = parse_non_negative_int(created_s, "created")
     try:
-        block_count(length, BLOCK_SIZE)
+        block_count(length)
     except FileTooLargeError as exc:
         raise ValueError(str(exc)) from None
     if created and not length:

@@ -27,17 +27,19 @@ A store's on-disk home is one directory: ``fsimage`` (hot-tier checkpoint),
 from __future__ import annotations
 
 import logging
+import os
 import signal
 import socket
 import threading
 from pathlib import Path
 
 from .coldstore import ColdStore
-from .editlog import OP_DELETE, EditsLog
-from .errors import NotFoundError, PathExistsError, TierMetaError
-from .fsimage import load_fsimage, read_clock
+from .editlog import OP_CREATE, OP_DELETE, EditsLog
+from .errors import (CorruptImageError, CorruptLogError, NotFoundError, PathExistsError,
+                     TierMetaError)
+from .fsimage import load_fsimage, read_commit
 from .metrics import MetricsRecorder
-from .namespace import BLOCK_SIZE, LogicalClock, MetadataRecord, block_count
+from .namespace import LogicalClock, MetadataRecord, block_count
 from .tiering import TieredStore, TieringConfig
 
 logger = logging.getLogger(__name__)
@@ -50,52 +52,54 @@ EDITS_NAME = "edits.log"
 def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> TieredStore:
     """Open (or initialize) the store living in ``data_dir``.
 
-    Recovery order: load the checkpoint image and start the clock at the
-    tick it stores (0 with no image), open the cold store, then replay the
-    edits log with accesses resolved through both tiers so promotions are
-    reproduced. A DELETE whose path is in neither tier is already applied (a
-    cold delete's tombstone is durable the moment it is acknowledged), so it
-    is skipped. Any other edit that no longer applies, one below the image's
-    clock included, is logged and skipped; recovery keeps what it can rather
-    than refusing to start. Every tick the store took is below the image's
-    clock or in the log, so ending past the log's last tick issues none twice.
+    The image is the one commit point of both tiers. It holds the hot tier,
+    the clock and ``cold_end``, the length of ``fsimage2`` it covers (0 with
+    no image: the log then holds everything). Recovery loads the image, cuts
+    ``fsimage2`` back to ``cold_end`` and replays the log as the live store
+    ran it, with a separation check after each CREATE and DELETE, so what the
+    cold file gained after the checkpoint is rebuilt. An edit whose tick is
+    below the image's clock is in the image already and is skipped; any other
+    edit must apply, or the open fails with CorruptLogError naming its line.
 
-    Each file is scanned once, and only what stays in RAM is decoded:
-
-    - ``fsimage``: every record is decoded and checked.
-    - ``fsimage2``: one scan builds the path-to-offset index and checks that
-      each line is a record or a tombstone. A cold record is decoded and
-      checked on its first read, so a bad line raises CorruptImageError
-      there, not here.
-    - ``edits.log``: its final line gives the log's last tick; the replay
-      parses and checks every line once.
+    Only what stays in RAM is decoded: every image record and each edit once,
+    and no cold record. The cold index scan checks only that each line is a
+    record or a tombstone; a cold record is checked on its first read.
     """
     config = config or TieringConfig()
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    image_path = data_dir / IMAGE_NAME
-    hot, clock = None, 0
+    image_path, cold_path = data_dir / IMAGE_NAME, data_dir / COLD_NAME
+    hot, clock, cold_end = None, 0, 0
     if image_path.exists():
         hot = load_fsimage(image_path)
-        clock = read_clock(image_path)
-    cold = ColdStore(data_dir / COLD_NAME)
+        clock, cold_end = read_commit(image_path)
+    size = cold_path.stat().st_size if cold_path.exists() else 0
+    if size < cold_end:
+        raise CorruptImageError(f"{cold_path} holds {size} bytes, {image_path} commits {cold_end}")
+    if size > cold_end:
+        logger.warning("%s: dropping %d bytes past the committed length %d",
+                       cold_path, size - cold_end, cold_end)
+        os.truncate(cold_path, cold_end)
+    cold = ColdStore(cold_path)
     try:
         store = TieredStore(cold, config, hot=hot)
         store.clock = LogicalClock(clock)
         edits = EditsLog(data_dir / EDITS_NAME)
-        skipped = 0
-        for event in edits.entries():
-            path = event.path
-            if event.op == OP_DELETE and not (path in store.hot or path in store.cold):
+        stale = 0
+        for lineno, event in enumerate(edits.entries(), start=1):
+            if event.tick < clock:
+                stale += 1
                 continue
             try:
                 store.apply_event(event)
             except (TierMetaError, ValueError) as exc:
-                skipped += 1
-                logger.warning("skipping unreplayable edit %s %s: %s", event.op, path, exc)
-        if skipped:
-            logger.warning("recovery skipped %d of the logged edits", skipped)
-        store.clock.now = max(store.clock.now, edits.last_tick + 1)
+                raise CorruptLogError(f"{edits.path}: line {lineno}: "
+                                      f"{event.op} {event.path}: {exc}") from None
+            if event.op in (OP_CREATE, OP_DELETE):
+                store.maybe_separate()
+        if stale:
+            logger.warning("%s: %d edits below the image's clock %d are in the image already",
+                           edits.path, stale, clock)
     except BaseException:
         cold.close()  # a store that failed to recover is never handed out
         raise
@@ -109,7 +113,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 def format_record(record: MetadataRecord, tier: str | None = None) -> str:
     line = (
         f"OK path={record.path} length={record.length} "
-        f"blocks={block_count(record.length, BLOCK_SIZE)} "
+        f"blocks={block_count(record.length)} "
         f"last_access={record.last_access} count={record.count}"
     )
     if tier is not None:

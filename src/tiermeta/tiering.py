@@ -222,8 +222,9 @@ class TieredStore:
     # -- persistence -----------------------------------------------------
 
     def checkpoint(self, image_path) -> None:
-        """Write the hot tier to an image and reset the edits log."""
-        save_fsimage(self.hot, image_path, self.clock.now)
+        """Commit both tiers in one image, then reset the edits log. The cold
+        file is fsynced first, so the length the image commits is on disk."""
+        save_fsimage(self.hot, image_path, self.clock.now, self.cold.sync())
         if self.edits is not None:
             self.edits.reset()
 
@@ -246,7 +247,7 @@ class TieredStore:
             raise PathExistsError(f"path already exists: {path}")
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
-        block_count(length, BLOCK_SIZE)
+        block_count(length)
         record = self.hot.create(path, length, self._tick(at))
         self.metrics.creates += 1
         self.metrics.observe_hot_size(len(self.hot))

@@ -215,8 +215,8 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     for record in rng.sample(sorted(store.paths()), 200):
         store.access(record, clock.tick())
     first, second = tmp_path / "img1", tmp_path / "img2"
-    save_fsimage(store, first, clock.now)
-    save_fsimage(load_fsimage(first), second, clock.now)
+    save_fsimage(store, first, clock.now, 0)
+    save_fsimage(load_fsimage(first), second, clock.now, 0)
     assert first.read_bytes() == second.read_bytes()
 
     # checkpoint + edits replay equals live state, 100 randomized traces,

@@ -16,6 +16,8 @@ from tiermeta.coldstore import ColdStore
 from tiermeta.fsimage import save_fsimage
 from tiermeta.namespace import HotStore, LogicalClock
 from tiermeta.recordio import encode_record
+from tiermeta.server import COLD_NAME, IMAGE_NAME, open_store
+from tiermeta.tiering import TieringConfig
 
 
 def run(capsys, *argv):
@@ -106,20 +108,20 @@ def test_replay_names_the_malformed_line(tmp_path, capsys):
 
 def test_inspect_image(tmp_path, capsys):
     empty = tmp_path / "img0"
-    save_fsimage(HotStore(), empty, 0)
+    save_fsimage(HotStore(), empty, 0, 0)
     code, out, _ = run(capsys, "inspect", "--image", str(empty))
     assert code == 0
-    assert out == "FSIMAGE v3 0 0\n"
+    assert out == "FSIMAGE v4 0 0 0\n"
 
     store = HotStore()
     store.create("/i/a", 10, tick=0)
     store.create("/i/b", 0, tick=1)
     image = tmp_path / "img"
-    save_fsimage(store, image, 2)
+    save_fsimage(store, image, 2, 0)
     code, out, _ = run(capsys, "inspect", "--image", str(image))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "FSIMAGE v3 2 2"
+    assert lines[0] == "FSIMAGE v4 2 2 0"
     assert [line.split("\t")[0] for line in lines[1:]] == ["/i/a", "/i/b"]
 
     code, out, _ = run(capsys, "inspect", "--image", str(image), "--path", "/i/b")
@@ -138,7 +140,7 @@ def test_inspect_path_prints_the_derived_blocks_under_the_record(tmp_path, capsy
     store.create("/data/other", 10, tick=51)
     target = tmp_path / "f"
     if tier == "--image":
-        save_fsimage(store, target, 52)
+        save_fsimage(store, target, 52, 0)
     else:
         cold = ColdStore(target)
         cold.append_records(list(store))
@@ -202,6 +204,23 @@ def test_compact_closes_every_file_it_opens(tmp_path, capsys, opened_files):
     assert code == 0
     assert out == f"compacted {tmp_path / 'c'}: 5 lines -> 3 live records\n"
     assert opened and all(f.closed for f in opened)
+
+
+def test_compact_refuses_the_cold_file_of_a_store(tmp_path, capsys):
+    store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
+    for i in range(4):
+        store.create(f"/k/{i}", 100)
+    store.maybe_separate()
+    store.checkpoint(tmp_path / IMAGE_NAME)
+    store.open("/k/0")  # a promotion: the cold file now holds a dead line
+    store.close()
+    cold = tmp_path / COLD_NAME
+    before = cold.read_bytes()
+    code, out, err = run(capsys, "compact", "--cold", str(cold))
+    assert code == 1 and out == ""
+    assert err == (f"error: not compacting {cold}: {tmp_path / IMAGE_NAME} "
+                   "beside it commits its length\n")
+    assert cold.read_bytes() == before
 
 
 def test_broken_pipe_dies_quietly(tmp_path):

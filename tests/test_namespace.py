@@ -12,7 +12,9 @@ from tiermeta.errors import (
 from tiermeta.namespace import (
     BLOCK_INDEX_BITS,
     BLOCK_SIZE,
+    DATANODE_COUNT,
     MAX_BLOCKS_PER_FILE,
+    REPLICATION,
     HotStore,
     LogicalClock,
     estimate_memory,
@@ -24,7 +26,7 @@ MIB = 1024 * 1024
 
 
 def test_split_130mib_file():
-    blocks = split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
+    blocks = split_blocks(130 * MIB, 42)
     assert [b.size for b in blocks] == [64 * MIB, 64 * MIB, 2 * MIB]
     assert [b.block_id for b in blocks] == [(42 << BLOCK_INDEX_BITS) | i for i in range(3)]
     assert all(b.generation_stamp == 42 for b in blocks)
@@ -33,44 +35,41 @@ def test_split_130mib_file():
 
 
 def test_split_zero_length_has_no_blocks():
-    assert split_blocks(0, BLOCK_SIZE, 0, 3, 2) == ()
+    assert split_blocks(0, 0) == ()
 
 
 def test_split_exact_multiple():
-    blocks = split_blocks(64 * MIB, BLOCK_SIZE, 0, 3, 2)
+    blocks = split_blocks(64 * MIB, 0)
     assert len(blocks) == 1
     assert blocks[0].size == 64 * MIB
 
 
 def test_split_rejects_oversized_file():
     with pytest.raises(FileTooLargeError):
-        split_blocks(MAX_BLOCKS_PER_FILE + 1, 1, 0, 3, 2)
+        split_blocks(MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1, 0)
 
 
 @given(
     n_blocks=st.integers(min_value=0, max_value=500),
-    tail=st.integers(min_value=1, max_value=256 * MIB),
-    block_size=st.integers(min_value=1, max_value=256 * MIB),
+    tail=st.integers(min_value=1, max_value=BLOCK_SIZE),
     tick=st.integers(min_value=0, max_value=2**40),
-    replication=st.integers(min_value=1, max_value=5),
-    nodes=st.integers(min_value=1, max_value=8),
 )
-def test_split_block_arithmetic(n_blocks, tail, block_size, tick, replication, nodes):
-    # length chosen so the file has n_blocks blocks, the last min(tail, block_size) long
-    length = 0 if n_blocks == 0 else (n_blocks - 1) * block_size + min(tail, block_size)
-    blocks = split_blocks(length, block_size, tick, replication, nodes)
+def test_split_block_arithmetic(n_blocks, tail, tick):
+    # length chosen so the file has n_blocks blocks, the last tail long
+    length = 0 if n_blocks == 0 else (n_blocks - 1) * BLOCK_SIZE + tail
+    blocks = split_blocks(length, tick)
     assert len(blocks) == n_blocks
     assert sum(b.size for b in blocks) == length
-    assert all(b.size == block_size for b in blocks[:-1])
+    assert all(b.size == BLOCK_SIZE for b in blocks[:-1])
     if blocks:
-        assert 1 <= blocks[-1].size <= block_size
+        assert 1 <= blocks[-1].size <= BLOCK_SIZE
     ids = [b.block_id for b in blocks]
     assert ids == sorted(set(ids))
     for b in blocks:
         assert b.block_id >> BLOCK_INDEX_BITS == tick
-        assert len(b.replicas) == min(replication, nodes)
+        assert len(b.replicas) == min(REPLICATION, DATANODE_COUNT)
         assert len(set(b.replicas)) == len(b.replicas)
-        assert all(0 <= r < nodes for r in b.replicas)
+        assert all(0 <= r < DATANODE_COUNT for r in b.replicas)
 
 
 def test_clock_ticks_once_per_event():
@@ -179,10 +178,10 @@ def test_created_record_holds_its_tick_and_derives_its_blocks():
     store = HotStore()
     record = store.create("/d/a", 130 * MIB, tick=42)
     assert record.created == 42
-    assert record.blocks == split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
+    assert record.blocks == split_blocks(130 * MIB, 42)
     store.access("/d/a", tick=50)
     assert record.created == 42
-    assert record.blocks == split_blocks(130 * MIB, BLOCK_SIZE, 42, 3, 2)
+    assert record.blocks == split_blocks(130 * MIB, 42)
     assert store.create("/d/empty", 0, tick=51).created == 0
 
 

@@ -23,7 +23,7 @@ from tiermeta.errors import (
     OutOfOrderEditError,
     PathExistsError,
 )
-from tiermeta.fsimage import load_fsimage, read_clock, save_fsimage
+from tiermeta.fsimage import load_fsimage, read_commit, save_fsimage
 from tiermeta.namespace import (
     BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
@@ -222,7 +222,7 @@ def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path):
         return store
 
     created, created_bytes = _traced_bytes(build)
-    save_fsimage(created, tmp_path / "img", 100_000)
+    save_fsimage(created, tmp_path / "img", 100_000, 0)
     loaded, loaded_bytes = _traced_bytes(lambda: load_fsimage(tmp_path / "img"))
     assert list(loaded) == list(created)
     assert _objects_per_record(list(loaded)) <= _objects_per_record(list(created))
@@ -246,32 +246,32 @@ def sample_store(n=5):
 def test_image_round_trip(tmp_path):
     store = sample_store()
     dest = tmp_path / "img"
-    save_fsimage(store, dest, 6)
+    save_fsimage(store, dest, 6, 123)
     loaded = load_fsimage(dest)
     assert {r.path: r for r in loaded} == {r.path: r for r in store}
-    assert read_clock(dest) == 6
+    assert read_commit(dest) == (6, 123)
 
 
 def test_image_save_load_save_is_byte_identical(tmp_path):
     store = sample_store()
     first, second = tmp_path / "img1", tmp_path / "img2"
-    save_fsimage(store, first, 6)
-    save_fsimage(load_fsimage(first), second, read_clock(first))
+    save_fsimage(store, first, 6, 123)
+    save_fsimage(load_fsimage(first), second, *read_commit(first))
     assert first.read_bytes() == second.read_bytes()
     assert not (tmp_path / "img1.tmp").exists()
 
 
 def test_image_empty_namespace_is_header_only(tmp_path):
     dest = tmp_path / "img"
-    save_fsimage(HotStore(), dest, 7)  # every record deleted, the clock kept
-    assert dest.read_text() == "FSIMAGE v3 0 7\n"
+    save_fsimage(HotStore(), dest, 7, 0)  # every record deleted, the clock kept
+    assert dest.read_text() == "FSIMAGE v4 0 7 0\n"
     assert len(load_fsimage(dest)) == 0
-    assert read_clock(dest) == 7
+    assert read_commit(dest) == (7, 0)
 
 
 def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch):
     dest = tmp_path / "img"
-    save_fsimage(sample_store(), dest, 6)
+    save_fsimage(sample_store(), dest, 6, 0)
     original = dest.read_bytes()
 
     def boom(fd):
@@ -279,7 +279,7 @@ def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", boom)
     with pytest.raises(OSError):
-        save_fsimage(HotStore(), dest, 6)
+        save_fsimage(HotStore(), dest, 6, 0)
     assert dest.read_bytes() == original
     assert not (tmp_path / "img.tmp").exists()
 
@@ -290,9 +290,9 @@ def test_image_golden_bytes(tmp_path):
     store.create("/data/report.txt", 130 * 1024 * 1024, tick=42)
     store.access("/data/report.txt", tick=50)
     dest = tmp_path / "img"
-    save_fsimage(store, dest, 51)
+    save_fsimage(store, dest, 51, 1234)
     assert dest.read_text() == (
-        "FSIMAGE v3 2 51\n"
+        "FSIMAGE v4 2 51 1234\n"
         "/a/empty\t0\t67108864\t3\t0\t1\t0\n"
         + GOLDEN_LINE + "\n"
     )
@@ -309,28 +309,31 @@ ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5"
     "content, what",
     [
         ("", "header"),
-        ("BOGUS v3 0 1\n", "not an image"),
+        ("BOGUS v4 0 1 0\n", "not an image"),
         ("FSIMAGE v2 0 1\n", "unsupported version in header 'FSIMAGE v2 0 1'"),
         ("FSIMAGE v2 1 51\n" + V2_GOLDEN_LINE + "\n", "unsupported version"),
-        ("FSIMAGE v9 0 1\n", "version"),
+        ("FSIMAGE v3 0 1\n", "unsupported version in header 'FSIMAGE v3 0 1'"),
+        ("FSIMAGE v9 0 1 0\n", "version"),
         ("FSIMAGE v1 0\n", "unsupported version in header 'FSIMAGE v1 0'"),
         ("FSIMAGE\n", "version"),
-        ("FSIMAGE v3 x 1\n", "record count is not an integer: 'x'"),
-        ("FSIMAGE v3 0\n", "header is not 'FSIMAGE v3 <count> <clock>'"),
-        ("FSIMAGE v3 0 1 2\n", "header is not"),
-        ("FSIMAGE v3 0 0_0\n", "clock is not an integer: '0_0'"),
-        ("FSIMAGE v3 0 -1\n", "clock is negative: -1"),
-        ("FSIMAGE v3 1 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
-        ("FSIMAGE v3 1 4\n/a" + ONE_BLOCK + "\n", "line 2: last_access 5 is not below the clock 4"),
-        ("FSIMAGE v3 2 1\n" + EMPTY_A, "header says 2"),
-        ("FSIMAGE v3 1 1\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
-        ("FSIMAGE v3 1 1\ngarbage line\n", "line 2"),
-        ("FSIMAGE v3 2 1\n" + EMPTY_A + EMPTY_A, "duplicate"),
-        ("FSIMAGE v3 1 1\n" + EMPTY_A[:-1], "truncated"),
-        ("FSIMAGE v3 1 6\n/a" + BLOCK_SIZE_1024 + "\n",
+        ("FSIMAGE v4 x 1 0\n", "record count is not an integer: 'x'"),
+        ("FSIMAGE v4 0 1\n", "header is not 'FSIMAGE v4 <count> <clock> <cold_end>'"),
+        ("FSIMAGE v4 0 1 2 3\n", "header is not"),
+        ("FSIMAGE v4 0 0_0 0\n", "clock is not an integer: '0_0'"),
+        ("FSIMAGE v4 0 -1 0\n", "clock is negative: -1"),
+        ("FSIMAGE v4 0 1 +5\n", "cold_end is not an integer: '\\+5'"),
+        ("FSIMAGE v4 0 1 -1\n", "cold_end is negative: -1"),
+        ("FSIMAGE v4 1 0 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
+        ("FSIMAGE v4 1 4 0\n/a" + ONE_BLOCK + "\n", "line 2: last_access 5 is not below the clock 4"),
+        ("FSIMAGE v4 2 1 0\n" + EMPTY_A, "header says 2"),
+        ("FSIMAGE v4 1 1 0\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
+        ("FSIMAGE v4 1 1 0\ngarbage line\n", "line 2"),
+        ("FSIMAGE v4 2 1 0\n" + EMPTY_A + EMPTY_A, "duplicate"),
+        ("FSIMAGE v4 1 1 0\n" + EMPTY_A[:-1], "truncated"),
+        ("FSIMAGE v4 1 6 0\n/a" + BLOCK_SIZE_1024 + "\n",
          "line 2: block_size is '1024', not the fixed 67108864"),
-        ("FSIMAGE v3 1 6\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
-        ("FSIMAGE v3 1 51\n" + V2_GOLDEN_LINE + "\n", "line 2: created is not an integer"),
+        ("FSIMAGE v4 1 6 0\n/a" + REPLICATION_2 + "\n", "line 2: replication is '2', not the fixed 3"),
+        ("FSIMAGE v4 1 51 0\n" + V2_GOLDEN_LINE + "\n", "line 2: created is not an integer"),
     ],
 )
 def test_image_load_rejects_corruption(tmp_path, content, what):
@@ -377,8 +380,9 @@ def test_log_append_and_scan(tmp_path):
     with pytest.raises(OutOfOrderEditError):
         log.append(OpEvent("ACCESS", "/a", 4))
     log.close()
-    # reopen recovers the last tick
+    # reading the reopened log recovers the last tick
     log2 = EditsLog(tmp_path / "edits")
+    assert list(log2.entries()) == events
     assert log2.last_tick == 4
     with pytest.raises(OutOfOrderEditError):
         log2.append(OpEvent("ACCESS", "/a", 2))
@@ -388,24 +392,55 @@ def test_log_append_and_scan(tmp_path):
     log2.close()
 
 
+def read_log(path):
+    """A log at ``path`` with every entry read, as recovery leaves it."""
+    log = EditsLog(path)
+    for _ in log.entries():
+        pass
+    return log
+
+
 def test_log_reads_its_last_tick_from_the_final_line(tmp_path):
     path = tmp_path / "edits"
-    assert EditsLog(path).last_tick == -1
-    long_path = "/" + "x" * 10_000  # longer than one read back from the end
+    assert read_log(path).last_tick == -1
+    long_path = "/" + "x" * 10_000
     log = EditsLog(path)
     for event in [OpEvent("CREATE", "/a", 3, 1), OpEvent("CREATE", long_path, 8, 2)]:
         log.append(event)
     log.close()
-    assert EditsLog(path).last_tick == 8
+    assert read_log(path).last_tick == 8
     complete = path.read_bytes()
     path.write_bytes(complete + b"ACCESS /a 11")  # a torn append: no final newline
-    assert EditsLog(path).last_tick == 8
+    log = read_log(path)
+    assert log.last_tick == 8
     assert path.read_bytes() == complete
+    assert [e.tick for e in log.entries()] == [3, 8]  # a second read sees the same log
+    assert log.last_tick == 8
     path.write_bytes(b"CREATE /a9 1")
-    assert EditsLog(path).last_tick == -1
+    assert read_log(path).last_tick == -1
     assert path.read_bytes() == b""
     path.write_bytes(b"")
-    assert EditsLog(path).last_tick == -1
+    assert read_log(path).last_tick == -1
+
+
+def test_a_log_that_was_not_read_refuses_appends(tmp_path):
+    path = tmp_path / "edits"
+    path.write_text("CREATE /a 5 7\n")
+    log = EditsLog(path)
+    with pytest.raises(OutOfOrderEditError, match="read its entries before appending"):
+        log.append(OpEvent("ACCESS", "/a", 8))
+    assert path.read_text() == "CREATE /a 5 7\n"
+    entries = log.entries()
+    next(entries)  # a read that stops short still refuses
+    with pytest.raises(OutOfOrderEditError, match="read its entries"):
+        log.append(OpEvent("ACCESS", "/a", 8))
+    entries.close()
+    assert list(log.entries()) == [OpEvent("CREATE", "/a", 7, 5)]
+    with pytest.raises(OutOfOrderEditError, match="tick 7 does not advance"):
+        log.append(OpEvent("ACCESS", "/a", 7))
+    log.append(OpEvent("ACCESS", "/a", 8))
+    log.close()
+    assert path.read_text() == "CREATE /a 5 7\nACCESS /a 8\n"
 
 
 def test_log_rejects_corruption(tmp_path):
@@ -531,7 +566,7 @@ def test_a_log_left_by_a_checkpoint_that_did_not_reset_it_is_refused(tmp_path, c
     store.delete("/d")  # 5
     store.open("/a")  # 6
     store.delete("/c")  # 7: a cold delete, its tombstone on disk
-    save_fsimage(store.hot, tmp_path / IMAGE_NAME, store.clock.now)
+    save_fsimage(store.hot, tmp_path / IMAGE_NAME, store.clock.now, store.cold.sync())
     store.close()
     assert (tmp_path / EDITS_NAME).read_text().count("\n") == 5
     caplog.clear()
@@ -540,13 +575,10 @@ def test_a_log_left_by_a_checkpoint_that_did_not_reset_it_is_refused(tmp_path, c
         image = load_fsimage(tmp_path / IMAGE_NAME)
         assert {r.path: r for r in recovered.hot} == {r.path: r for r in image}
         assert recovered.cold.paths() == ["/b"]
-        assert recovered.clock.now == read_clock(tmp_path / IMAGE_NAME) == 8
-        # the two DELETEs find their path in neither tier and are skipped silently
+        assert recovered.clock.now == read_commit(tmp_path / IMAGE_NAME)[0] == 8
+        # every edit is below the image's clock: one line counts them, none applies
         assert [r.message for r in caplog.records] == [
-            "skipping unreplayable edit ACCESS /a: tick 3 is in the past (clock is at 8)",
-            "skipping unreplayable edit CREATE /d: tick 4 is in the past (clock is at 8)",
-            "skipping unreplayable edit ACCESS /a: tick 6 is in the past (clock is at 8)",
-            "recovery skipped 3 of the logged edits",
+            f"{tmp_path / EDITS_NAME}: 5 edits below the image's clock 8 are in the image already"
         ]
     finally:
         recovered.close()
@@ -568,7 +600,7 @@ def test_a_log_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path, conten
 
 def test_an_image_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path):
     (tmp_path / IMAGE_NAME).write_bytes(
-        b"FSIMAGE v3 2 1\n" + EMPTY_A.encode() + EMPTY_A.replace("/a", "/\xff").encode("latin-1")
+        b"FSIMAGE v4 2 1 0\n" + EMPTY_A.encode() + EMPTY_A.replace("/a", "/\xff").encode("latin-1")
     )
     with pytest.raises(CorruptImageError, match=f"{IMAGE_NAME}: line 3: 'utf-8' codec"):
         open_store(tmp_path)

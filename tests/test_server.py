@@ -16,7 +16,7 @@ from tiermeta import coldstore, editlog, recordio, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent
 from tiermeta.errors import CorruptImageError, CorruptLogError, OutOfOrderEditError
-from tiermeta.fsimage import load_fsimage, save_fsimage
+from tiermeta.fsimage import load_fsimage, read_commit, save_fsimage
 from tiermeta.namespace import HotStore
 from tiermeta.server import (
     COLD_NAME,
@@ -301,9 +301,9 @@ def test_serve_writes_one_checkpoint_per_shutdown(tmp_path, monkeypatch, stop):
     saves = []
     real_save = tiering.save_fsimage
 
-    def counting_save(hot, path, clock):
+    def counting_save(hot, path, *args):
         saves.append(path)
-        real_save(hot, path, clock)
+        real_save(hot, path, *args)
 
     monkeypatch.setattr(tiering, "save_fsimage", counting_save)
     started = []
@@ -367,26 +367,27 @@ def test_serve_checkpoints_on_sigterm(tmp_path):
 
 
 def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=(), clock=None):
-    """Lay out a store directory by hand.
+    """Lay out a store directory by hand, as a checkpoint leaves it.
 
     ``hot`` and ``cold`` map paths to the ``last_access`` of a one-block
-    record; the image holds the hot ones with ``clock`` in its header (by
-    default one past every tick of both), the cold file the cold ones in the
-    order given. Each path in ``tombstoned`` is then deleted from the cold
-    file, and ``edits`` go to the log.
+    record. The cold file gets the cold ones in the order given, then a
+    tombstone for each path in ``tombstoned``; the image then holds the hot
+    ones with ``clock`` in its header (by default one past every tick of
+    both) and commits the cold file's length. ``edits`` go to the log.
     """
-    image = HotStore()
-    for path, tick in hot.items():
-        image.create(path, 10, tick)
-    if clock is None:
-        clock = 1 + max([*hot.values(), *cold.values()], default=-1)
-    save_fsimage(image, data_dir / IMAGE_NAME, clock)
     spilled = HotStore()
     cold_store = ColdStore(data_dir / COLD_NAME)
     cold_store.append_records([spilled.create(p, 10, tick) for p, tick in cold.items()])
     for path in tombstoned:
         cold_store.delete(path)
+    cold_end = cold_store.sync()
     cold_store.close()
+    image = HotStore()
+    for path, tick in hot.items():
+        image.create(path, 10, tick)
+    if clock is None:
+        clock = 1 + max([*hot.values(), *cold.values()], default=-1)
+    save_fsimage(image, data_dir / IMAGE_NAME, clock, cold_end)
     log = EditsLog(data_dir / EDITS_NAME)
     for event in edits:
         log.append(event)
@@ -394,7 +395,8 @@ def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=(), clock=None):
 
 
 def rewrite_cold_field(data_dir, line, field, value):
-    """Replace one tab-separated field of one cold-file line; returns the line's offset."""
+    """Replace one tab-separated field of one cold-file line, and commit the
+    cold file's new length in the image; returns the line's offset."""
     cold_path = data_dir / COLD_NAME
     lines = cold_path.read_bytes().splitlines(keepends=True)
     fields = lines[line].rstrip(b"\n").split(b"\t")
@@ -404,6 +406,8 @@ def rewrite_cold_field(data_dir, line, field, value):
         fields[field] = value
     lines[line] = b"\t".join(fields) + b"\n"
     cold_path.write_bytes(b"".join(lines))
+    image = data_dir / IMAGE_NAME
+    save_fsimage(load_fsimage(image), image, read_commit(image)[0], cold_path.stat().st_size)
     return sum(len(x) for x in lines[:line])
 
 
@@ -418,7 +422,7 @@ def test_clock_restarts_at_the_image_clock(tmp_path):
         store.close()
 
 
-def test_clock_restarts_past_a_refused_last_edit(tmp_path, caplog):
+def test_a_spill_before_the_first_image_is_rolled_back(tmp_path, caplog):
     # no image yet: a spill, then a crash before the checkpoint after it
     store = open_store(tmp_path, TieringConfig(recency_window=0))
     store.create("/a", 10)
@@ -426,9 +430,17 @@ def test_clock_restarts_past_a_refused_last_edit(tmp_path, caplog):
     store.separate()
     store.close()
     assert not (tmp_path / IMAGE_NAME).exists()
+    spilled = (tmp_path / COLD_NAME).stat().st_size
+    assert spilled > 0
+    caplog.clear()
     recovered = open_store(tmp_path)
     try:
-        assert "recovery skipped 2 of the logged edits" in caplog.text  # both CREATEs
+        # no image commits any of the cold file, and the log rebuilds both paths
+        assert [r.message for r in caplog.records] == [
+            f"{tmp_path / COLD_NAME}: dropping {spilled} bytes past the committed length 0"
+        ]
+        assert sorted(recovered.hot.paths()) == ["/a", "/b"]
+        assert len(recovered.cold) == 0
         assert recovered.clock.now == 2
         assert recovered.create("/c", 10).created == 2
     finally:
@@ -462,7 +474,7 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
     store = open_store(tmp_path)
     try:
         assert len(decoded) == len(hot)  # the image's records, no cold one
-        assert len(edits) <= len(parsed) <= len(edits) + 1  # plus the tail, at most
+        assert len(parsed) == len(edits)
         assert sorted(store.hot.paths()) == ["/h/0", "/h/2", "/h/3", "/h/4", "/n/0", "/n/1"]
         assert len(store.cold) == 6
         assert store.clock.now == 24

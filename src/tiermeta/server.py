@@ -17,8 +17,7 @@ response line per request.
 Concurrency model: every connection gets a thread of its own, which reads
 a request, handles it while holding one lock shared by all connections, and
 writes the reply. Requests therefore run one at a time, so any interleaving
-of concurrent clients is serializable. A separation check (and, if one runs,
-a checkpoint) follows every CREATE and DELETE.
+of concurrent clients is serializable.
 
 A store's on-disk home is one directory: ``fsimage`` (hot-tier checkpoint),
 ``fsimage2`` (cold store), ``edits.log`` (operations since the checkpoint).
@@ -34,7 +33,7 @@ import threading
 from pathlib import Path
 
 from .coldstore import ColdStore
-from .editlog import OP_CREATE, OP_DELETE, EditsLog
+from .editlog import EditsLog
 from .errors import (CorruptImageError, CorruptLogError, NotFoundError, PathExistsError,
                      TierMetaError)
 from .fsimage import load_fsimage, read_commit
@@ -47,6 +46,7 @@ logger = logging.getLogger(__name__)
 IMAGE_NAME = "fsimage"
 COLD_NAME = "fsimage2"
 EDITS_NAME = "edits.log"
+MAX_REQUEST_BYTES = 64 * 1024  # the longest request line read, its LF not counted
 
 
 def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> TieredStore:
@@ -55,11 +55,13 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     The image is the one commit point of both tiers. It holds the hot tier,
     the clock and ``cold_end``, the length of ``fsimage2`` it covers (0 with
     no image: the log then holds everything). Recovery loads the image, cuts
-    ``fsimage2`` back to ``cold_end`` and replays the log as the live store
-    ran it, with a separation check after each CREATE and DELETE, so what the
-    cold file gained after the checkpoint is rebuilt. An edit whose tick is
-    below the image's clock is in the image already and is skipped; any other
-    edit must apply, or the open fails with CorruptLogError naming its line.
+    ``fsimage2`` back to ``cold_end`` and replays the log through
+    ``apply_event``, which runs the separation rule as the live store ran it,
+    so what the cold file gained after the checkpoint is rebuilt. The store's
+    ``edits`` and ``image_path`` are attached only after the replay, so a
+    replayed pass is not checkpointed. An edit whose tick is below the
+    image's clock is in the image already and is skipped; any other edit must
+    apply, or the open fails with CorruptLogError naming its line.
 
     Only what stays in RAM is decoded: every image record and each edit once,
     and no cold record. The cold index scan checks only that each line is a
@@ -95,15 +97,13 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
             except (TierMetaError, ValueError) as exc:
                 raise CorruptLogError(f"{edits.path}: line {lineno}: "
                                       f"{event.op} {event.path}: {exc}") from None
-            if event.op in (OP_CREATE, OP_DELETE):
-                store.maybe_separate()
         if stale:
             logger.warning("%s: %d edits below the image's clock %d are in the image already",
                            edits.path, stale, clock)
     except BaseException:
         cold.close()  # a store that failed to recover is never handed out
         raise
-    store.edits = edits
+    store.edits, store.image_path = edits, image_path
     # Counters restart with the process; replayed history is not activity.
     store.metrics = MetricsRecorder()
     store.metrics.observe_hot_size(len(store.hot))
@@ -122,17 +122,10 @@ def format_record(record: MetadataRecord, tier: str | None = None) -> str:
 
 
 class MetadataServer:
-    """Serves one :class:`TieredStore` over TCP until a client sends QUIT."""
+    """Serves a store from :func:`open_store` over TCP until a client sends QUIT."""
 
-    def __init__(
-        self,
-        store: TieredStore,
-        image_path: str | Path,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
+    def __init__(self, store: TieredStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
-        self.image_path = Path(image_path)
         self.host = host
         self.port = port
         self.bound_port: int | None = None
@@ -211,7 +204,12 @@ class MetadataServer:
     def _reader_loop(self, conn: socket.socket) -> None:
         rfile = conn.makefile("rb")
         try:
-            for raw in rfile:
+            while raw := rfile.readline(MAX_REQUEST_BYTES + 1):
+                if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                    while raw and not raw.endswith(b"\n"):
+                        raw = rfile.readline(MAX_REQUEST_BYTES)
+                    conn.sendall(b"ERR BADREQ request longer than %d bytes\n" % MAX_REQUEST_BYTES)
+                    continue
                 try:
                     line = raw.rstrip(b"\n").decode("utf-8")
                 except UnicodeDecodeError:
@@ -246,7 +244,7 @@ class MetadataServer:
         with self._store_lock:
             if not self._stopping:
                 self._stopping = True
-                self.store.checkpoint(self.image_path)
+                self.store.checkpoint(self.store.image_path)
             self.store.close()
 
     # -- request handling (with _store_lock held) -----------------------------
@@ -265,7 +263,6 @@ class MetadataServer:
                 except ValueError:
                     return f"ERR BADREQ length is not an integer: {tokens[2]}", False
                 record = self.store.create(tokens[1], length)
-                self._after_mutation()
                 return f"OK created {record.path}", False
             if verb == "OPEN":
                 if len(tokens) != 2:
@@ -281,7 +278,6 @@ class MetadataServer:
                 if len(tokens) != 2:
                     return "ERR BADREQ DELETE takes a path", False
                 self.store.delete(tokens[1])
-                self._after_mutation()
                 return f"OK deleted {tokens[1]}", False
             if verb == "REPORT":
                 if len(tokens) != 1:
@@ -290,7 +286,7 @@ class MetadataServer:
             if verb == "QUIT":
                 if len(tokens) != 1:
                     return "ERR BADREQ QUIT takes no arguments", False
-                self.store.checkpoint(self.image_path)
+                self.store.checkpoint(self.store.image_path)
                 self._stopping = True
                 logger.info("QUIT received; checkpointed and shutting down")
                 return "OK bye", True
@@ -301,11 +297,6 @@ class MetadataServer:
             return f"ERR NOTFOUND {exc}", False
         except (TierMetaError, ValueError) as exc:
             return f"ERR BADREQ {exc}", False
-
-    def _after_mutation(self) -> None:
-        outcome = self.store.maybe_separate()
-        if outcome is not None:
-            self.store.checkpoint(self.image_path)
 
     def _report_line(self) -> str:
         m = self.store.metrics
@@ -337,9 +328,8 @@ def serve(
     with a checkpoint, so a served directory never needs log replay on the
     next start unless the process was killed outright.
     """
-    image_path = Path(data_dir) / IMAGE_NAME
     store = open_store(data_dir, config)
-    server = MetadataServer(store, image_path, host, port)
+    server = MetadataServer(store, host, port)
     # handlers go in before the listening line is printed: anyone who has
     # seen the line may signal us
     restore: dict[int, object] = {}

@@ -1,7 +1,10 @@
 """Two-tier store: hot namespace in RAM, cold records spilled to disk.
 
-When the hot tier reaches a configured record threshold, a separation pass
-splits it by access history. A record stays hot if it was touched within the
+The store runs the separation rule itself. After every CREATE and DELETE it
+applies, live or replayed, it checks the hot tier against a configured
+record threshold. Once the threshold is reached, a separation pass splits
+the hot tier by access history, and a store that has an image checkpoints
+to commit the pass. A record stays hot if it was touched within the
 recency window, or if its access count is strictly above the mean count of
 the whole hot tier at that moment; everything else moves to the cold store.
 A cold record found by a later lookup is promoted straight back, and the
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 from .coldstore import ColdStore
@@ -108,21 +112,16 @@ class TieredStore:
     service handles each request while holding one lock to honor that.
     """
 
-    def __init__(
-        self,
-        cold: ColdStore,
-        config: TieringConfig | None = None,
-        *,
-        hot: HotStore | None = None,
-        edits: EditsLog | None = None,
-        metrics: MetricsRecorder | None = None,
-    ):
+    def __init__(self, cold: ColdStore, config: TieringConfig | None = None, *,
+                 hot: HotStore | None = None):
         self.config = config or TieringConfig()
         self.cold = cold
         self.hot = hot if hot is not None else HotStore()
         self.clock = LogicalClock()
-        self.edits = edits
-        self.metrics = metrics or MetricsRecorder()
+        # open_store sets both once recovery is done
+        self.edits: EditsLog | None = None
+        self.image_path: Path | None = None
+        self.metrics = MetricsRecorder()
         self.metrics.observe_hot_size(len(self.hot))
 
     # -- namespace operations -------------------------------------------
@@ -132,11 +131,13 @@ class TieredStore:
     # consumes the clock's next tick, or a replayed event's own tick. The
     # tick is consumed only once every check that can refuse the operation
     # has passed, so a refused operation consumes none. Live requests also
-    # append the edit; replay does not.
+    # append the edit; replay does not. An applied CREATE or DELETE, live or
+    # replayed, is followed by the threshold check (_check_threshold).
 
     def create(self, path: str, length: int) -> MetadataRecord:
         record = self._create(path, length, None)
         self._log(OpEvent(OP_CREATE, path, record.last_access, length))
+        self._check_threshold()
         return record
 
     def open(self, path: str) -> MetadataRecord:
@@ -158,19 +159,23 @@ class TieredStore:
     def delete(self, path: str) -> None:
         tick = self._delete(path, None)
         self._log(OpEvent(OP_DELETE, path, tick))
+        self._check_threshold()
 
     def apply_event(self, event: OpEvent) -> None:
         """Apply one trace or log event with its own tick; it is not re-logged.
 
-        Accesses resolve through both tiers, so replay reproduces promotions.
+        Accesses resolve through both tiers, so replay reproduces promotions;
+        a CREATE or DELETE is followed by the threshold check, as live.
         """
         op = event.op
         if op == OP_ACCESS:
             self._resolve(event.path, event.tick)
         elif op == OP_CREATE:
             self._create(event.path, event.length, event.tick)
+            self._check_threshold()
         elif op == OP_DELETE:
             self._delete(event.path, event.tick)
+            self._check_threshold()
         else:
             raise ValueError(f"unknown operation {op!r}")
 
@@ -283,6 +288,14 @@ class TieredStore:
             raise NotFoundError(f"no such path: {path}")
         self.metrics.deletes += 1
         return tick
+
+    def _check_threshold(self) -> None:
+        """Separate at the threshold; commit the pass if the store has an image.
+
+        It runs after the edit is logged, so the checkpoint covers that edit.
+        """
+        if self.maybe_separate() is not None and self.image_path is not None:
+            self.checkpoint(self.image_path)
 
     def _log(self, event: OpEvent) -> None:
         if self.edits is not None:

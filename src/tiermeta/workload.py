@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coldstore import ColdStore
-from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, parse_op_line
+from .editlog import OP_ACCESS, OP_CREATE, parse_op_line
 from .errors import (
     FileTooLargeError,
     InvalidPathError,
@@ -129,11 +129,13 @@ def replay(
 
     The store lives only for the duration of the call; what remains is the
     cold file at ``cold_path`` (truncated first: a replay never inherits
-    state) and the returned report. A separation check runs after every
-    CREATE and DELETE, mirroring the live service. An ACCESS to a path in
-    neither tier is counted as a miss and skipped; a line that does not
-    parse, or an event the store refuses (a path that exists, a bad path or
-    length, a tick in the past), raises MalformedTraceError naming the line.
+    state) and the returned report. The store runs the separation rule after
+    each CREATE and DELETE it applies, as the live service does; it has no
+    image, so no pass is checkpointed. An ACCESS to a path in neither tier
+    is counted as a miss and skipped; a DELETE of one is skipped. A line that
+    does not parse, or an event the store refuses (a path that exists, a bad
+    path or length, a tick in the past), raises MalformedTraceError naming
+    the line.
     """
     open(cold_path, "wb").close()
     cold = ColdStore(cold_path)
@@ -152,8 +154,6 @@ def replay(
                     raise MalformedTraceError(
                         f"{trace_path}: line {lineno}: {exc}"
                     ) from None
-                if event.op in (OP_CREATE, OP_DELETE):
-                    store.maybe_separate()
                 applied += 1
                 if applied % _PROGRESS_EVERY == 0:
                     logger.info("replayed %d events (hot %d, cold %d)",

@@ -167,7 +167,6 @@ def test_criterion_4_tier_invariants_under_fuzz(tmp_path):
                 assert created == (path not in reference)
                 if created:
                     reference[path] = 1
-                store.maybe_separate()
             elif roll < 0.85:
                 try:
                     store.open(path)
@@ -187,7 +186,6 @@ def test_criterion_4_tier_invariants_under_fuzz(tmp_path):
                 assert deleted == (path in reference)
                 if deleted:
                     del reference[path]
-                store.maybe_separate()
             hot = set(store.hot.paths())
             cold = set(store.cold.paths())
             assert not hot & cold, "tiers must stay disjoint"
@@ -281,7 +279,7 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
 def test_criterion_6_protocol_conformance(tmp_path):
     # scripted golden session: every verb, every ERR code
     store = open_store(tmp_path / "golden", TieringConfig(threshold_records=1000))
-    server = MetadataServer(store, tmp_path / "golden" / IMAGE_NAME)
+    server = MetadataServer(store)
     server.start()
     client = Client(server.bound_port)
     for request, expected in GOLDEN_SESSION:
@@ -292,7 +290,7 @@ def test_criterion_6_protocol_conformance(tmp_path):
 
     # promotion-visible OPEN on a fresh store
     store = open_store(tmp_path / "promo", TieringConfig(threshold_records=4, recency_window=3))
-    server = MetadataServer(store, tmp_path / "promo" / IMAGE_NAME)
+    server = MetadataServer(store)
     server.start()
     client = Client(server.bound_port)
     for i in range(4):
@@ -307,7 +305,7 @@ def test_criterion_6_protocol_conformance(tmp_path):
 
     # concurrent fuzz: 4 clients x 500 requests on disjoint path spaces
     store = open_store(tmp_path / "fuzz", TieringConfig(threshold_records=50, recency_window=37))
-    server = MetadataServer(store, tmp_path / "fuzz" / IMAGE_NAME)
+    server = MetadataServer(store)
     server.start()
     errors: list[str] = []
     models = [dict() for _ in range(4)]

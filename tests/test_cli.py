@@ -209,9 +209,7 @@ def test_compact_closes_every_file_it_opens(tmp_path, capsys, opened_files):
 def test_compact_refuses_the_cold_file_of_a_store(tmp_path, capsys):
     store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
     for i in range(4):
-        store.create(f"/k/{i}", 100)
-    store.maybe_separate()
-    store.checkpoint(tmp_path / IMAGE_NAME)
+        store.create(f"/k/{i}", 100)  # the 4th spills all four and checkpoints
     store.open("/k/0")  # a promotion: the cold file now holds a dead line
     store.close()
     cold = tmp_path / COLD_NAME

@@ -170,8 +170,7 @@ def test_decoded_ints_reuse_equal_ints_of_their_line():
 def test_records_hold_only_strings_and_ints(tmp_path):
     store = TieredStore(ColdStore(tmp_path / "c2"), TieringConfig(threshold_records=2))
     store.create("/t/old", 130 * 1024 * 1024)
-    store.create("/t/new", 10)
-    store.separate()  # "/t/old" goes cold
+    store.create("/t/new", 10)  # its pass sends "/t/old" cold
     store.checkpoint(tmp_path / "img")
     created = store.hot.get("/t/new")
     promoted = store.open("/t/old")

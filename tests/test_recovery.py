@@ -24,12 +24,6 @@ def tiers(store):
     return fields(store.hot), fields(store.cold.records()), store.clock.now
 
 
-def after_mutation(store, data_dir):
-    """What the server runs after each CREATE and DELETE."""
-    if store.maybe_separate() is not None:
-        store.checkpoint(data_dir / IMAGE_NAME)
-
-
 def reopened_tiers(data_dir, config=CONFIG):
     store = open_store(data_dir, config)
     try:
@@ -41,8 +35,7 @@ def reopened_tiers(data_dir, config=CONFIG):
 def test_a_promotion_after_the_checkpoint_survives_a_crash(tmp_path):
     store = open_store(tmp_path, CONFIG)
     for i in range(10):
-        store.create(f"/p/{i}", 10)
-        after_mutation(store, tmp_path)
+        store.create(f"/p/{i}", 10)  # the 10th spills and checkpoints
     promoted = store.cold.paths()[0]
     store.open(promoted)  # its tombstone is written past the committed length
     live = tiers(store)
@@ -51,16 +44,22 @@ def test_a_promotion_after_the_checkpoint_survives_a_crash(tmp_path):
     assert reopened_tiers(tmp_path) == live
 
 
-def test_a_spill_after_the_checkpoint_is_in_one_tier_after_a_crash(tmp_path):
+class Crash(Exception):
+    pass
+
+
+def test_a_spill_after_the_checkpoint_is_in_one_tier_after_a_crash(tmp_path, monkeypatch):
     store = open_store(tmp_path, CONFIG)
-    for i in range(10):
-        store.create(f"/s/{i:02d}", 10)
-        after_mutation(store, tmp_path)
-    i = 10
-    while len(store.metrics.events) < 2:
-        store.create(f"/s/{i:02d}", 10)
-        store.maybe_separate()  # the crash comes before the checkpoint after it
-        i += 1
+    for i in range(15):
+        store.create(f"/s/{i:02d}", 10)  # the 10th spills and checkpoints
+
+    def crash(image_path):
+        raise Crash
+
+    monkeypatch.setattr(store, "checkpoint", crash)
+    with pytest.raises(Crash):
+        store.create("/s/15", 10)  # the second spill, then the crash before its checkpoint
+    assert len(store.metrics.events) == 2
     live = tiers(store)
     store.close()
     assert len(live[1]) == 12
@@ -86,8 +85,7 @@ def test_a_logged_edit_that_cannot_apply_fails_the_open(tmp_path, log, problem):
 def test_a_cold_file_shorter_than_the_committed_length_fails_the_open(tmp_path):
     store = open_store(tmp_path, CONFIG)
     for i in range(10):
-        store.create(f"/p/{i}", 10)
-        after_mutation(store, tmp_path)
+        store.create(f"/p/{i}", 10)  # the 10th spills and checkpoints
     store.close()
     cold, image = tmp_path / COLD_NAME, tmp_path / IMAGE_NAME
     committed = cold.stat().st_size
@@ -213,8 +211,6 @@ def run_session(data_dir, disk):
         else:
             getattr(store, op)(*args)
             getattr(oracle, op)(*args)
-            if op != "open":
-                after_mutation(store, data_dir)
         logged = [k for k in range(writes, len(disk.states)) if disk.kinds[k] == "EditsLog.append"]
         edit_write.append(logged[0] if logged else None)
         acked.append(len(disk.states) - 1)

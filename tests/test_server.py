@@ -22,6 +22,7 @@ from tiermeta.server import (
     COLD_NAME,
     EDITS_NAME,
     IMAGE_NAME,
+    MAX_REQUEST_BYTES,
     MetadataServer,
     open_store,
     serve,
@@ -36,7 +37,7 @@ def running_server(tmp_path):
     def boot(threshold=1000, window=None):
         config = TieringConfig(threshold_records=threshold, recency_window=window)
         store = open_store(tmp_path, config)
-        server = MetadataServer(store, tmp_path / IMAGE_NAME)
+        server = MetadataServer(store)
         server.start()
         servers.append((server, store))
         return server
@@ -97,6 +98,21 @@ def test_a_request_that_is_not_utf8_is_answered_and_keeps_the_connection(running
     client.sock.sendall(b"OPEN /\xff\nCREATE /u 1\n")
     assert client.f.readline() == "ERR BADREQ request is not UTF-8\n"
     assert client.f.readline() == "OK created /u\n"
+    client.close()
+
+
+def test_a_request_line_past_the_bound_is_refused_and_keeps_the_connection(running_server):
+    server = running_server()
+    client = Client(server.bound_port)
+    n = MAX_REQUEST_BYTES
+    client.sock.sendall(b"x" * n + b"\n")  # at the bound: read whole, and answered
+    assert client.f.readline() == f"ERR BADREQ unknown verb {'x' * n!r}\n"
+    # one byte past the bound, and ten times the bound: read in pieces and dropped
+    client.sock.sendall(b"y" * (n + 1) + b"\n" + b"z" * (10 * n) + b"\nCREATE /after 1\n")
+    too_long = f"ERR BADREQ request longer than {n} bytes\n"
+    assert client.f.readline() == too_long
+    assert client.f.readline() == too_long
+    assert client.f.readline() == "OK created /after\n"
     client.close()
 
 
@@ -224,7 +240,7 @@ def test_concurrent_requests_run_one_at_a_time(running_server, monkeypatch):
 def test_quit_checkpoints_and_recovery_restores(tmp_path):
     config = TieringConfig(threshold_records=4, recency_window=3)
     store = open_store(tmp_path, config)
-    server = MetadataServer(store, tmp_path / IMAGE_NAME)
+    server = MetadataServer(store)
     server.start()
     client = Client(server.bound_port)
     for i in range(4):
@@ -250,7 +266,7 @@ def test_quit_checkpoints_and_recovery_restores(tmp_path):
 def test_recovery_without_final_checkpoint_replays_edits(tmp_path):
     config = TieringConfig(threshold_records=100)
     store = open_store(tmp_path, config)
-    server = MetadataServer(store, tmp_path / IMAGE_NAME)
+    server = MetadataServer(store)
     server.start()
     client = Client(server.bound_port)
     client.ask("CREATE /x 10")
@@ -275,9 +291,7 @@ def test_replayed_delete_of_cold_path_is_not_skipped(tmp_path, caplog):
     config = TieringConfig(threshold_records=100)
     store = open_store(tmp_path, config)
     for i in range(100):
-        store.create(f"/d/{i:03d}", 10)
-    store.separate()
-    store.checkpoint(tmp_path / IMAGE_NAME)
+        store.create(f"/d/{i:03d}", 10)  # the 100th spills and checkpoints
     victim = store.cold.paths()[0]
     delete_tick = store.clock.now
     store.delete(victim)

@@ -13,7 +13,7 @@ import pytest
 
 from tiermeta import coldstore
 from tiermeta.coldstore import ColdStore
-from tiermeta.editlog import OP_ACCESS, EditsLog
+from tiermeta.editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from tiermeta.errors import (
     ColdStoreWriteFailureError,
     EmptyStoreError,
@@ -23,7 +23,9 @@ from tiermeta.errors import (
     PathExistsError,
     TierMetaError,
 )
+from tiermeta.fsimage import read_commit
 from tiermeta.namespace import BLOCK_SIZE, BYTES_PER_RECORD, MAX_BLOCKS_PER_FILE, MetadataRecord
+from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
 
@@ -146,10 +148,9 @@ def test_maybe_separate_fires_exactly_at_threshold(tmp_path):
     store = make_store(tmp_path, threshold=8, window=6)
     for i in range(7):
         store.create(f"/f{i}", 1)
-    assert store.maybe_separate() is None
-    store.create("/f7", 1)
-    outcome = store.maybe_separate()
-    assert outcome is not None
+    assert store.metrics.events == []
+    store.create("/f7", 1)  # the create that reaches the threshold runs the pass
+    [outcome] = store.metrics.events
     assert outcome.hot_size_before == 8
     # window 6 of 8: creates at ticks 0..7, now=8, keep last_access >= 2
     assert outcome.evicted_count == 2
@@ -162,8 +163,7 @@ def test_maybe_separate_fires_exactly_at_threshold(tmp_path):
 def test_promotion_round_trip(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
-        store.create(f"/f{i}", 10)
-    store.separate()
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
     assert "/f0" in store.cold and "/f0" not in store.hot
     before = store.stat("/f0")[0]
     record = store.open("/f0")  # promotes
@@ -179,8 +179,7 @@ def test_promotion_round_trip(tmp_path):
 def test_stat_is_read_only(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
-        store.create(f"/f{i}", 10)
-    store.separate()
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
     clock_before = store.clock.now
     record, tier = store.stat("/f0")
     assert tier == "cold"
@@ -198,8 +197,7 @@ def test_stat_is_read_only(tmp_path):
 def test_create_collides_with_cold_records(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
-        store.create(f"/f{i}", 10)
-    store.separate()
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
     with pytest.raises(PathExistsError):
         store.create("/f0", 1)  # cold
     with pytest.raises(PathExistsError):
@@ -211,8 +209,7 @@ def test_refused_operations_consume_no_tick(tmp_path):
     store = make_store(tmp_path, threshold=2, window=0)
     store.edits = EditsLog(tmp_path / "edits.log")
     store.create("/a", 1)
-    store.create("/b", 1)
-    store.separate()  # window 0, equal counts: both go cold
+    store.create("/b", 1)  # its pass, window 0 and equal counts: both go cold
     store.open("/b")  # promotes
     assert "/a" in store.cold and "/b" in store.hot
     assert store.clock.now == 3
@@ -238,8 +235,7 @@ def test_refused_operations_consume_no_tick(tmp_path):
 def test_delete_reaches_both_tiers(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
-        store.create(f"/f{i}", 10)
-    store.separate()
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
     store.delete("/f0")  # cold
     store.delete("/f3")  # hot
     with pytest.raises(NotFoundError):
@@ -265,9 +261,10 @@ def test_separation_with_nothing_to_evict_warns(tmp_path, caplog):
     store.close()
 
 
-def test_failed_spill_leaves_hot_tier_unchanged(tmp_path):
-    store = make_store(tmp_path, threshold=4, window=3)
-    for i in range(4):
+def test_a_create_whose_pass_fails_is_applied_and_logged(tmp_path):
+    config = TieringConfig(threshold_records=4, recency_window=3)
+    store = open_store(tmp_path, config)
+    for i in range(3):
         store.create(f"/f{i}", 10)
 
     def refuse(records):
@@ -275,11 +272,20 @@ def test_failed_spill_leaves_hot_tier_unchanged(tmp_path):
 
     store.cold.append_records = refuse
     with pytest.raises(ColdStoreWriteFailureError):
-        store.separate()
+        store.create("/f3", 10)  # reaches the threshold; its spill fails
     assert len(store.hot) == 4
     assert len(store.cold) == 0
     assert store.metrics.events == []
+    logged = (tmp_path / EDITS_NAME).read_text().splitlines()
+    assert [line.split()[1] for line in logged] == [f"/f{i}" for i in range(4)]
     store.close()
+    reopened = open_store(tmp_path, config)
+    try:
+        assert sorted([*reopened.hot.paths(), *reopened.cold.paths()]) == [
+            f"/f{i}" for i in range(4)
+        ]
+    finally:
+        reopened.close()
 
 
 def test_separate_on_empty_store_fails(tmp_path):
@@ -343,7 +349,6 @@ def test_fuzz_against_flat_reference(tmp_path):
                     got = "ok"
                 except PathExistsError:
                     got = "exists"
-                store.maybe_separate()
             elif roll < 0.85:
                 expected = ref.open(path)
                 try:
@@ -358,7 +363,6 @@ def test_fuzz_against_flat_reference(tmp_path):
                     got = "ok"
                 except NotFoundError:
                     got = "notfound"
-                store.maybe_separate()
             assert got == expected
             # tier disjointness and conservation after every step
             hot = set(store.hot.paths())
@@ -379,10 +383,8 @@ def test_live_and_replay_agree(tmp_path):
     too_large = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
     for seed in range(10):
         rng = random.Random(seed)
-        live = TieredStore(
-            ColdStore(tmp_path / f"live{seed}"), config,
-            edits=EditsLog(tmp_path / f"edits{seed}"),
-        )
+        live = TieredStore(ColdStore(tmp_path / f"live{seed}"), config)
+        live.edits = EditsLog(tmp_path / f"edits{seed}")
         seen = set()  # (operation, where the path was, or the refusal)
         for _ in range(1000):
             path = f"/z/{rng.randrange(80):02d}"
@@ -406,8 +408,6 @@ def test_live_and_replay_agree(tmp_path):
                 seen.add((operation, type(exc).__name__))
                 continue
             seen.add((operation, where))
-            if operation != "open":
-                live.maybe_separate()
         assert seen == {
             ("create", "none"), ("create", "PathExistsError"),
             ("create", "InvalidPathError"), ("create", "FileTooLargeError"),
@@ -418,8 +418,6 @@ def test_live_and_replay_agree(tmp_path):
         replica = TieredStore(ColdStore(tmp_path / f"replica{seed}"), config)
         for event in live.edits.entries():
             replica.apply_event(event)
-            if event.op != OP_ACCESS:
-                replica.maybe_separate()
 
         assert list(replica.hot) == list(live.hot)
         assert sorted(replica.cold.paths()) == sorted(live.cold.paths())
@@ -430,6 +428,58 @@ def test_live_and_replay_agree(tmp_path):
         assert live.metrics.events, "threshold 30 must force separations"
         live.close()
         replica.close()
+
+
+def test_the_store_runs_the_threshold_check_itself(tmp_path):
+    """No caller runs a check: a plain store, a replica fed by apply_event and
+    a store from open_store each run their own after every CREATE and DELETE,
+    and the last one commits each pass with a checkpoint."""
+    threshold = 20
+    config = TieringConfig(threshold_records=threshold, recency_window=12)
+    methods = {OP_CREATE: "create", OP_ACCESS: "open", OP_DELETE: "delete"}
+    for seed in range(5):
+        rng = random.Random(seed)
+        plain = TieredStore(ColdStore(tmp_path / f"plain{seed}"), config)
+        replica = TieredStore(ColdStore(tmp_path / f"replica{seed}"), config)
+        data_dir = tmp_path / f"served{seed}"
+        served = open_store(data_dir, config)
+        for step in range(600):
+            where = f"seed {seed}, step {step}"
+            path = f"/h/{rng.randrange(60):02d}"
+            roll = rng.random()
+            op = OP_CREATE if roll < 0.5 else OP_ACCESS if roll < 0.8 else OP_DELETE
+            args = (path, rng.randrange(1000)) if op == OP_CREATE else (path,)
+            passes = len(plain.metrics.events)
+            outcomes = []
+            for store in (plain, served):
+                try:
+                    getattr(store, methods[op])(*args)
+                    outcomes.append("ok")
+                except (PathExistsError, NotFoundError) as exc:
+                    outcomes.append(type(exc).__name__)
+            assert outcomes[0] == outcomes[1], where
+            if outcomes[0] != "ok":
+                continue
+            replica.apply_event(OpEvent(op, path, plain.clock.now - 1, *args[1:]))
+            for store in (replica, served):
+                assert list(store.hot.paths()) == list(plain.hot.paths()), where
+                assert store.metrics.events == plain.metrics.events, where
+            ran = plain.metrics.events[passes:]
+            if op == OP_ACCESS:
+                assert not ran, where  # a promotion runs no check
+                continue
+            if not ran:
+                assert len(plain.hot) < threshold, where
+                continue
+            # the edit took the hot tier to the threshold, and one pass ran on it
+            [event] = ran
+            assert event.hot_size_before >= threshold, where
+            assert len(plain.hot) == event.hot_size_before - event.evicted_count, where
+            assert (data_dir / EDITS_NAME).read_bytes() == b"", where
+            assert read_commit(data_dir / IMAGE_NAME)[0] == served.clock.now, where
+        assert len(plain.metrics.events) > 5, "the sequence must reach the threshold often"
+        for store in (plain, replica, served):
+            store.close()
 
 
 def test_live_and_replay_agree_when_every_cold_key_collides(tmp_path, monkeypatch):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import os
 from array import array
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterator
 
@@ -236,24 +237,26 @@ class ColdStore:
         for offset, line in self._live_lines():
             yield self._decode(line, offset)
 
+    def _append(self, data: bytes, what: str) -> int:
+        """Append ``data`` and return its offset. A failed append is cut back
+        off, so no torn line is left, and raises ColdStoreWriteFailureError."""
+        start = self._file.seek(0, os.SEEK_END)
+        try:
+            self._file.write(data)
+            self._file.flush()
+        except OSError as exc:
+            with suppress(OSError):  # closing flushes what is left, and may fail again
+                self._file.close()
+            os.truncate(self.path, start)
+            self._file = open(self.path, "a+b")
+            raise ColdStoreWriteFailureError(f"append of {what} failed: {exc}") from exc
+        return start
+
     def append_records(self, records: list[MetadataRecord]) -> None:
         """Append records atomically: on failure the file is restored to its
         previous size and the index is untouched."""
         lines = [encode_record(r).encode("utf-8") + b"\n" for r in records]
-        start = self._file.seek(0, os.SEEK_END)
-        try:
-            self._file.write(b"".join(lines))
-            self._file.flush()
-        except OSError as exc:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            os.truncate(self.path, start)
-            self._file = open(self.path, "a+b")
-            raise ColdStoreWriteFailureError(
-                f"append of {len(records)} records failed: {exc}"
-            ) from exc
+        start = self._append(b"".join(lines), f"{len(records)} records")
         if 2 * (self._used + len(records)) > len(self._keys):
             self._rehash(self._live + len(records))  # once for the whole batch
         offset = start
@@ -271,9 +274,7 @@ class ColdStore:
         slot = self._find(path)[0]
         if slot < 0:
             raise NotFoundError(f"{path} not in cold store")
-        self._file.seek(0, os.SEEK_END)
-        self._file.write(_TOMB_PREFIX + path.encode("utf-8") + b"\n")
-        self._file.flush()
+        self._append(_TOMB_PREFIX + path.encode("utf-8") + b"\n", "a tombstone")
         self._remove(slot)
         self._shrink_if_sparse()
 

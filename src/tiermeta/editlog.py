@@ -11,13 +11,14 @@ same line format, so trace replay and edits replay share this parser.
 
 An append ends with its newline, so a last line without one is an append
 that a crash cut short. It was never acknowledged, and reading the log
-truncates it away.
+truncates it away. A failed append is cut back off the file at once.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -79,6 +80,7 @@ class EditsLog:
         self.path = Path(path)
         self.last_tick = -1
         self._writer = None
+        self._end = 0  # the file's length while _writer is open, kept with no syscall
         self._unread = self.path.exists() and self.path.stat().st_size > 0
 
     def append(self, event: OpEvent) -> None:
@@ -89,9 +91,19 @@ class EditsLog:
                 f"tick {event.tick} does not advance the log (last was {self.last_tick})"
             )
         if self._writer is None:
-            self._writer = open(self.path, "a", encoding="utf-8", newline="\n")
-        self._writer.write(event.encode() + "\n")
-        self._writer.flush()
+            self._writer = open(self.path, "ab")
+            self._end = self._writer.tell()
+        data = (event.encode() + "\n").encode("utf-8")
+        try:
+            self._writer.write(data)
+            self._writer.flush()
+        except OSError:
+            with suppress(OSError):  # closing flushes what is left, and may fail again
+                self._writer.close()
+            self._writer = None
+            os.truncate(self.path, self._end)
+            raise
+        self._end += len(data)
         self.last_tick = event.tick
 
     def entries(self) -> Iterator[OpEvent]:

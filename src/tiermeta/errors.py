@@ -5,8 +5,9 @@ class TierMetaError(Exception):
     """Base class for all store errors."""
 
 
-class InvalidPathError(TierMetaError):
-    """Path fails validation (not absolute, empty, or contains whitespace/NUL)."""
+class InvalidPathError(TierMetaError, ValueError):
+    """Path fails validation (not absolute, empty, or contains whitespace/NUL);
+    a ValueError too, as any bad field of a record line is."""
 
 
 class PathExistsError(TierMetaError):
@@ -30,7 +31,7 @@ class EmptyStoreError(TierMetaError):
 
 
 class ColdStoreWriteFailureError(TierMetaError):
-    """Spill to the cold tier failed; the hot tier was left unchanged."""
+    """An append to the cold file failed; the file and its index are unchanged."""
 
 
 class CorruptImageError(TierMetaError):

@@ -18,7 +18,7 @@ Every record has the same geometry (see :mod:`tiermeta.namespace`), so the
 from __future__ import annotations
 
 from .errors import FileTooLargeError
-from .namespace import BLOCK_SIZE, REPLICATION, MetadataRecord, block_count
+from .namespace import BLOCK_SIZE, REPLICATION, MetadataRecord, block_count, validate_path
 
 FIELD_COUNT = 7
 _BLOCK_SIZE_TEXT = str(BLOCK_SIZE)
@@ -37,18 +37,18 @@ def encode_record(record: MetadataRecord) -> str:
 def decode_record(line: str) -> MetadataRecord:
     """Parse one record line; raises ValueError on any malformation.
 
-    The block size and replication must be the fixed ones, the length within
-    the per-file block limit, the count at least 1, and the creation tick 0
-    for an empty file and never after ``last_access``. Every integer is in
-    the one form ``str`` writes, so ``encode_record(decode_record(line)) ==
-    line``.
+    The path must pass :func:`validate_path`, as every path the store takes
+    in does. The block size and replication must be the fixed ones, the
+    length within the per-file block limit, the count at least 1, and the
+    creation tick 0 for an empty file and never after ``last_access``. Every
+    integer is in the one form ``str`` writes, so
+    ``encode_record(decode_record(line)) == line``.
     """
     fields = line.split("\t")
     if len(fields) != FIELD_COUNT:
         raise ValueError(f"expected {FIELD_COUNT} tab-separated fields, got {len(fields)}")
     path, length_s, bs_s, repl_s, la_s, count_s, created_s = fields
-    if not path.startswith("/"):
-        raise ValueError(f"record path is not absolute: {path!r}")
+    validate_path(path)
     length = parse_non_negative_int(length_s, "length")
     if bs_s != _BLOCK_SIZE_TEXT:
         raise ValueError(f"block_size is {bs_s!r}, not the fixed {BLOCK_SIZE}")

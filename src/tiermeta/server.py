@@ -14,10 +14,13 @@ response line per request.
 
     errors                   -> ERR EXISTS|NOTFOUND|BADREQ <message>
 
-Concurrency model: every connection gets a thread of its own, which reads
-a request, handles it while holding one lock shared by all connections, and
-writes the reply. Requests therefore run one at a time, so any interleaving
-of concurrent clients is serializable.
+Concurrency model: ``socketserver.ThreadingTCPServer`` gives every
+connection a thread of its own, which reads a request, handles it while
+holding one lock shared by all connections, and writes the reply. Requests
+therefore run one at a time, so any interleaving of concurrent clients is
+serializable. QUIT stops the server but closes only its own connection:
+another connection's next request is answered ``ERR BADREQ server is
+shutting down``, and then that connection is closed too.
 
 A store's on-disk home is one directory: ``fsimage`` (hot-tier checkpoint),
 ``fsimage2`` (cold store), ``edits.log`` (operations since the checkpoint).
@@ -28,7 +31,7 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import socket
+import socketserver
 import threading
 from pathlib import Path
 
@@ -47,6 +50,9 @@ IMAGE_NAME = "fsimage"
 COLD_NAME = "fsimage2"
 EDITS_NAME = "edits.log"
 MAX_REQUEST_BYTES = 64 * 1024  # the longest request line read, its LF not counted
+# how often serve_forever looks for shutdown(), which waits for it: every
+# QUIT and signal pays up to this, and socketserver's default is 0.5 s
+POLL_INTERVAL = 0.05
 
 
 def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> TieredStore:
@@ -121,119 +127,76 @@ def format_record(record: MetadataRecord, tier: str | None = None) -> str:
     return line
 
 
-class MetadataServer:
-    """Serves a store from :func:`open_store` over TCP until a client sends QUIT."""
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection, served on a thread of its own."""
 
-    def __init__(self, store: TieredStore, host: str = "127.0.0.1", port: int = 0):
-        self.store = store
-        self.host = host
-        self.port = port
-        self.bound_port: int | None = None
-        self._listener: socket.socket | None = None
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-        # held by whichever connection is handling a request; see _reader_loop
-        self._store_lock = threading.Lock()
-        self._stop = threading.Event()
-        # set, under _store_lock, once the final checkpoint is written
-        self._stopping = False
-        self._accept_thread: threading.Thread | None = None
+    disable_nagle_algorithm = True  # small request/response lines; don't let Nagle batch them
 
-    def start(self) -> None:
-        """Bind and begin serving; returns once the port is accepting."""
-        self._listener = socket.create_server((self.host, self.port))
-        self.bound_port = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        logger.info("serving on %s:%d", self.host, self.bound_port)
-        if self._stop.is_set():
-            # shutdown was requested while we were still binding
-            self.shutdown()
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block until the server has shut down (a client sent QUIT)."""
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-
-    def shutdown(self) -> None:
-        """Close sockets and stop threads; safe to call more than once.
-
-        The final checkpoint belongs to QUIT handling and to :func:`serve`,
-        not here: this is the hard stop used for cleanup.
-        """
-        self._stop.set()
-        # shutdown() before close(): close alone does not wake a thread
-        # already blocked in accept()/recv()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # -- threads ----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break
-            # small request/response lines; don't let Nagle batch them
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._conns_lock:
-                self._conns.add(conn)
-            t = threading.Thread(target=self._reader_loop, args=(conn,), daemon=True)
-            t.start()
-
-    def _reader_loop(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("rb")
+    def handle(self) -> None:
         try:
-            while raw := rfile.readline(MAX_REQUEST_BYTES + 1):
+            while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
                 if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
                     while raw and not raw.endswith(b"\n"):
-                        raw = rfile.readline(MAX_REQUEST_BYTES)
-                    conn.sendall(b"ERR BADREQ request longer than %d bytes\n" % MAX_REQUEST_BYTES)
+                        raw = self.rfile.readline(MAX_REQUEST_BYTES)
+                    self.wfile.write(b"ERR BADREQ request longer than %d bytes\n"
+                                     % MAX_REQUEST_BYTES)
                     continue
                 try:
                     line = raw.rstrip(b"\n").decode("utf-8")
                 except UnicodeDecodeError:
-                    conn.sendall(b"ERR BADREQ request is not UTF-8\n")
+                    self.wfile.write(b"ERR BADREQ request is not UTF-8\n")
                     continue
-                with self._store_lock:
+                with self.server._store_lock:
                     try:
-                        response, quitting = self._dispatch(line)
+                        response, quitting = self.server._dispatch(line)
                     except Exception as exc:  # keep serving no matter what
                         logger.exception("request failed: %r", line)
                         response, quitting = f"ERR BADREQ internal error: {exc}", False
-                conn.sendall((response + "\n").encode("utf-8"))
+                self.wfile.write((response + "\n").encode("utf-8"))
                 if quitting:
-                    self.shutdown()
-                    break
-        except (OSError, ValueError):
-            pass
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+                    self.server.shutdown()
+                    return
+        except OSError:
+            pass  # the client went away
+
+
+class MetadataServer(socketserver.ThreadingTCPServer):
+    """Serves a store from :func:`open_store` over TCP until a client sends QUIT."""
+
+    daemon_threads = True
+    allow_reuse_address = True  # a restarted server rebinds its port at once
+    request_queue_size = 128  # the backlog socket.create_server's listen() gives
+
+    def __init__(self, store: TieredStore, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Connection)
+        self.store = store
+        self.bound_port = self.server_address[1]
+        # held by whichever connection is handling a request; see _Connection
+        self._store_lock = threading.Lock()
+        # set, under _store_lock, once the final checkpoint is written
+        self._stopping = False
+        self._thread: threading.Thread | None = None
+
+    def start(self) -> None:
+        """Begin serving on the bound port, on a thread of its own."""
+        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_INTERVAL,),
+                                        daemon=True)
+        self._thread.start()
+        logger.info("serving on %s:%d", self.server_address[0], self.bound_port)
+
+    def wait(self, timeout: float | None = None) -> None:
+        """Block until the server has shut down (a client sent QUIT)."""
+        if self._thread is not None:
+            self._thread.join(timeout)
+
+    def shutdown(self) -> None:
+        """Stop accepting and close the listening socket; safe to call twice,
+        and from a connection's thread. The final checkpoint belongs to QUIT
+        and to :func:`serve`: this is the hard stop used for cleanup. Open
+        connections stay open until their next request (see :meth:`_dispatch`)."""
+        if self._thread is not None:  # the base shutdown hangs unless serve_forever ran
+            super().shutdown()
+        self.server_close()
 
     def _close_store(self) -> None:
         """Write the final checkpoint unless QUIT already did, then close the store.
@@ -250,8 +213,9 @@ class MetadataServer:
     # -- request handling (with _store_lock held) -----------------------------
 
     def _dispatch(self, line: str) -> tuple[str, bool]:
+        """The reply to ``line``, and whether to close the connection and stop."""
         if self._stopping:
-            return "ERR BADREQ server is shutting down", False
+            return "ERR BADREQ server is shutting down", True
         tokens = line.split(" ")
         verb = tokens[0]
         try:
@@ -330,14 +294,14 @@ def serve(
     """
     store = open_store(data_dir, config)
     server = MetadataServer(store, host, port)
-    # handlers go in before the listening line is printed: anyone who has
-    # seen the line may signal us
+    server.start()
+    # handlers go in once the server runs, so a signal finds it running, and
+    # before the listening line is printed: anyone who has seen it may signal us
     restore: dict[int, object] = {}
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGINT, signal.SIGTERM):
             restore[signum] = signal.signal(signum, lambda *_: server.shutdown())
-    server.start()
-    print(f"listening on {server.host}:{server.bound_port}", flush=True)
+    print(f"listening on {host}:{server.bound_port}", flush=True)
     try:
         server.wait()
     finally:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
-from .errors import EmptyStoreError, NotFoundError, PathExistsError
+from .errors import ColdStoreWriteFailureError, EmptyStoreError, NotFoundError, PathExistsError
 from .fsimage import save_fsimage
 from .metrics import MetricsRecorder, SeparationEvent
 from .namespace import (
@@ -293,9 +293,14 @@ class TieredStore:
         """Separate at the threshold; commit the pass if the store has an image.
 
         It runs after the edit is logged, so the checkpoint covers that edit.
+        A pass whose spill fails leaves both tiers as they were; the edit
+        stands, and the next CREATE or DELETE tries the pass again.
         """
-        if self.maybe_separate() is not None and self.image_path is not None:
-            self.checkpoint(self.image_path)
+        try:
+            if self.maybe_separate() is not None and self.image_path is not None:
+                self.checkpoint(self.image_path)
+        except ColdStoreWriteFailureError as exc:
+            logger.warning("separation failed; the next CREATE or DELETE tries again: %s", exc)
 
     def _log(self, event: OpEvent) -> None:
         if self.edits is not None:

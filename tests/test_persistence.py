@@ -111,6 +111,10 @@ TOO_LONG = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
         ("/a\t1\t67108864\t3\t1\t1\t2", "created 2 is after last_access 1"),
         ("/a\t0\t67108864\t3\t5\t1\t5", "created is 5 for a zero-length file, not 0"),
         (V2_GOLDEN_LINE, "created is not an integer: '44040192@67108864@42@0;1,"),
+        # paths that no request, trace line or edit can name
+        ("/a b\t1\t67108864\t3\t1\t1\t1", "path contains whitespace or NUL: '/a b'"),
+        ("/a\x00\t1\t67108864\t3\t1\t1\t1", "path contains whitespace or NUL: '/a\\x00'"),
+        ("/a\r\t1\t67108864\t3\t1\t1\t1", "path contains whitespace or NUL: '/a\\r'"),
     ],
 )
 def test_record_decode_rejects(line, what):
@@ -732,6 +736,41 @@ def test_cold_append_is_all_or_nothing(tmp_path):
         "/e/0000", "/e/0001", "/e/0002"
     ]
     cold2.close()
+
+
+def test_a_failed_tombstone_is_cut_back_off(tmp_path):
+    cold = ColdStore(tmp_path / "c2")
+    cold.append_records(cold_records(3))
+    size_before = (tmp_path / "c2").stat().st_size
+    cold._file = FailingFile(cold._file)
+    with pytest.raises(ColdStoreWriteFailureError):
+        cold.delete("/c/0002")
+    assert (tmp_path / "c2").stat().st_size == size_before
+    assert "/c/0002" in cold and len(cold) == 3
+    # the next append starts a line of its own, and a later delete works
+    cold.append_records(cold_records(2, prefix="/d"))
+    cold.delete("/c/0000")
+    cold.close()
+    reopened = ColdStore(tmp_path / "c2")
+    assert reopened.paths() == ["/c/0001", "/c/0002", "/d/0000", "/d/0001"]
+    reopened.close()
+
+
+def test_a_failed_log_append_is_cut_back_off(tmp_path):
+    log = EditsLog(tmp_path / EDITS_NAME)
+    log.append(OpEvent("CREATE", "/a", 0, 1))
+    log._writer = FailingFile(log._writer)
+    with pytest.raises(OSError, match="disk full"):
+        log.append(OpEvent("CREATE", "/b", 1, 1))
+    assert log.last_tick == 0
+    log.append(OpEvent("CREATE", "/c", 2, 1))
+    log.close()
+    assert (tmp_path / EDITS_NAME).read_text() == "CREATE /a 1 0\nCREATE /c 1 2\n"
+    store = open_store(tmp_path)
+    try:
+        assert sorted(store.hot.paths()) == ["/a", "/c"]
+    finally:
+        store.close()
 
 
 @pytest.mark.parametrize(

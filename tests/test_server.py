@@ -15,7 +15,8 @@ from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
 from tiermeta import coldstore, editlog, recordio, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent
-from tiermeta.errors import CorruptImageError, CorruptLogError, OutOfOrderEditError
+from tiermeta.errors import (ColdStoreWriteFailureError, CorruptImageError, CorruptLogError,
+                             OutOfOrderEditError)
 from tiermeta.fsimage import load_fsimage, read_commit, save_fsimage
 from tiermeta.namespace import HotStore
 from tiermeta.server import (
@@ -33,6 +34,7 @@ from tiermeta.tiering import TieringConfig
 @pytest.fixture
 def running_server(tmp_path):
     servers = []
+    threads_before = set(threading.enumerate())
 
     def boot(threshold=1000, window=None):
         config = TieringConfig(threshold_records=threshold, recency_window=window)
@@ -43,10 +45,16 @@ def running_server(tmp_path):
         return server
 
     yield boot
-    for server, store in servers:
+    for server, _ in servers:
         server.shutdown()
         server.wait(2)
+    # every test closes its clients, and a connection's thread ends with it
+    leftover = [t for t in threading.enumerate() if t not in threads_before]
+    for t in leftover:
+        t.join(5)
+    for _, store in servers:
         store.close()
+    assert [t.name for t in leftover if t.is_alive()] == []
 
 
 def test_golden_session(running_server):
@@ -79,6 +87,55 @@ def test_promotion_visible_over_protocol(running_server):
     )
     assert client.ask("QUIT") == "OK bye"
     server.wait(5)
+    client.close()
+
+
+def test_a_connection_open_at_quit_is_refused_then_closed(running_server):
+    server = running_server()
+    other = Client(server.bound_port)
+    assert other.ask("CREATE /o 1") == "OK created /o"
+    quitter = Client(server.bound_port)
+    assert quitter.ask("QUIT") == "OK bye"
+    assert quitter.f.readline() == ""  # EOF
+    server.wait(5)
+    assert other.ask("STAT /o") == "ERR BADREQ server is shutting down"
+    assert other.f.readline() == ""
+    other.close()
+    quitter.close()
+
+
+def test_shutdown_after_quit_and_twice_returns_at_once(running_server):
+    server = running_server()
+    client = Client(server.bound_port)
+    assert client.ask("QUIT") == "OK bye"
+    server.wait(5)
+    stopper = threading.Thread(target=lambda: (server.shutdown(), server.shutdown()), daemon=True)
+    stopper.start()
+    stopper.join(1)
+    assert not stopper.is_alive()
+    client.close()
+
+
+def test_a_create_whose_spill_fails_is_answered_ok(running_server, caplog):
+    server = running_server(threshold=2, window=0)
+    client = Client(server.bound_port)
+    assert client.ask("CREATE /s/a 1") == "OK created /s/a"
+    real_append = server.store.cold.append_records
+    refused = []
+
+    def refuse_once(records):
+        if not refused:
+            refused.append(len(records))
+            raise ColdStoreWriteFailureError("disk full")
+        real_append(records)
+
+    server.store.cold.append_records = refuse_once
+    assert client.ask("CREATE /s/b 1") == "OK created /s/b"  # reaches the threshold
+    assert refused == [2] and "disk full" in caplog.text
+    assert client.ask("STAT /s/b").endswith("tier=hot")
+    assert client.ask("CREATE /s/c 1") == "OK created /s/c"  # its pass spills all three
+    assert client.ask("STAT /s/a").endswith("tier=cold")
+    assert "cold_records=3 " in client.ask("REPORT")
     client.close()
 
 

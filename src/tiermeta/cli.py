@@ -216,15 +216,12 @@ def _emit_report(report: ExperimentReport, args: argparse.Namespace) -> None:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     if args.image:
-        store = load_fsimage(args.image)  # checks the header before it is printed
-        with open(args.image, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
+        store = load_fsimage(args.image)  # checks every line before one is printed
         if args.path:
             _print_with_blocks(store.get(args.path), args.image, args.path)
             return 0
-        print(header)
-        for record in sorted(store, key=lambda r: r.path):
-            print(encode_record(record))
+        with open(args.image, "r", encoding="utf-8") as f:
+            sys.stdout.writelines(f)  # the lines the load checked, as they are on disk
         return 0
     if not Path(args.cold).exists():
         # ColdStore would create the file; inspect must stay read-only

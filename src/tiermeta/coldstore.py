@@ -10,21 +10,19 @@ prefix is unambiguous. An append ends with its newline, so a last line
 without one was cut short by a crash: it was never acknowledged, and
 opening the file truncates it away, as reading the edits log does.
 
-The index holds no path. It is an open-addressing hash table, rebuilt on
-open by a line count that sizes it once and one scan that fills it, kept
-in two ``array("q")`` with a power-of-two number of slots: ``_keys``
-holds each live path's :func:`_key` (0 marks an empty slot) and ``_offs``
-the offset of its live record line (-1 marks an entry a tombstone or a
-promotion removed). Lookups probe linearly from the key. A key match is
-confirmed against the path stored in the file, so a 64-bit collision
-never merges two paths: :meth:`ColdStore.get` checks the line it reads
-anyway, and everything else reads ``path + "\\t"`` at the offset with
+The index holds no path. It is an open-addressing hash table in two
+``array("q")`` with a power-of-two number of slots, sized on open by a line
+count and filled by one scan: ``_keys`` holds each live path's :func:`_key`
+(0 marks an empty slot) and ``_offs`` the offset of its live record line
+(-1 marks an entry a tombstone or a promotion removed). Lookups probe
+linearly from the key. A key match is confirmed against the path in the
+file, so a 64-bit collision never merges two paths: :meth:`ColdStore.get`
+checks the line it reads, and everything else reads ``path + "\\t"`` with
 ``os.pread``, which leaves the buffered position alone. The table is kept
-at most half full, removed slots counted, and is rehashed to fit when
-fewer than 1/8 of its slots are live, down to 16 slots. At 16 B a slot,
-an entry costs 32-64 B in a table a quarter to half full, and at most
-128 B just before a shrink; a path-keyed dict cost 114-236 B. A cold
-``get`` is one probe and one readline.
+at most half full, removed slots counted, and shrinks to fit when fewer
+than 1/8 of its slots are live, down to 16 slots: an entry costs 32-64 B
+(a path-keyed dict cost 114-236 B). A cold ``get`` is one probe and one
+readline; a promotion (:meth:`ColdStore.take`) adds one tombstone.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -34,9 +32,9 @@ from __future__ import annotations
 import logging
 import os
 from array import array
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     ColdStoreWriteFailureError,
@@ -237,32 +235,39 @@ class ColdStore:
         for offset, line in self._live_lines():
             yield self._decode(line, offset)
 
-    def _append(self, data: bytes, what: str) -> int:
-        """Append ``data`` and return its offset. A failed append is cut back
-        off, so no torn line is left, and raises ColdStoreWriteFailureError."""
+    @contextmanager
+    def _appending(self, what: str) -> Iterator[int]:
+        """Append in the ``with`` block, which gets the start offset, then flush;
+        on failure cut the file back (an OSError as ColdStoreWriteFailureError)."""
         start = self._file.seek(0, os.SEEK_END)
         try:
-            self._file.write(data)
+            yield start
             self._file.flush()
-        except OSError as exc:
+        except BaseException as exc:
             with suppress(OSError):  # closing flushes what is left, and may fail again
                 self._file.close()
             os.truncate(self.path, start)
             self._file = open(self.path, "a+b")
-            raise ColdStoreWriteFailureError(f"append of {what} failed: {exc}") from exc
-        return start
+            if isinstance(exc, OSError):
+                raise ColdStoreWriteFailureError(f"append of {what} failed: {exc}") from exc
+            raise
 
-    def append_records(self, records: list[MetadataRecord]) -> None:
+    def append_records(self, records: Iterable[MetadataRecord]) -> None:
         """Append records atomically: on failure the file is restored to its
-        previous size and the index is untouched."""
-        lines = [encode_record(r).encode("utf-8") + b"\n" for r in records]
-        start = self._append(b"".join(lines), f"{len(records)} records")
-        if 2 * (self._used + len(records)) > len(self._keys):
-            self._rehash(self._live + len(records))  # once for the whole batch
-        offset = start
-        for record, line in zip(records, lines):
-            self._put(record.path, offset)
-            offset += len(line)
+        previous size and the index is untouched. Each line goes through the
+        file's buffer; only paths and offsets are kept until the flush."""
+        paths, offsets = [], array("q")
+        with self._appending("records") as offset:
+            for record in records:
+                line = encode_record(record).encode("utf-8") + b"\n"
+                self._file.write(line)
+                paths.append(record.path)
+                offsets.append(offset)
+                offset += len(line)
+        if 2 * (self._used + len(paths)) > len(self._keys):
+            self._rehash(self._live + len(paths))  # once for the whole batch
+        for path, offset in zip(paths, offsets):
+            self._put(path, offset)
 
     def sync(self) -> int:
         """Make the file durable; returns its length, the end an image commits."""
@@ -274,7 +279,22 @@ class ColdStore:
         slot = self._find(path)[0]
         if slot < 0:
             raise NotFoundError(f"{path} not in cold store")
-        self._append(_TOMB_PREFIX + path.encode("utf-8") + b"\n", "a tombstone")
+        self._tombstone(path, slot)
+
+    def take(self, path: str, before: Callable[[MetadataRecord], object]) -> MetadataRecord | None:
+        """Remove and return ``path``'s live record (None if none) in one probe;
+        ``before`` gets it before the tombstone, and if it raises, nothing changes."""
+        slot, line = self._find(path, read_line=True)
+        if slot < 0:
+            return None
+        record = self._decode(line, self._offs[slot])
+        before(record)
+        self._tombstone(path, slot)
+        return record
+
+    def _tombstone(self, path: str, slot: int) -> None:
+        with self._appending("a tombstone"):
+            self._file.write(_TOMB_PREFIX + path.encode("utf-8") + b"\n")
         self._remove(slot)
         self._shrink_if_sparse()
 

@@ -30,12 +30,12 @@ def save_fsimage(store: HotStore, dest: str | Path, clock: int, cold_end: int) -
     ``dest``; it commits the first ``cold_end`` bytes of the cold file."""
     dest = Path(dest)
     tmp = dest.with_name(dest.name + ".tmp")
-    records = sorted(store, key=lambda r: r.path)
+    paths = sorted(store.paths())
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {len(records)} {clock} {cold_end}\n")
-            for record in records:
-                f.write(recordio.encode_record(record) + "\n")
+            f.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {len(paths)} {clock} {cold_end}\n")
+            for row in store.rows(paths):  # no record built
+                f.write(recordio.encode_row(*row) + "\n")
             f.flush()
             os.fsync(f.fileno())
     except OSError:
@@ -86,7 +86,6 @@ def load_fsimage(src: str | Path) -> HotStore:
     store = HotStore()
     with open(src, "rb") as f:
         expected, clock, _ = _read_header(f, src)
-        loaded = 0
         for lineno, line in enumerate(f, start=2):
             if not line.endswith(b"\n"):
                 raise CorruptImageError(f"{src}: line {lineno}: truncated record")
@@ -102,7 +101,6 @@ def load_fsimage(src: str | Path) -> HotStore:
             if record.path in store:
                 raise CorruptImageError(f"{src}: line {lineno}: duplicate path {record.path}")
             store.insert(record)
-            loaded += 1
-    if loaded != expected:
-        raise CorruptImageError(f"{src}: header says {expected} records, file has {loaded}")
+    if len(store) != expected:
+        raise CorruptImageError(f"{src}: header says {expected} records, file has {len(store)}")
     return store

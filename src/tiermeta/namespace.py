@@ -1,9 +1,9 @@
 """In-memory filesystem namespace: the hot tier.
 
-Each file is one :class:`MetadataRecord` keyed by its absolute path. A record
-carries what its simulated block layout derives from plus the two fields the
-tiering policy reads: ``last_access`` (a logical tick) and ``count`` (how
-many times the file has been touched, creation included).
+Each file is a slot in four integer columns, keyed by its absolute path: what
+its simulated block layout derives from plus the two fields the tiering
+policy reads, ``last_access`` (a logical tick) and ``count`` (how many times
+the file has been touched, creation included).
 
 Time is a :class:`LogicalClock`: every namespace-mutating or access event
 consumes exactly one tick, so a given operation sequence always produces the
@@ -17,8 +17,11 @@ and derives its blocks on demand.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import (
     FileTooLargeError,
@@ -57,13 +60,12 @@ class BlockInfo:
 
 @dataclass(slots=True)
 class MetadataRecord:
-    """Namespace entry for a single file.
+    """A snapshot of one file's namespace entry, as a record line holds it.
 
-    The blocks are not stored: :attr:`blocks` derives them from ``length``
-    and the creation tick ``created``. An empty file has no blocks and its
-    ``created`` is 0. ``last_access`` and ``count`` are the only fields that
-    change over a record's lifetime, and both are non-decreasing.
-    """
+    :class:`HotStore` keeps the fields in columns, so a record does not follow
+    later accesses. :attr:`blocks` derives the blocks from ``length`` and the
+    creation tick ``created`` (0 for an empty file, which has none). Only
+    ``last_access`` and ``count`` change, and both only grow."""
 
     path: str
     length: int
@@ -160,67 +162,101 @@ def estimate_memory(record_count: int) -> int:
 
 
 class HotStore:
-    """The hot tier: an insertion-ordered map of path to record.
+    """The hot tier: a dict from path to slot over four ``array("q")`` columns.
 
-    Not internally synchronized: all mutations go through one logical owner,
-    per the store-wide single-writer contract.
+    A removed file's slot goes on the free list with its count set to 0, so
+    ``_count`` sums to the live files' access count. Iteration follows the
+    dict's insertion order, never slot order. Not synchronized internally.
     """
 
     def __init__(self) -> None:
-        self._records: dict[str, MetadataRecord] = {}
+        self._slots: dict[str, int] = {}
+        self._length, self._created = array("q"), array("q")
+        self._last_access, self._count, self._free = array("q"), array("q"), array("q")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._slots)
 
     def __contains__(self, path: str) -> bool:
-        return path in self._records
+        return path in self._slots
 
     def __iter__(self) -> Iterator[MetadataRecord]:
-        return iter(self._records.values())
+        return (MetadataRecord(*row) for row in self.rows(self._slots))
 
     def paths(self) -> Iterator[str]:
-        return iter(self._records.keys())
+        return iter(self._slots)
 
     def get(self, path: str) -> MetadataRecord | None:
-        """Pure lookup; returns None on miss, touches no bookkeeping."""
-        return self._records.get(path)
+        """A snapshot of ``path``'s record, or None; touches no bookkeeping."""
+        slot = self._slots.get(path)
+        return None if slot is None else MetadataRecord(
+            path, self._length[slot], self._created[slot], self._last_access[slot],
+            self._count[slot])
+
+    def rows(self, paths: Iterable[str]) -> Iterator[tuple[str, int, int, int, int]]:
+        """``(path, length, created, last_access, count)`` of each of ``paths``,
+        in :class:`MetadataRecord`'s field order, read 512 at a time."""
+        paths = iter(paths)
+        columns = (self._length, self._created, self._last_access, self._count)
+        while chunk := list(islice(paths, 512)):
+            # one call per column; the extra item 0 makes a tuple of a chunk of one
+            gather = itemgetter(*[self._slots[path] for path in chunk], 0)
+            yield from zip(chunk, *map(gather, columns))
+
+    def bookkeeping(self) -> tuple[Iterable[tuple[str, int]], array, array]:
+        """``(path, slot)`` of every file in iteration order, and the
+        ``last_access`` and ``count`` columns a slot indexes, to read only."""
+        return self._slots.items(), self._last_access, self._count
+
+    def slot(self, path: str) -> int | None:
+        """The slot of ``path``, or None if it is not hot."""
+        return self._slots.get(path)
+
+    def touch(self, slot: int, tick: int) -> None:
+        """Count an access at ``tick`` to the file in ``slot``."""
+        self._last_access[slot] = tick
+        self._count[slot] += 1
 
     def create(self, path: str, length: int, tick: int) -> MetadataRecord:
-        """Insert a new file record; creation counts as its first access.
-
-        Raises FileTooLargeError for a file of more than
-        ``MAX_BLOCKS_PER_FILE`` blocks, before anything is stored. The path
-        is not validated here: the tiered store does that where input arrives.
-        """
-        if path in self._records:
+        """Insert a new file's record, creation counting as its first access,
+        and return a snapshot; past ``MAX_BLOCKS_PER_FILE`` blocks raise
+        FileTooLargeError first. The tiered store validates the path."""
+        if path in self._slots:
             raise PathExistsError(f"path already exists: {path}")
         block_count(length)
-        record = MetadataRecord(
-            path=path, length=length, created=tick if length else 0, last_access=tick, count=1
-        )
-        self._records[path] = record
+        record = MetadataRecord(path, length, tick if length else 0, tick, 1)
+        self.insert(record)
         return record
 
-    def access(self, path: str, tick: int) -> MetadataRecord:
+    def access(self, path: str, tick: int) -> None:
         """Bump a hot record's access bookkeeping."""
-        record = self._records.get(path)
-        if record is None:
+        slot = self._slots.get(path)
+        if slot is None:
             raise NotInHotTierError(f"not in hot tier: {path}")
-        record.last_access = tick
-        record.count += 1
-        return record
+        self.touch(slot, tick)
 
     def insert(self, record: MetadataRecord) -> None:
         """Insert an existing record, e.g. a promotion from the cold tier."""
-        if record.path in self._records:
+        if record.path in self._slots:
             raise PathExistsError(f"path already exists: {record.path}")
-        self._records[record.path] = record
+        if self._free:
+            slot = self._free.pop()
+            self._length[slot], self._created[slot] = record.length, record.created
+            self._last_access[slot], self._count[slot] = record.last_access, record.count
+        else:
+            slot = len(self._count)
+            self._length.append(record.length)
+            self._created.append(record.created)
+            self._last_access.append(record.last_access)
+            self._count.append(record.count)
+        self._slots[record.path] = slot
 
-    def remove(self, path: str) -> MetadataRecord:
-        record = self._records.pop(path, None)
-        if record is None:
+    def remove(self, path: str) -> None:
+        slot = self._slots.pop(path, None)
+        if slot is None:
             raise NotInHotTierError(f"not in hot tier: {path}")
-        return record
+        self._count[slot] = 0
+        self._free.append(slot)
 
     def total_access_count(self) -> int:
-        return sum(r.count for r in self._records.values())
+        return sum(self._count)

@@ -21,6 +21,7 @@ from .errors import FileTooLargeError
 from .namespace import BLOCK_SIZE, REPLICATION, MetadataRecord, block_count, validate_path
 
 FIELD_COUNT = 7
+MAX_INT = 2**63 - 1  # the largest value an array("q") column holds
 _BLOCK_SIZE_TEXT = str(BLOCK_SIZE)
 _REPLICATION_TEXT = str(REPLICATION)
 _GEOMETRY = f"\t{BLOCK_SIZE}\t{REPLICATION}\t"
@@ -28,10 +29,13 @@ _GEOMETRY = f"\t{BLOCK_SIZE}\t{REPLICATION}\t"
 
 def encode_record(record: MetadataRecord) -> str:
     """Serialize one record to its line form (no trailing newline)."""
-    return (
-        f"{record.path}\t{record.length}{_GEOMETRY}"
-        f"{record.last_access}\t{record.count}\t{record.created}"
-    )
+    return encode_row(record.path, record.length, record.created, record.last_access,
+                      record.count)
+
+
+def encode_row(path: str, length: int, created: int, last_access: int, count: int) -> str:
+    """The line of a record given by its fields, in :class:`MetadataRecord`'s order."""
+    return f"{path}\t{length}{_GEOMETRY}{last_access}\t{count}\t{created}"
 
 
 def decode_record(line: str) -> MetadataRecord:
@@ -67,8 +71,6 @@ def decode_record(line: str) -> MetadataRecord:
         raise ValueError(f"created is {created} for a zero-length file, not 0")
     if created > last_access:
         raise ValueError(f"created {created} is after last_access {last_access}")
-    if created == last_access:
-        created = last_access  # the same object, as in a record never reopened
     return MetadataRecord(path, length, created, last_access, count)
 
 
@@ -79,9 +81,11 @@ def _is_decimal(text: str) -> bool:
 
 def parse_non_negative_int(text: str, what: str) -> int:
     """An on-disk int (record field, edit length or tick) in the form ``str``
-    writes; raises ValueError naming ``what`` otherwise."""
+    writes, up to ``MAX_INT``; raises ValueError naming ``what`` otherwise."""
     if _is_decimal(text):
-        return int(text)
+        if len(text) < 19 or len(text) == 19 and int(text) <= MAX_INT:  # no int() of huge text
+            return int(text)
+        raise ValueError(f"{what} is above {MAX_INT}: {text}")
     if text.startswith("-") and _is_decimal(text[1:]):
         raise ValueError(f"{what} is negative: {text}")
     raise ValueError(f"{what} is not an integer: {text!r}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
@@ -80,28 +79,27 @@ class TieringConfig:
 
 
 def partition_records(
-    records: Iterable[MetadataRecord], now: int, window: int, total: int | None = None
-) -> tuple[list[MetadataRecord], list[MetadataRecord]]:
-    """Split records into (kept, evicted) by the separation predicate.
+    hot: HotStore, now: int, window: int, total: int | None = None
+) -> tuple[list[str], list[str]]:
+    """Split the paths of ``hot``, in iteration order, into (kept, evicted).
 
-    A record is kept when accessed within ``window`` ticks of ``now`` or
-    when its count is strictly above the mean count of all records given.
-    ``total`` is the sum of their counts, for a caller that already has it.
+    A file is kept when accessed within ``window`` ticks of ``now`` or when
+    its count is strictly above the mean count of the hot tier. ``total`` is
+    the sum of the counts, for a caller that already has it.
     """
-    recs = list(records)
-    n = len(recs)
+    n = len(hot)
     if n == 0:
         raise EmptyStoreError("cannot separate an empty hot tier")
     if total is None:
-        total = sum(r.count for r in recs)
-    kept: list[MetadataRecord] = []
-    evicted: list[MetadataRecord] = []
-    for r in recs:
+        total = hot.total_access_count()
+    kept, evicted = [], []
+    slots, last_access, count = hot.bookkeeping()
+    for path, slot in slots:
         # count/1 > total/n without leaving the integers
-        if now - r.last_access <= window or r.count * n > total:
-            kept.append(r)
+        if now - last_access[slot] <= window or count[slot] * n > total:
+            kept.append(path)
         else:
-            evicted.append(r)
+            evicted.append(path)
     return kept, evicted
 
 
@@ -142,7 +140,8 @@ class TieredStore:
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        record = self._resolve(path, None)
+        self._resolve(path, None)
+        record = self.hot.get(path)
         self._log(OpEvent(OP_ACCESS, path, record.last_access))
         return record
 
@@ -205,9 +204,9 @@ class TieredStore:
                 "hot tier stays above the threshold", now, n, mean,
             )
         else:
-            self.cold.append_records(evicted)
-            for record in evicted:
-                self.hot.remove(record.path)
+            self.cold.append_records(MetadataRecord(*row) for row in self.hot.rows(evicted))
+            for path in evicted:
+                self.hot.remove(path)
         event = SeparationEvent(
             tick=now,
             hot_size_before=n,
@@ -258,23 +257,25 @@ class TieredStore:
         self.metrics.observe_hot_size(len(self.hot))
         return record
 
-    def _resolve(self, path: str, at: int | None) -> MetadataRecord:
-        """Find a record in either tier for an access; promote if cold."""
-        if path in self.hot:
-            record = self.hot.access(path, self._tick(at))
+    def _resolve(self, path: str, at: int | None) -> None:
+        """Count an access to a file in either tier; promote it if cold."""
+        slot = self.hot.slot(path)
+        if slot is not None:
+            self.hot.touch(slot, self._tick(at))
             self.metrics.hot_hits += 1
-            return record
-        record = self.cold.get(path)
-        if record is not None:
-            tick = self._tick(at)
-            self.cold.delete(path)
-            self.hot.insert(record)
-            self.hot.access(path, tick)
-            self.metrics.cold_hits += 1
-            self.metrics.observe_hot_size(len(self.hot))
-            return record
-        self.metrics.misses += 1
-        raise NotFoundError(f"no such path: {path}")
+            return
+
+        def bump(record: MetadataRecord) -> None:  # a refused tick writes no tombstone
+            record.last_access = self._tick(at)
+            record.count += 1
+
+        record = self.cold.take(path, bump)
+        if record is None:
+            self.metrics.misses += 1
+            raise NotFoundError(f"no such path: {path}")
+        self.hot.insert(record)
+        self.metrics.cold_hits += 1
+        self.metrics.observe_hot_size(len(self.hot))
 
     def _delete(self, path: str, at: int | None) -> int:
         """Remove a path from whichever tier holds it; returns the tick taken."""

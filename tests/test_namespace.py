@@ -1,5 +1,8 @@
 """Hot-tier model: block splitting, clock, path rules, store bookkeeping."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,10 +20,12 @@ from tiermeta.namespace import (
     REPLICATION,
     HotStore,
     LogicalClock,
+    MetadataRecord,
     estimate_memory,
     split_blocks,
     validate_path,
 )
+from tiermeta.tiering import partition_records
 
 MIB = 1024 * 1024
 
@@ -113,9 +118,11 @@ def test_create_counts_as_first_access():
 def test_access_bumps_bookkeeping():
     store = HotStore()
     store.create("/x", 100, tick=0)
-    record = store.access("/x", tick=7)
+    store.access("/x", tick=7)
+    record = store.get("/x")
     assert (record.last_access, record.count) == (7, 2)
-    record = store.access("/x", tick=9)
+    store.access("/x", tick=9)
+    record = store.get("/x")
     assert (record.last_access, record.count) == (9, 3)
 
 
@@ -169,6 +176,72 @@ def test_store_against_dict_model():
         assert record is not None
         assert (record.last_access, record.count) == (la, count)
     assert store.total_access_count() == sum(c for _, c in model.values())
+
+
+def test_columns_against_a_dict_oracle():
+    """Random creates, accesses, removes and inserts over 40 paths, so slots
+    are freed and reused; after each step every read agrees with a dict."""
+    rng = random.Random(19)
+    store = HotStore()
+    oracle: dict[str, MetadataRecord] = {}  # insertion-ordered, as the store iterates
+    universe = [f"/p/{i:02d}" for i in range(40)]
+    tick = 0
+    for step in range(2000):
+        path = rng.choice(universe)
+        op = rng.choice(("create", "access", "remove", "insert"))
+        tick += 1
+        if op == "create" and path not in oracle:
+            length = rng.choice((0, 1, rng.randrange(1, 10**12)))
+            store.create(path, length, tick)
+            oracle[path] = MetadataRecord(path, length, tick if length else 0, tick, 1)
+        elif op == "access" and path in oracle:
+            store.access(path, tick)
+            old = oracle[path]
+            oracle[path] = MetadataRecord(path, old.length, old.created, tick, old.count + 1)
+        elif op == "remove" and path in oracle:
+            store.remove(path)
+            del oracle[path]
+        elif op == "insert" and path not in oracle:  # a promotion
+            created = rng.randrange(tick)
+            record = MetadataRecord(path, 1, created, rng.randrange(created, tick),
+                                    rng.randrange(1, 6))
+            store.insert(record)
+            oracle[path] = record
+        where = f"step {step}: {op} {path}"
+        assert len(store) == len(oracle), where
+        for p in universe:
+            assert (p in store) == (p in oracle), where
+            assert store.get(p) == oracle.get(p), where
+        assert list(store.paths()) == list(oracle), where
+        assert list(store) == list(oracle.values()), where
+        total = sum(r.count for r in oracle.values())
+        assert store.total_access_count() == total, where
+        if oracle:
+            # the rule restated (README "The separation rule"): a file goes
+            # iff now - last_access > window and count * n <= total
+            now, window, n = tick + 1, rng.randrange(tick + 1), len(oracle)
+            out = [p for p, r in oracle.items()
+                   if now - r.last_access > window and r.count * n <= total]
+            kept = [p for p in oracle if p not in out]
+            assert partition_records(store, now, window) == (kept, out), where
+
+
+def test_an_accessed_record_holds_at_most_110_bytes():
+    # a slotted record with boxed length, created and last_access held 184 B
+    paths = [f"/m/{i:07d}" for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        store = HotStore()
+        for i, path in enumerate(paths):
+            store.create(path, 1 + i * 4096, i)
+        for i, path in enumerate(paths):
+            store.access(path, 20_000 + i)
+        held = (tracemalloc.get_traced_memory()[0] - base) / len(paths)
+    finally:
+        tracemalloc.stop()
+    assert len(store) == len(paths)
+    assert held <= 110, f"{held:.1f} B per record"
 
 
 # -- derived blocks --------------------------------------------------------

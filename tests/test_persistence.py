@@ -33,7 +33,12 @@ from tiermeta.namespace import (
 )
 from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
-from tiermeta.recordio import decode_record, encode_record
+from tiermeta.recordio import (
+    decode_record,
+    encode_row,
+    encode_record,
+    parse_non_negative_int,
+)
 
 # -- record lines ----------------------------------------------------------
 
@@ -48,8 +53,10 @@ V2_GOLDEN_LINE = (
 def test_record_line_format_is_pinned():
     store = HotStore()  # every record: 64 MiB blocks, replication 3, 2 nodes
     store.create("/data/report.txt", 130 * 1024 * 1024, tick=42)
-    record = store.access("/data/report.txt", tick=50)
+    store.access("/data/report.txt", tick=50)
+    record = store.get("/data/report.txt")
     assert encode_record(record) == GOLDEN_LINE
+    assert [encode_row(*row) for row in store.rows(["/data/report.txt"])] == [GOLDEN_LINE]
     assert decode_record(GOLDEN_LINE) == record
 
 
@@ -101,6 +108,8 @@ TOO_LONG = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
         ("/a\t1\t1024\t3\t1\t1\t1", "block_size is '1024', not the fixed 67108864"),
         ("/a\t1\t67108864\t2\t1\t1\t1", "replication is '2', not the fixed 3"),
         ("/a\t1\t67108864\t3\tx\t1\t1", "last_access is not an integer: 'x'"),
+        ("/a\t1\t67108864\t3\t9223372036854775808\t1\t1",
+         "last_access is above 9223372036854775807: 9223372036854775808"),
         ("/a\t1\t67108864\t3\t1\t-1\t1", "count is negative: -1"),
         ("/a\t1\t67108864\t3\t1\tx\t1", "count is not an integer: 'x'"),
         ("/a\t1\t67108864\t3\t1\t0\t1", "count is 0, but a record counts its own creation"),
@@ -324,6 +333,8 @@ ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5"
         ("FSIMAGE v4 0 1 2 3\n", "header is not"),
         ("FSIMAGE v4 0 0_0 0\n", "clock is not an integer: '0_0'"),
         ("FSIMAGE v4 0 -1 0\n", "clock is negative: -1"),
+        ("FSIMAGE v4 0 9223372036854775808 0\n",
+         "clock is above 9223372036854775807: 9223372036854775808"),
         ("FSIMAGE v4 0 1 +5\n", "cold_end is not an integer: '\\+5'"),
         ("FSIMAGE v4 0 1 -1\n", "cold_end is negative: -1"),
         ("FSIMAGE v4 1 0 0\n" + EMPTY_A, "line 2: last_access 0 is not below the clock 0"),
@@ -372,6 +383,13 @@ def test_op_line_rejects_ints_not_written_in_plain_digits():
     for tick in ("+5", "5_0", "\u0663", "\t5", "05"):
         with pytest.raises(ValueError, match="tick is not an integer"):
             parse_op_line(f"ACCESS /a {tick}")
+
+
+def test_on_disk_ints_stop_at_the_largest_64_bit_value():
+    assert parse_non_negative_int("9223372036854775807", "tick") == 2**63 - 1
+    for text in ("9223372036854775808", "99999999999999999999", "1" * 5000):
+        with pytest.raises(ValueError, match="tick is above 9223372036854775807"):
+            parse_non_negative_int(text, "tick")
 
 
 def test_log_append_and_scan(tmp_path):

@@ -137,7 +137,7 @@ class DiskLog:
 
     def install(self, monkeypatch):
         for owner, name in ((ColdStore, "append_records"), (ColdStore, "delete"),
-                            (EditsLog, "append"), (EditsLog, "reset")):
+                            (ColdStore, "take"), (EditsLog, "append"), (EditsLog, "reset")):
             self.wrap(monkeypatch, owner, name)
         real_replace = os.replace
 
@@ -228,7 +228,7 @@ def test_a_crash_at_any_write_recovers_the_acknowledged_state(tmp_path, monkeypa
     acked, edit_write, expected = run_session(live_dir, disk)
     monkeypatch.undo()
     assert set(disk.kinds[1:]) == {"ColdStore.append_records", "ColdStore.delete",
-                                   "EditsLog.append", "EditsLog.reset",
+                                   "ColdStore.take", "EditsLog.append", "EditsLog.reset",
                                    "image temp write", "image rename"}
 
     cases = [(k, disk.states[k], k) for k in range(len(disk.states))]

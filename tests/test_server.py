@@ -125,7 +125,7 @@ def test_a_create_whose_spill_fails_is_answered_ok(running_server, caplog):
 
     def refuse_once(records):
         if not refused:
-            refused.append(len(records))
+            refused.append(len(list(records)))
             raise ColdStoreWriteFailureError("disk full")
         real_append(records)
 
@@ -563,8 +563,10 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
         ("CREATE /a 5 0\nnot a line\nCREATE /b 1 4\n", "line 2"),
         ("CREATE /a 5 0\nCREATE /b 1 2\nnot a line\n", "line 3"),
         ("CREATE /a 5 3\nCREATE /b 1 2\n", "line 2: tick 2 not increasing"),
+        ("CREATE /a 5 0\nACCESS /a 9223372036854775808\n",
+         "line 2: tick is above 9223372036854775807: 9223372036854775808"),
     ],
-    ids=["middle", "tail", "order"],
+    ids=["middle", "tail", "order", "tick-above-int64"],
 )
 def test_corrupt_log_fails_open_store(tmp_path, text, where):
     (tmp_path / EDITS_NAME).write_text(text)
@@ -578,8 +580,9 @@ def test_corrupt_log_fails_open_store(tmp_path, text, where):
         (b"-3", "last_access is negative"),
         (b"x", "last_access is not an integer"),
         (None, "expected 7 tab-separated fields, got 6"),
+        (b"9223372036854775808", "last_access is above 9223372036854775807"),
     ],
-    ids=["negative", "not-integer", "missing-field"],
+    ids=["negative", "not-integer", "missing-field", "above-int64"],
 )
 def test_bad_last_access_in_a_live_cold_line_fails_its_first_read(tmp_path, value, reason):
     write_store_dir(tmp_path, hot={}, cold={"/c/a": 1, "/c/b": 2})

@@ -7,6 +7,7 @@ never trusted with verifying itself.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,13 @@ from tiermeta.errors import (
     TierMetaError,
 )
 from tiermeta.fsimage import read_commit
-from tiermeta.namespace import BLOCK_SIZE, BYTES_PER_RECORD, MAX_BLOCKS_PER_FILE, MetadataRecord
+from tiermeta.namespace import (
+    BLOCK_SIZE,
+    BYTES_PER_RECORD,
+    MAX_BLOCKS_PER_FILE,
+    HotStore,
+    MetadataRecord,
+)
 from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
@@ -45,6 +52,14 @@ def plain_record(path, count, last_access):
     return MetadataRecord(path=path, length=0, created=0, last_access=last_access, count=count)
 
 
+def hot_of(records):
+    """A hot tier holding ``records``, in their order."""
+    hot = HotStore()
+    for record in records:
+        hot.insert(record)
+    return hot
+
+
 # Six-record worked example: now=100, W=20, counts sum 24 so mean is 4.0.
 # r1 and r5 and r3 are recent; r6 is over the mean; r2 is neither; r4 sits
 # exactly on the mean and the tie goes to eviction.
@@ -59,9 +74,9 @@ EXAMPLE = [
 
 
 def test_worked_example():
-    kept, evicted = partition_records(EXAMPLE, now=100, window=20)
-    assert sorted(r.path for r in evicted) == ["/r2", "/r4"]
-    assert sorted(r.path for r in kept) == ["/r1", "/r3", "/r5", "/r6"]
+    kept, evicted = partition_records(hot_of(EXAMPLE), now=100, window=20)
+    assert sorted(evicted) == ["/r2", "/r4"]
+    assert sorted(kept) == ["/r1", "/r3", "/r5", "/r6"]
 
 
 def test_worked_example_against_oracle():
@@ -73,28 +88,28 @@ def test_worked_example_against_oracle():
 def test_tie_with_mean_is_evicted():
     # both records sit exactly on the mean and neither is recent
     records = [plain_record("/a", 4, 0), plain_record("/b", 4, 1)]
-    kept, evicted = partition_records(records, now=100, window=10)
+    kept, evicted = partition_records(hot_of(records), now=100, window=10)
     assert kept == []
     assert len(evicted) == 2
 
 
 def test_singleton_is_its_own_mean():
     record = plain_record("/only", 7, 0)
-    kept, evicted = partition_records([record], now=100, window=10)
-    assert (kept, evicted) == ([], [record])
-    kept, evicted = partition_records([record], now=5, window=10)
-    assert (kept, evicted) == ([record], [])
+    kept, evicted = partition_records(hot_of([record]), now=100, window=10)
+    assert (kept, evicted) == ([], ["/only"])
+    kept, evicted = partition_records(hot_of([record]), now=5, window=10)
+    assert (kept, evicted) == (["/only"], [])
 
 
 def test_all_recent_keeps_everything():
     records = [plain_record(f"/r{i}", 1, 90 + i) for i in range(5)]
-    kept, evicted = partition_records(records, now=100, window=50)
+    kept, evicted = partition_records(hot_of(records), now=100, window=50)
     assert len(kept) == 5 and evicted == []
 
 
 def test_empty_tier_has_no_mean():
     with pytest.raises(EmptyStoreError):
-        partition_records([], now=0, window=0)
+        partition_records(HotStore(), now=0, window=0)
 
 
 def test_partition_matches_oracle_on_random_instances():
@@ -111,13 +126,13 @@ def test_partition_matches_oracle_on_random_instances():
             )
             for i in range(n)
         ]
-        kept, evicted = partition_records(records, now, window)
+        kept, evicted = partition_records(hot_of(records), now, window)
         oracle_kept, oracle_evicted = oracle_partition(records, now, window)
-        assert [r.path for r in kept] == [r.path for r in oracle_kept]
-        assert [r.path for r in evicted] == [r.path for r in oracle_evicted]
+        assert kept == [r.path for r in oracle_kept]
+        assert evicted == [r.path for r in oracle_evicted]
         # partition, not a copy or a filter
         assert len(kept) + len(evicted) == n
-        assert {id(r) for r in kept} | {id(r) for r in evicted} == {id(r) for r in records}
+        assert set(kept) | set(evicted) == {r.path for r in records}
 
 
 def test_mean_uses_state_before_eviction():
@@ -125,9 +140,9 @@ def test_mean_uses_state_before_eviction():
     # been recomputed after evicting /idle it would still hold, so pin the
     # other direction too: three records where eviction shifts the mean.
     records = [plain_record("/idle", 1, 0), plain_record("/busy", 100, 0)]
-    kept, evicted = partition_records(records, now=1000, window=10)
-    assert [r.path for r in kept] == ["/busy"]
-    assert [r.path for r in evicted] == ["/idle"]
+    kept, evicted = partition_records(hot_of(records), now=1000, window=10)
+    assert kept == ["/busy"]
+    assert evicted == ["/idle"]
 
 
 # -- facade ------------------------------------------------------------------
@@ -173,6 +188,60 @@ def test_promotion_round_trip(tmp_path):
     assert "/f0" in store.hot and "/f0" not in store.cold
     assert store.metrics.cold_hits == 1
     assert store.metrics.promotions == 1
+    store.close()
+
+
+def test_a_replayed_access_with_a_past_tick_leaves_a_cold_path_cold(tmp_path):
+    store = make_store(tmp_path, threshold=4, window=3)
+    for i in range(4):
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
+    cold_file = (tmp_path / "fsimage2").read_bytes()
+    with pytest.raises(ValueError, match="tick 1 is in the past"):
+        store.apply_event(OpEvent(OP_ACCESS, "/f0", 1))
+    assert (tmp_path / "fsimage2").read_bytes() == cold_file  # no tombstone
+    assert "/f0" in store.cold and "/f0" not in store.hot
+    assert store.clock.now == 4 and store.metrics.cold_hits == 0
+    store.apply_event(OpEvent(OP_ACCESS, "/f0", 9))  # a tick that is not past promotes
+    assert store.hot.get("/f0") == MetadataRecord("/f0", 10, 0, 9, 2)
+    assert "/f0" not in store.cold
+    store.close()
+
+
+def test_take_reads_and_tombstones_a_cold_record_in_one_call(tmp_path):
+    store = make_store(tmp_path, threshold=4, window=3)
+    for i in range(4):
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
+    cold, cold_file = store.cold, tmp_path / "fsimage2"
+    size = cold_file.stat().st_size
+    seen = []
+
+    def before(record):  # runs before the tombstone is written
+        seen.append((record, cold_file.stat().st_size))
+
+    assert cold.take("/nope", before) is None and seen == []
+    assert cold.take("/f0", before) == MetadataRecord("/f0", 10, 0, 0, 1)
+    assert seen == [(MetadataRecord("/f0", 10, 0, 0, 1), size)]
+    assert "/f0" not in cold and len(cold) == 0
+    assert cold_file.read_bytes()[size:] == b"TOMB /f0\n"
+    assert cold.take("/f0", before) is None
+    store.close()
+
+
+def test_a_pass_holds_at_most_100_bytes_per_evicted_record(tmp_path):
+    # the pass holds paths and offsets, not a record and a line per evicted
+    # record; the cold index the spill grows is counted too
+    store = make_store(tmp_path, threshold=1_000_000, window=10_000)
+    for i in range(40_000):
+        store.create(f"/s/{i:07d}", 1 + i)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        event = store.separate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert event.evicted_count == 30_000 and len(store.hot) == 10_000
+    assert peak / event.evicted_count <= 100, f"{peak / event.evicted_count:.1f} B"
     store.close()
 
 

@@ -143,8 +143,10 @@ def test_replay_rejects_malformed_line(tmp_path):
         (f"CREATE /a {MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1} 0\n",
          "line 1: 1048577 blocks exceeds"),
         ("CREATE /a 5 0\nCREATE relative 5 1\n", "line 2: path is not absolute"),
+        ("CREATE /a 1 9223372036854775808\n",
+         "line 1: tick is above 9223372036854775807: 9223372036854775808"),
     ],
-    ids=["duplicate-create", "past-tick", "too-large", "bad-path"],
+    ids=["duplicate-create", "past-tick", "too-large", "bad-path", "tick-above-int64"],
 )
 def test_replay_names_the_line_of_a_refused_event(tmp_path, text, what):
     trace = tmp_path / "t"

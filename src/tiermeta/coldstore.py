@@ -22,7 +22,8 @@ checks the line it reads, and everything else reads ``path + "\\t"`` with
 at most half full, removed slots counted, and shrinks to fit when fewer
 than 1/8 of its slots are live, down to 16 slots: an entry costs 32-64 B
 (a path-keyed dict cost 114-236 B). A cold ``get`` is one probe and one
-readline; a promotion (:meth:`ColdStore.take`) adds one tombstone.
+readline; a promotion (:meth:`ColdStore.take`) adds one tombstone, and a
+delete is one probe, one ``os.pread`` and one tombstone.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -34,13 +35,12 @@ import os
 from array import array
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     ColdStoreWriteFailureError,
     CompactionAbortedError,
     CorruptImageError,
-    NotFoundError,
 )
 from .namespace import MetadataRecord
 from .recordio import decode_record, encode_record
@@ -274,21 +274,22 @@ class ColdStore:
         os.fsync(self._file.fileno())
         return os.fstat(self._file.fileno()).st_size
 
-    def delete(self, path: str) -> None:
-        """Tombstone ``path``; the tombstone is flushed before returning."""
+    def delete(self, path: str) -> bool:
+        """Tombstone ``path`` in one probe, the tombstone flushed before
+        returning; returns whether ``path`` was live (if not, nothing is written)."""
         slot = self._find(path)[0]
         if slot < 0:
-            raise NotFoundError(f"{path} not in cold store")
+            return False
         self._tombstone(path, slot)
+        return True
 
-    def take(self, path: str, before: Callable[[MetadataRecord], object]) -> MetadataRecord | None:
+    def take(self, path: str) -> MetadataRecord | None:
         """Remove and return ``path``'s live record (None if none) in one probe;
-        ``before`` gets it before the tombstone, and if it raises, nothing changes."""
+        if the tombstone cannot be written, nothing changes."""
         slot, line = self._find(path, read_line=True)
         if slot < 0:
             return None
         record = self._decode(line, self._offs[slot])
-        before(record)
         self._tombstone(path, slot)
         return record
 

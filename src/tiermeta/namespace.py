@@ -80,7 +80,8 @@ class MetadataRecord:
 
 
 class LogicalClock:
-    """Monotone tick counter; one tick per event, starting at 0."""
+    """The next tick to take, starting at 0; an operation that succeeds moves
+    it past its own tick (see :class:`tiermeta.tiering.TieredStore`)."""
 
     __slots__ = ("now",)
 
@@ -88,22 +89,6 @@ class LogicalClock:
         if start < 0:
             raise ValueError("clock cannot start below 0")
         self.now = start
-
-    def tick(self) -> int:
-        """Consume and return the current tick."""
-        t = self.now
-        self.now = t + 1
-        return t
-
-    def tick_at(self, t: int) -> int:
-        """Consume an externally supplied tick, e.g. from a trace or log.
-
-        The tick must not lie in the past; the clock jumps past it.
-        """
-        if t < self.now:
-            raise ValueError(f"tick {t} is in the past (clock is at {self.now})")
-        self.now = t + 1
-        return t
 
 
 def validate_path(path: str) -> None:
@@ -208,32 +193,23 @@ class HotStore:
         ``last_access`` and ``count`` columns a slot indexes, to read only."""
         return self._slots.items(), self._last_access, self._count
 
-    def slot(self, path: str) -> int | None:
-        """The slot of ``path``, or None if it is not hot."""
-        return self._slots.get(path)
-
-    def touch(self, slot: int, tick: int) -> None:
-        """Count an access at ``tick`` to the file in ``slot``."""
-        self._last_access[slot] = tick
-        self._count[slot] += 1
-
     def create(self, path: str, length: int, tick: int) -> MetadataRecord:
         """Insert a new file's record, creation counting as its first access,
         and return a snapshot; past ``MAX_BLOCKS_PER_FILE`` blocks raise
         FileTooLargeError first. The tiered store validates the path."""
-        if path in self._slots:
-            raise PathExistsError(f"path already exists: {path}")
         block_count(length)
         record = MetadataRecord(path, length, tick if length else 0, tick, 1)
         self.insert(record)
         return record
 
-    def access(self, path: str, tick: int) -> None:
-        """Bump a hot record's access bookkeeping."""
+    def access(self, path: str, tick: int) -> bool:
+        """Count an access at ``tick`` to ``path`` if it is hot; returns whether it was."""
         slot = self._slots.get(path)
         if slot is None:
-            raise NotInHotTierError(f"not in hot tier: {path}")
-        self.touch(slot, tick)
+            return False
+        self._last_access[slot] = tick
+        self._count[slot] += 1
+        return True
 
     def insert(self, record: MetadataRecord) -> None:
         """Insert an existing record, e.g. a promotion from the cold tier."""

@@ -14,6 +14,9 @@ response line per request.
 
     errors                   -> ERR EXISTS|NOTFOUND|BADREQ <message>
 
+An unexpected error (a failed edits log append, say) is answered ``ERR
+BADREQ internal error: <reason>`` and stops the server without a checkpoint.
+
 Concurrency model: ``socketserver.ThreadingTCPServer`` gives every
 connection a thread of its own, which reads a request, handles it while
 holding one lock shared by all connections, and writes the reply. Requests
@@ -149,9 +152,10 @@ class _Connection(socketserver.StreamRequestHandler):
                 with self.server._store_lock:
                     try:
                         response, quitting = self.server._dispatch(line)
-                    except Exception as exc:  # keep serving no matter what
-                        logger.exception("request failed: %r", line)
-                        response, quitting = f"ERR BADREQ internal error: {exc}", False
+                    except Exception as exc:  # the store may now hold what no edit records
+                        logger.exception("request failed, stopping: %r", line)
+                        response, quitting = f"ERR BADREQ internal error: {exc}", True
+                        self.server._stopping = self.server.failed = True
                 self.wfile.write((response + "\n").encode("utf-8"))
                 if quitting:
                     self.server.shutdown()
@@ -173,8 +177,10 @@ class MetadataServer(socketserver.ThreadingTCPServer):
         self.bound_port = self.server_address[1]
         # held by whichever connection is handling a request; see _Connection
         self._store_lock = threading.Lock()
-        # set, under _store_lock, once the final checkpoint is written
+        # set, under _store_lock, once the final checkpoint is written or (with
+        # failed) a request has failed and none will be
         self._stopping = False
+        self.failed = False
         self._thread: threading.Thread | None = None
 
     def start(self) -> None:
@@ -199,7 +205,8 @@ class MetadataServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
     def _close_store(self) -> None:
-        """Write the final checkpoint unless QUIT already did, then close the store.
+        """Write the final checkpoint unless QUIT already did or a request
+        failed, then close the store.
 
         Taking the request lock waits out a request still running on some
         connection, and setting ``_stopping`` turns away any that follow.
@@ -290,7 +297,8 @@ def serve(
 
     SIGINT/SIGTERM stop the server the same way QUIT does; both paths end
     with a checkpoint, so a served directory never needs log replay on the
-    next start unless the process was killed outright.
+    next start unless the process was killed outright, or a request failed:
+    then no checkpoint is written and TierMetaError is raised.
     """
     store = open_store(data_dir, config)
     server = MetadataServer(store, host, port)
@@ -309,4 +317,6 @@ def serve(
             signal.signal(signum, handler)
         server.shutdown()
         server._close_store()
+    if server.failed:
+        raise TierMetaError("a request failed; stopped without a checkpoint")
     print("checkpointed, bye", flush=True)

@@ -34,7 +34,6 @@ from .namespace import (
     HotStore,
     LogicalClock,
     MetadataRecord,
-    block_count,
     estimate_memory,
     validate_path,
 )
@@ -124,26 +123,27 @@ class TieredStore:
 
     # -- namespace operations -------------------------------------------
     #
-    # Live requests and replay share one body per operation (_create,
-    # _resolve, _delete). Each takes ``at``: None for a live request, which
-    # consumes the clock's next tick, or a replayed event's own tick. The
-    # tick is consumed only once every check that can refuse the operation
-    # has passed, so a refused operation consumes none. Live requests also
-    # append the edit; replay does not. An applied CREATE or DELETE, live or
-    # replayed, is followed by the threshold check (_check_threshold).
+    # Live requests and replay run one body per operation (_create, _resolve,
+    # _delete) through _apply, with the event's tick: the clock's for a live
+    # request, the logged or traced one on replay. Only once the body has
+    # returned does _apply move the clock past that tick, so a refused or
+    # failed operation takes none. Live requests then append the edit; replay
+    # does not. An applied CREATE or DELETE, live or replayed, is followed by
+    # the threshold check (_check_threshold).
 
     def create(self, path: str, length: int) -> MetadataRecord:
-        record = self._create(path, length, None)
-        self._log(OpEvent(OP_CREATE, path, record.last_access, length))
+        event = OpEvent(OP_CREATE, path, self.clock.now, length)
+        record = self._apply(event)
+        self._log(event)
         self._check_threshold()
         return record
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        self._resolve(path, None)
-        record = self.hot.get(path)
-        self._log(OpEvent(OP_ACCESS, path, record.last_access))
-        return record
+        event = OpEvent(OP_ACCESS, path, self.clock.now)
+        self._apply(event)
+        self._log(event)
+        return self.hot.get(path)
 
     def stat(self, path: str) -> tuple[MetadataRecord, str]:
         """Read-only lookup: no tick, no count bump, no promotion."""
@@ -156,8 +156,9 @@ class TieredStore:
         raise NotFoundError(f"no such path: {path}")
 
     def delete(self, path: str) -> None:
-        tick = self._delete(path, None)
-        self._log(OpEvent(OP_DELETE, path, tick))
+        event = OpEvent(OP_DELETE, path, self.clock.now)
+        self._apply(event)
+        self._log(event)
         self._check_threshold()
 
     def apply_event(self, event: OpEvent) -> None:
@@ -166,17 +167,11 @@ class TieredStore:
         Accesses resolve through both tiers, so replay reproduces promotions;
         a CREATE or DELETE is followed by the threshold check, as live.
         """
-        op = event.op
-        if op == OP_ACCESS:
-            self._resolve(event.path, event.tick)
-        elif op == OP_CREATE:
-            self._create(event.path, event.length, event.tick)
+        if event.tick < self.clock.now:
+            raise ValueError(f"tick {event.tick} is in the past (clock is at {self.clock.now})")
+        self._apply(event)
+        if event.op != OP_ACCESS:
             self._check_threshold()
-        elif op == OP_DELETE:
-            self._delete(event.path, event.tick)
-            self._check_threshold()
-        else:
-            raise ValueError(f"unknown operation {op!r}")
 
     # -- separation ------------------------------------------------------
 
@@ -239,69 +234,71 @@ class TieredStore:
 
     # -- internals -------------------------------------------------------
 
-    def _tick(self, at: int | None) -> int:
-        """Consume the clock's next tick (``at`` None) or the event tick ``at``."""
-        return self.clock.tick() if at is None else self.clock.tick_at(at)
+    def _apply(self, event: OpEvent) -> MetadataRecord | None:
+        """Run ``event``'s body at its tick, then move the clock past it."""
+        op = event.op
+        if op == OP_ACCESS:
+            result = self._resolve(event.path, event.tick)
+        elif op == OP_CREATE:
+            result = self._create(event.path, event.length, event.tick)
+        elif op == OP_DELETE:
+            result = self._delete(event.path)
+        else:
+            raise ValueError(f"unknown operation {op!r}")
+        self.clock.now = event.tick + 1
+        return result
 
-    def _create(self, path: str, length: int, at: int | None) -> MetadataRecord:
-        # HotStore.create checks the hot tier and the block limit again; they
-        # are checked here too because the tick must wait for them.
+    def _create(self, path: str, length: int, tick: int) -> MetadataRecord:
         validate_path(path)
-        if path in self.hot:
-            raise PathExistsError(f"path already exists: {path}")
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
-        block_count(length)
-        record = self.hot.create(path, length, self._tick(at))
+        record = self.hot.create(path, length, tick)
         self.metrics.creates += 1
         self.metrics.observe_hot_size(len(self.hot))
         return record
 
-    def _resolve(self, path: str, at: int | None) -> None:
+    def _resolve(self, path: str, tick: int) -> None:
         """Count an access to a file in either tier; promote it if cold."""
-        slot = self.hot.slot(path)
-        if slot is not None:
-            self.hot.touch(slot, self._tick(at))
+        if self.hot.access(path, tick):
             self.metrics.hot_hits += 1
             return
-
-        def bump(record: MetadataRecord) -> None:  # a refused tick writes no tombstone
-            record.last_access = self._tick(at)
-            record.count += 1
-
-        record = self.cold.take(path, bump)
+        record = self.cold.take(path)
         if record is None:
             self.metrics.misses += 1
             raise NotFoundError(f"no such path: {path}")
+        record.last_access = tick
+        record.count += 1
         self.hot.insert(record)
         self.metrics.cold_hits += 1
         self.metrics.observe_hot_size(len(self.hot))
 
-    def _delete(self, path: str, at: int | None) -> int:
-        """Remove a path from whichever tier holds it; returns the tick taken."""
+    def _delete(self, path: str) -> None:
+        """Remove a path from whichever tier holds it."""
         if path in self.hot:
-            tick = self._tick(at)
             self.hot.remove(path)
-        elif path in self.cold:
-            tick = self._tick(at)
-            self.cold.delete(path)
-        else:
+        elif not self.cold.delete(path):
             raise NotFoundError(f"no such path: {path}")
         self.metrics.deletes += 1
-        return tick
 
     def _check_threshold(self) -> None:
         """Separate at the threshold; commit the pass if the store has an image.
 
-        It runs after the edit is logged, so the checkpoint covers that edit.
-        A pass whose spill fails leaves both tiers as they were; the edit
-        stands, and the next CREATE or DELETE tries the pass again.
+        It runs after the edit is logged, so the checkpoint covers that edit,
+        and neither failure below fails it. A pass whose spill fails leaves
+        both tiers as they were, and the next CREATE or DELETE tries the pass
+        again. If the checkpoint fails, the log still holds every edit since
+        the last image, so recovery re-runs the pass.
         """
         try:
-            if self.maybe_separate() is not None and self.image_path is not None:
-                self.checkpoint(self.image_path)
+            event = self.maybe_separate()
         except ColdStoreWriteFailureError as exc:
             logger.warning("separation failed; the next CREATE or DELETE tries again: %s", exc)
+            return
+        if event is not None and self.image_path is not None:
+            try:
+                self.checkpoint(self.image_path)
+            except OSError as exc:
+                logger.warning("checkpoint after a pass failed; edits.log keeps its edits: %s", exc)
 
     def _log(self, event: OpEvent) -> None:
         if self.edits is not None:

@@ -29,6 +29,20 @@ def opened_files(monkeypatch):
     return watch
 
 
+class FailingFile:
+    """Write-through wrapper that fails after leaking a partial write."""
+
+    def __init__(self, real):
+        self._real = real
+
+    def write(self, data):
+        self._real.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
 class Client:
     """Minimal line-protocol client: one request line, one response line."""
 

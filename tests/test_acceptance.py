@@ -11,6 +11,7 @@ import random
 import threading
 import time
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
@@ -19,7 +20,7 @@ from tiermeta.cli import main as cli_main
 from tiermeta.coldstore import ColdStore
 from tiermeta.errors import NotFoundError, PathExistsError
 from tiermeta.fsimage import load_fsimage, save_fsimage
-from tiermeta.namespace import HotStore, LogicalClock, MetadataRecord, estimate_memory
+from tiermeta.namespace import HotStore, MetadataRecord, estimate_memory
 from tiermeta.server import IMAGE_NAME, MetadataServer, open_store
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
@@ -209,15 +210,16 @@ def test_criterion_4_tier_invariants_under_fuzz(tmp_path):
 def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     # image: save -> load -> save is byte-identical
     rng = random.Random(99)
-    clock = LogicalClock()
+    ticks = count()
     store = HotStore()
     for i in range(500):
-        store.create(f"/i/{rng.randrange(10**6):06d}x{i}", rng.randrange(10**10), clock.tick())
+        store.create(f"/i/{rng.randrange(10**6):06d}x{i}", rng.randrange(10**10), next(ticks))
     for record in rng.sample(sorted(store.paths()), 200):
-        store.access(record, clock.tick())
+        store.access(record, next(ticks))
     first, second = tmp_path / "img1", tmp_path / "img2"
-    save_fsimage(store, first, clock.now, 0)
-    save_fsimage(load_fsimage(first), second, clock.now, 0)
+    now = next(ticks)
+    save_fsimage(store, first, now, 0)
+    save_fsimage(load_fsimage(first), second, now, 0)
     assert first.read_bytes() == second.read_bytes()
 
     # checkpoint + edits replay equals live state, 100 randomized traces,
@@ -253,11 +255,10 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     # cold store: scan-built index agrees across reopen
     rng = random.Random(7)
     cold = ColdStore(tmp_path / "fsimage2")
-    clock = LogicalClock()
     maker = HotStore()
     live_cold = {}
     for i in range(300):
-        record = maker.create(f"/c/{i:04d}", i, clock.tick())
+        record = maker.create(f"/c/{i:04d}", i, i)
         cold.append_records([record])
         live_cold[record.path] = record
         if rng.random() < 0.33:

@@ -14,7 +14,7 @@ from tiermeta import cli, coldstore
 from tiermeta.cli import _build_parser, _resolve_knobs, _tiering_config, main
 from tiermeta.coldstore import ColdStore
 from tiermeta.fsimage import save_fsimage
-from tiermeta.namespace import HotStore, LogicalClock
+from tiermeta.namespace import HotStore
 from tiermeta.recordio import encode_record
 from tiermeta.server import COLD_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieringConfig
@@ -223,10 +223,9 @@ def test_compact_refuses_the_cold_file_of_a_store(tmp_path, capsys):
 
 def test_broken_pipe_dies_quietly(tmp_path):
     # enough records that inspect must overflow a 64 KiB pipe buffer
-    clock = LogicalClock()
     store = HotStore()
     for i in range(3000):
-        store.create(f"/p/{i:05d}", 100, clock.tick())
+        store.create(f"/p/{i:05d}", 100, i)
     cold = ColdStore(tmp_path / "c")
     cold.append_records(list(store))
     cold.close()

@@ -6,6 +6,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from tiermeta.coldstore import ColdStore
+from tiermeta.editlog import OP_ACCESS, OP_CREATE, OpEvent
 from tiermeta.errors import (
     FileTooLargeError,
     InvalidPathError,
@@ -25,7 +27,7 @@ from tiermeta.namespace import (
     split_blocks,
     validate_path,
 )
-from tiermeta.tiering import partition_records
+from tiermeta.tiering import TieredStore, partition_records
 
 MIB = 1024 * 1024
 
@@ -77,13 +79,20 @@ def test_split_block_arithmetic(n_blocks, tail, tick):
         assert all(0 <= r < DATANODE_COUNT for r in b.replicas)
 
 
-def test_clock_ticks_once_per_event():
-    clock = LogicalClock()
-    assert [clock.tick() for _ in range(3)] == [0, 1, 2]
-    assert clock.tick_at(10) == 10
-    assert clock.now == 11
+def test_clock_ticks_once_per_event(tmp_path):
+    store = TieredStore(ColdStore(tmp_path / "c2"))
+    store.create("/a", 1)
+    store.open("/a")
+    store.delete("/a")
+    assert store.clock.now == 3
+    store.apply_event(OpEvent(OP_CREATE, "/b", 10, 1))  # a replayed tick: the clock jumps past it
+    assert store.clock.now == 11
+    with pytest.raises(ValueError, match=r"tick 5 is in the past \(clock is at 11\)"):
+        store.apply_event(OpEvent(OP_ACCESS, "/b", 5))
+    assert store.clock.now == 11 and store.hot.get("/b").count == 1
+    store.close()
     with pytest.raises(ValueError):
-        clock.tick_at(5)
+        LogicalClock(-1)
 
 
 def test_path_validation():
@@ -131,8 +140,8 @@ def test_store_rejections():
     store.create("/x", 1, tick=0)
     with pytest.raises(PathExistsError):
         store.create("/x", 1, tick=1)
-    with pytest.raises(NotInHotTierError):
-        store.access("/missing", tick=2)
+    assert store.access("/missing", tick=2) is False
+    assert "/missing" not in store
     with pytest.raises(NotInHotTierError):
         store.remove("/missing")
     with pytest.raises(ValueError):
@@ -145,27 +154,26 @@ def test_store_against_dict_model():
     rng = random.Random(11)
     store = HotStore()
     model: dict[str, list[int]] = {}  # path -> [last_access, count]
-    clock = LogicalClock()
+    now = 0  # the next tick
     for _ in range(2000):
         path = f"/m/{rng.randrange(40)}"
         op = rng.random()
         if op < 0.4:
             if path in model:
                 with pytest.raises(PathExistsError):
-                    store.create(path, 1, clock.now)
+                    store.create(path, 1, now)
             else:
-                t = clock.tick()
-                store.create(path, rng.randrange(10**9), t)
-                model[path] = [t, 1]
+                store.create(path, rng.randrange(10**9), now)
+                model[path] = [now, 1]
+                now += 1
         elif op < 0.8:
             if path in model:
-                t = clock.tick()
-                store.access(path, t)
-                model[path][0] = t
+                assert store.access(path, now) is True
+                model[path][0] = now
                 model[path][1] += 1
+                now += 1
             else:
-                with pytest.raises(NotInHotTierError):
-                    store.access(path, clock.now)
+                assert store.access(path, now) is False
         else:
             if path in model:
                 store.remove(path)

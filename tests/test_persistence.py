@@ -7,8 +7,10 @@ import re
 import sys
 import tracemalloc
 from array import array
+from itertools import count
 
 import pytest
+from conftest import FailingFile
 from hypothesis import example, given, strategies as st
 
 from tiermeta import coldstore
@@ -28,7 +30,6 @@ from tiermeta.namespace import (
     BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
     HotStore,
-    LogicalClock,
     MetadataRecord,
 )
 from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
@@ -248,10 +249,9 @@ def test_loaded_store_holds_no_more_than_the_one_saved(tmp_path):
 def sample_store(n=5):
     """A hot store of ``n + 1`` ticks' history; its clock is at ``n + 1``."""
     store = HotStore()
-    clock = LogicalClock()
     for i in range(n):
-        store.create(f"/s/{i:03d}", i * 1000, clock.tick())
-    store.access("/s/001", clock.tick())
+        store.create(f"/s/{i:03d}", i * 1000, i)
+    store.access("/s/001", n)
     return store
 
 
@@ -631,8 +631,7 @@ def test_an_image_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path):
 
 def cold_records(n, prefix="/c"):
     store = HotStore()
-    clock = LogicalClock()
-    return [store.create(f"{prefix}/{i:04d}", i * 10, clock.tick()) for i in range(n)]
+    return [store.create(f"{prefix}/{i:04d}", i * 10, i) for i in range(n)]
 
 
 def test_cold_append_get_delete(tmp_path):
@@ -719,20 +718,6 @@ def test_cold_compaction_abort_leaves_file_intact(tmp_path, monkeypatch):
     assert not (tmp_path / "c2.tmp").exists()
     assert cold.get("/c/0005") is not None
     cold.close()
-
-
-class FailingFile:
-    """Write-through wrapper that fails after leaking a partial write."""
-
-    def __init__(self, real):
-        self._real = real
-
-    def write(self, data):
-        self._real.write(data[: len(data) // 2])
-        raise OSError("disk full")
-
-    def __getattr__(self, name):
-        return getattr(self._real, name)
 
 
 def test_cold_append_is_all_or_nothing(tmp_path):
@@ -874,8 +859,8 @@ def test_a_torn_last_cold_record_is_dropped(tmp_path, caplog):
 
 def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
     path = tmp_path / "c2"
-    store, clock = HotStore(), LogicalClock()
-    records = [store.create(p, 10, clock.tick()) for p in ("/c1", "/c10", "/c2")]
+    store = HotStore()
+    records = [store.create(p, 10, i) for i, p in enumerate(("/c1", "/c10", "/c2"))]
     complete = b"".join(encode_record(r).encode() + b"\n" for r in records)
     path.write_bytes(complete + b"TOMB /c1")  # cut from "TOMB /c10\n"
     cold = ColdStore(path)
@@ -936,21 +921,19 @@ def _cold_scenario(directory):
     what each one gave, and the file compaction leaves."""
     directory.mkdir()
     path = directory / "c2"
-    store, clock = HotStore(), LogicalClock()
-    c1, c10, c2, c3 = (store.create(p, 10 * i + 1, clock.tick())
+    store, ticks = HotStore(), count()
+    c1, c10, c2, c3 = (store.create(p, 10 * i + 1, next(ticks))
                        for i, p in enumerate(["/c1", "/c10", "/c2", "/c3"]))
-    bulk = [store.create(f"/d/{i:02d}", 1, clock.tick()) for i in range(30)]
+    bulk = [store.create(f"/d/{i:02d}", 1, next(ticks)) for i in range(30)]
     seen = {}
     cold = ColdStore(path)
     cold.append_records([c1, c10, c2, c3])
     seen["in"] = [p in cold for p in ("/c1", "/c10", "/c100", "/c", "/c2")]
     seen["get"] = [cold.get(p) for p in ("/c10", "/c100")]
-    cold.delete("/c1")
+    seen["deleted"] = [cold.delete("/c1"), cold.delete("/c1")]
     seen["after delete"] = ["/c1" in cold, cold.get("/c1"), cold.get("/c10"), cold.paths()]
-    with pytest.raises(NotFoundError):
-        cold.delete("/c1")
     cold.append_records([c1])  # the same path again, after its tombstone
-    newer_c3 = MetadataRecord(c3.path, c3.length, c3.created, clock.tick(), 99)
+    newer_c3 = MetadataRecord(c3.path, c3.length, c3.created, next(ticks), 99)
     cold.append_records([newer_c3] + bulk)  # a later line wins without a tombstone
     seen["grown"] = [len(cold), cold.get("/c3"), cold.paths()]
     for record in bulk[2:]:
@@ -969,6 +952,7 @@ def _cold_scenario(directory):
 def test_colliding_cold_keys_change_no_result(tmp_path, monkeypatch):
     apart = _cold_scenario(tmp_path / "apart")
     assert apart["in"] == [True, True, False, False, True]
+    assert apart["deleted"] == [True, False]  # a second delete finds nothing
     assert apart["after delete"][:2] == [False, None]
     assert apart["reopened"][1] == ["/c10", "/c1", "/c3", "/d/00", "/d/01"]
     assert apart["reopened"][2][2].count == 99

@@ -10,9 +10,10 @@ import threading
 import time
 
 import pytest
-from conftest import GOLDEN_SESSION, Client, fuzz_client, parse_ok
+from conftest import GOLDEN_SESSION, Client, FailingFile, fuzz_client, parse_ok
 
 from tiermeta import coldstore, editlog, recordio, tiering
+from tiermeta.cli import main as cli_main
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent
 from tiermeta.errors import (ColdStoreWriteFailureError, CorruptImageError, CorruptLogError,
@@ -173,23 +174,49 @@ def test_a_request_line_past_the_bound_is_refused_and_keeps_the_connection(runni
     client.close()
 
 
-def test_internal_error_answers_and_keeps_the_connection(running_server, monkeypatch):
-    server = running_server()
-    client = Client(server.bound_port)
-    assert client.ask("CREATE /e 1") == "OK created /e"
-    real_open = server.store.open
-    failures = []
+def test_an_internal_error_answers_and_stops_serve_without_a_checkpoint(
+        tmp_path, monkeypatch, capsys):
+    # an edit that cannot be logged is not acknowledged, and is not made
+    # durable by a later checkpoint either
+    started = []
+    ready = threading.Event()
+    real_start = MetadataServer.start
 
-    def open_once_broken(path):
-        if not failures:
-            failures.append(path)
-            raise RuntimeError("disk on fire")
-        return real_open(path)
+    def start(self):
+        real_start(self)
+        started.append(self)
+        ready.set()
 
-    monkeypatch.setattr(server.store, "open", open_once_broken)
-    assert client.ask("OPEN /e") == "ERR BADREQ internal error: disk on fire"
-    assert client.ask("OPEN /e") == "OK path=/e length=1 blocks=1 last_access=1 count=2"
-    client.close()
+    monkeypatch.setattr(MetadataServer, "start", start)
+    status = []
+    argv = ["serve", str(tmp_path), "--bind", "127.0.0.1:0", "--threshold", "1000"]
+    thread = threading.Thread(target=lambda: status.append(cli_main(argv)))
+    thread.start()
+    try:
+        assert ready.wait(10), "server never started"
+        client = Client(started[0].bound_port)
+        assert client.ask("CREATE /a 1") == "OK created /a"
+        started[0].store.edits._writer = FailingFile(started[0].store.edits._writer)
+        assert client.ask("CREATE /b 1") == "ERR BADREQ internal error: disk full"
+        thread.join(10)
+        assert not thread.is_alive(), "the server kept serving"
+        assert client.f.readline() == ""  # the connection is closed
+        client.close()
+    finally:
+        if started:
+            started[0].shutdown()
+        thread.join(10)
+    assert status == [1]
+    out = capsys.readouterr()
+    assert "checkpointed, bye" not in out.out
+    assert "stopped without a checkpoint" in out.err
+    assert not (tmp_path / IMAGE_NAME).exists()
+    assert (tmp_path / EDITS_NAME).read_text() == "CREATE /a 1 0\n"
+    reopened = open_store(tmp_path)
+    try:
+        assert list(reopened.hot.paths()) == ["/a"]
+    finally:
+        reopened.close()
 
 
 def test_create_past_the_block_limit_is_refused_and_not_logged(running_server, tmp_path):

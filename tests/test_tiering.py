@@ -6,13 +6,16 @@ arithmetic, so the integer cross-multiplication in the implementation is
 never trusted with verifying itself.
 """
 
+import errno
+import os
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import FailingFile
 
-from tiermeta import coldstore
+from tiermeta import coldstore, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from tiermeta.errors import (
@@ -32,7 +35,7 @@ from tiermeta.namespace import (
     HotStore,
     MetadataRecord,
 )
-from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
+from tiermeta.server import COLD_NAME, EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig, partition_records
 
 
@@ -213,17 +216,11 @@ def test_take_reads_and_tombstones_a_cold_record_in_one_call(tmp_path):
         store.create(f"/f{i}", 10)  # the 4th spills /f0
     cold, cold_file = store.cold, tmp_path / "fsimage2"
     size = cold_file.stat().st_size
-    seen = []
-
-    def before(record):  # runs before the tombstone is written
-        seen.append((record, cold_file.stat().st_size))
-
-    assert cold.take("/nope", before) is None and seen == []
-    assert cold.take("/f0", before) == MetadataRecord("/f0", 10, 0, 0, 1)
-    assert seen == [(MetadataRecord("/f0", 10, 0, 0, 1), size)]
+    assert cold.take("/nope") is None and cold_file.stat().st_size == size
+    assert cold.take("/f0") == MetadataRecord("/f0", 10, 0, 0, 1)
     assert "/f0" not in cold and len(cold) == 0
     assert cold_file.read_bytes()[size:] == b"TOMB /f0\n"
-    assert cold.take("/f0", before) is None
+    assert cold.take("/f0") is None
     store.close()
 
 
@@ -356,6 +353,80 @@ def test_a_create_whose_pass_fails_is_applied_and_logged(tmp_path, caplog):
         ]
     finally:
         reopened.close()
+
+
+def test_a_create_whose_checkpoint_fails_is_applied_and_logged(tmp_path, caplog, monkeypatch):
+    config = TieringConfig(threshold_records=4, recency_window=3)
+    store = open_store(tmp_path, config)
+    for i in range(3):
+        store.create(f"/f{i}", 10)
+
+    def refuse(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tiering, "save_fsimage", refuse)
+    # reaches the threshold; its pass spills /f0, its checkpoint fails, and the create stands
+    assert store.create("/f3", 10).path == "/f3"
+    assert "checkpoint after a pass failed" in caplog.text
+    assert store.cold.paths() == ["/f0"] and len(store.hot) == 3
+    assert not (tmp_path / IMAGE_NAME).exists()
+    logged = (tmp_path / EDITS_NAME).read_text().splitlines()
+    assert [line.split()[1] for line in logged] == [f"/f{i}" for i in range(4)]
+    store.close()
+    monkeypatch.undo()
+    reopened = open_store(tmp_path, config)  # the replayed log runs the pass again
+    try:
+        assert reopened.cold.paths() == ["/f0"]
+        assert sorted(reopened.hot.paths()) == ["/f1", "/f2", "/f3"]
+        assert reopened.clock.now == 4
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("operation", ["open", "delete"])
+def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
+    config = TieringConfig(threshold_records=4, recency_window=3)
+    store = open_store(tmp_path, config)
+    for i in range(4):
+        store.create(f"/f{i}", 10)  # the 4th spills /f0 and checkpoints
+    store.open("/f1")  # an edit in the log
+
+    def state():
+        return (store.clock.now, (tmp_path / EDITS_NAME).read_bytes(),
+                (tmp_path / COLD_NAME).read_bytes(), list(store.hot), store.cold.paths())
+
+    before = state()
+    store.cold._file = FailingFile(store.cold._file)  # the tombstone's write fails
+    with pytest.raises(ColdStoreWriteFailureError):
+        getattr(store, operation)("/f0")
+    assert state() == before
+    store.close()
+
+
+def test_cold_file_reads_per_operation(tmp_path, monkeypatch):
+    store = make_store(tmp_path, threshold=4, window=0)
+    for i in range(4):
+        store.create(f"/f{i}", 10)  # the 4th spills all four
+    reads = []
+    real_pread = os.pread
+
+    def counting_pread(*args):
+        reads.append(args)
+        return real_pread(*args)
+
+    monkeypatch.setattr(coldstore.os, "pread", counting_pread)
+
+    def reads_of(operation, path):
+        reads.clear()
+        operation(path)
+        return len(reads)
+
+    assert reads_of(store.delete, "/f0") == 1  # one probe reads its path back
+    assert reads_of(store.open, "/f1") == 0  # a promotion reads its line through the buffer
+    with pytest.raises(NotFoundError):
+        reads_of(store.delete, "/nope")
+    assert reads == []
+    store.close()
 
 
 def test_separate_on_empty_store_fails(tmp_path):

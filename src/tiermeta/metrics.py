@@ -53,10 +53,20 @@ class MetricsRecorder:
     def lookups(self) -> int:
         return self.hot_hits + self.cold_hits + self.misses
 
-    @property
-    def promotions(self) -> int:
-        # Every cold hit promotes the record back to the hot tier.
-        return self.cold_hits
+    def counters(self) -> dict[str, int]:
+        """The counters REPORT and the experiment summary share, in REPORT's
+        order. Every cold hit promotes the record back to the hot tier."""
+        return {
+            "creates": self.creates,
+            "deletes": self.deletes,
+            "lookups": self.lookups,
+            "hot_hits": self.hot_hits,
+            "cold_hits": self.cold_hits,
+            "misses": self.misses,
+            "promotions": self.cold_hits,
+            "separations": len(self.events),
+            "peak_hot_records": self.peak_hot_records,
+        }
 
 
 @dataclass(frozen=True)
@@ -73,17 +83,9 @@ def build_report(
     final_cold_records: int,
 ) -> ExperimentReport:
     summary: dict[str, object] = {
-        "creates": recorder.creates,
-        "deletes": recorder.deletes,
-        "lookups": recorder.lookups,
-        "hot_hits": recorder.hot_hits,
-        "cold_hits": recorder.cold_hits,
-        "misses": recorder.misses,
-        "promotions": recorder.promotions,
-        "separations": len(recorder.events),
+        **recorder.counters(),
         "total_evicted": sum(e.evicted_count for e in recorder.events),
         "total_freed_bytes_estimate": sum(e.freed_bytes_estimate for e in recorder.events),
-        "peak_hot_records": recorder.peak_hot_records,
         "peak_hot_bytes_estimate": estimate_memory(recorder.peak_hot_records),
         "final_hot_records": final_hot_records,
         "final_cold_records": final_cold_records,

@@ -5,11 +5,12 @@ its simulated block layout derives from plus the two fields the tiering
 policy reads, ``last_access`` (a logical tick) and ``count`` (how many times
 the file has been touched, creation included).
 
-Time is a :class:`LogicalClock`: every namespace-mutating or access event
-consumes exactly one tick, so a given operation sequence always produces the
-same store state. Block ids encode (creation tick, block index), which keeps
-them unique for the life of the namespace and lets a checkpoint-plus-log
-replay mint identical ids without any allocator state in the checkpoint.
+Time is a logical clock, the int ``TieredStore.clock``: every
+namespace-mutating or access event consumes exactly one tick, so a given
+operation sequence always produces the same store state. Block ids encode
+(creation tick, block index), which keeps them unique for the life of the
+namespace and lets a checkpoint-plus-log replay mint identical ids without
+any allocator state in the checkpoint.
 Since a file's blocks follow from its length and creation tick (the block
 size, replication and DataNode count are fixed), a record stores that tick
 and derives its blocks on demand.
@@ -77,18 +78,6 @@ class MetadataRecord:
     def blocks(self) -> tuple[BlockInfo, ...]:
         """The file's blocks, built anew on each read (see :func:`split_blocks`)."""
         return split_blocks(self.length, self.created)
-
-
-class LogicalClock:
-    """The next tick to take, starting at 0; an operation that succeeds moves
-    it past its own tick (see :class:`tiermeta.tiering.TieredStore`)."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start below 0")
-        self.now = start
 
 
 def validate_path(path: str) -> None:

@@ -44,7 +44,8 @@ from .errors import (CorruptImageError, CorruptLogError, NotFoundError, PathExis
                      TierMetaError)
 from .fsimage import load_fsimage, read_commit
 from .metrics import MetricsRecorder
-from .namespace import LogicalClock, MetadataRecord, block_count
+from .namespace import MetadataRecord, block_count
+from .recordio import parse_non_negative_int
 from .tiering import TieredStore, TieringConfig
 
 logger = logging.getLogger(__name__)
@@ -94,7 +95,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     cold = ColdStore(cold_path)
     try:
         store = TieredStore(cold, config, hot=hot)
-        store.clock = LogicalClock(clock)
+        store.clock = clock
         edits = EditsLog(data_dir / EDITS_NAME)
         stale = 0
         for lineno, event in enumerate(edits.entries(), start=1):
@@ -229,10 +230,7 @@ class MetadataServer(socketserver.ThreadingTCPServer):
             if verb == "CREATE":
                 if len(tokens) != 3:
                     return "ERR BADREQ CREATE takes a path and a length", False
-                try:
-                    length = int(tokens[2])
-                except ValueError:
-                    return f"ERR BADREQ length is not an integer: {tokens[2]}", False
+                length = parse_non_negative_int(tokens[2], "length")
                 record = self.store.create(tokens[1], length)
                 return f"OK created {record.path}", False
             if verb == "OPEN":
@@ -270,21 +268,9 @@ class MetadataServer(socketserver.ThreadingTCPServer):
             return f"ERR BADREQ {exc}", False
 
     def _report_line(self) -> str:
-        m = self.store.metrics
-        pairs = (
-            ("hot_records", len(self.store.hot)),
-            ("cold_records", len(self.store.cold)),
-            ("creates", m.creates),
-            ("deletes", m.deletes),
-            ("lookups", m.lookups),
-            ("hot_hits", m.hot_hits),
-            ("cold_hits", m.cold_hits),
-            ("misses", m.misses),
-            ("promotions", m.promotions),
-            ("separations", len(m.events)),
-            ("peak_hot_records", m.peak_hot_records),
-        )
-        return "OK " + " ".join(f"{k}={v}" for k, v in pairs)
+        fields = {"hot_records": len(self.store.hot), "cold_records": len(self.store.cold),
+                  **self.store.metrics.counters()}
+        return "OK " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
 def serve(

@@ -32,7 +32,6 @@ from .namespace import (
     DATANODE_COUNT,
     REPLICATION,
     HotStore,
-    LogicalClock,
     MetadataRecord,
     estimate_memory,
     validate_path,
@@ -114,7 +113,7 @@ class TieredStore:
         self.config = config or TieringConfig()
         self.cold = cold
         self.hot = hot if hot is not None else HotStore()
-        self.clock = LogicalClock()
+        self.clock = 0  # the next tick to take
         # open_store sets both once recovery is done
         self.edits: EditsLog | None = None
         self.image_path: Path | None = None
@@ -124,15 +123,15 @@ class TieredStore:
     # -- namespace operations -------------------------------------------
     #
     # Live requests and replay run one body per operation (_create, _resolve,
-    # _delete) through _apply, with the event's tick: the clock's for a live
+    # _delete) through _apply, with the event's tick: ``clock`` for a live
     # request, the logged or traced one on replay. Only once the body has
-    # returned does _apply move the clock past that tick, so a refused or
+    # returned does _apply set ``clock`` past that tick, so a refused or
     # failed operation takes none. Live requests then append the edit; replay
     # does not. An applied CREATE or DELETE, live or replayed, is followed by
     # the threshold check (_check_threshold).
 
     def create(self, path: str, length: int) -> MetadataRecord:
-        event = OpEvent(OP_CREATE, path, self.clock.now, length)
+        event = OpEvent(OP_CREATE, path, self.clock, length)
         record = self._apply(event)
         self._log(event)
         self._check_threshold()
@@ -140,7 +139,7 @@ class TieredStore:
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        event = OpEvent(OP_ACCESS, path, self.clock.now)
+        event = OpEvent(OP_ACCESS, path, self.clock)
         self._apply(event)
         self._log(event)
         return self.hot.get(path)
@@ -156,7 +155,7 @@ class TieredStore:
         raise NotFoundError(f"no such path: {path}")
 
     def delete(self, path: str) -> None:
-        event = OpEvent(OP_DELETE, path, self.clock.now)
+        event = OpEvent(OP_DELETE, path, self.clock)
         self._apply(event)
         self._log(event)
         self._check_threshold()
@@ -167,8 +166,8 @@ class TieredStore:
         Accesses resolve through both tiers, so replay reproduces promotions;
         a CREATE or DELETE is followed by the threshold check, as live.
         """
-        if event.tick < self.clock.now:
-            raise ValueError(f"tick {event.tick} is in the past (clock is at {self.clock.now})")
+        if event.tick < self.clock:
+            raise ValueError(f"tick {event.tick} is in the past (clock is at {self.clock})")
         self._apply(event)
         if event.op != OP_ACCESS:
             self._check_threshold()
@@ -188,7 +187,7 @@ class TieredStore:
         that write succeeds is the hot tier touched. On failure the store is
         exactly as it was. Returns the event recorded in ``metrics``.
         """
-        now = self.clock.now
+        now = self.clock
         n = len(self.hot)
         total = self.hot.total_access_count()
         kept, evicted = partition_records(self.hot, now, self.config.recency_window, total)
@@ -223,7 +222,7 @@ class TieredStore:
     def checkpoint(self, image_path) -> None:
         """Commit both tiers in one image, then reset the edits log. The cold
         file is fsynced first, so the length the image commits is on disk."""
-        save_fsimage(self.hot, image_path, self.clock.now, self.cold.sync())
+        save_fsimage(self.hot, image_path, self.clock, self.cold.sync())
         if self.edits is not None:
             self.edits.reset()
 
@@ -245,7 +244,7 @@ class TieredStore:
             result = self._delete(event.path)
         else:
             raise ValueError(f"unknown operation {op!r}")
-        self.clock.now = event.tick + 1
+        self.clock = event.tick + 1
         return result
 
     def _create(self, path: str, length: int, tick: int) -> MetadataRecord:

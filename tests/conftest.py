@@ -73,7 +73,7 @@ GOLDEN_SESSION = [
     ("CREATE /a/one 5", "ERR EXISTS path already exists: /a/one"),
     ("OPEN /nope", "ERR NOTFOUND no such path: /nope"),
     ("DELETE /nope", "ERR NOTFOUND no such path: /nope"),
-    ("CREATE /bad notanumber", "ERR BADREQ length is not an integer: notanumber"),
+    ("CREATE /bad notanumber", "ERR BADREQ length is not an integer: 'notanumber'"),
     ("CREATE relative 5", "ERR BADREQ path is not absolute: 'relative'"),
     ("FROB /x", "ERR BADREQ unknown verb 'FROB'"),
     ("OPEN", "ERR BADREQ OPEN takes a path"),

@@ -249,7 +249,7 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
         assert not caplog.records, caplog.text  # no edit was skipped
         assert {r.path: r for r in recovered.hot} == {r.path: r for r in live.hot}
         assert len(recovered.cold) == 0
-        assert recovered.clock.now == live.clock.now
+        assert recovered.clock == live.clock
         recovered.close()
 
     # cold store: scan-built index agrees across reopen

@@ -239,6 +239,15 @@ def test_broken_pipe_dies_quietly(tmp_path):
     assert err == ""
 
 
+def test_importing_one_module_does_not_load_the_whole_package():
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, tiermeta.recordio; print(*sorted(sys.modules))"],
+        stdout=subprocess.PIPE, text=True, check=True, timeout=30,
+    ).stdout.split()
+    assert "tiermeta.recordio" in loaded
+    assert "tiermeta.server" not in loaded and "socketserver" not in loaded
+
+
 def test_serve_rejects_bad_bind(tmp_path, capsys):
     for bind in ("nope", "127.0.0.1:x", ":123"):
         code, _, err = run(capsys, "serve", str(tmp_path), "--bind", bind)

@@ -33,7 +33,7 @@ def test_counters_and_peak():
     assert (m.creates, m.deletes) == (10, 1)
     assert (m.hot_hits, m.cold_hits, m.misses) == (6, 3, 1)
     assert m.lookups == 10
-    assert m.promotions == m.cold_hits == 3
+    assert m.counters()["promotions"] == m.cold_hits == 3
     assert m.peak_hot_records == 9
     assert [e.tick for e in m.events] == [100, 200]
     assert m.events[0].evicted_fraction == 0.25

@@ -21,7 +21,6 @@ from tiermeta.namespace import (
     MAX_BLOCKS_PER_FILE,
     REPLICATION,
     HotStore,
-    LogicalClock,
     MetadataRecord,
     estimate_memory,
     split_blocks,
@@ -84,15 +83,13 @@ def test_clock_ticks_once_per_event(tmp_path):
     store.create("/a", 1)
     store.open("/a")
     store.delete("/a")
-    assert store.clock.now == 3
+    assert store.clock == 3
     store.apply_event(OpEvent(OP_CREATE, "/b", 10, 1))  # a replayed tick: the clock jumps past it
-    assert store.clock.now == 11
+    assert store.clock == 11
     with pytest.raises(ValueError, match=r"tick 5 is in the past \(clock is at 11\)"):
         store.apply_event(OpEvent(OP_ACCESS, "/b", 5))
-    assert store.clock.now == 11 and store.hot.get("/b").count == 1
+    assert store.clock == 11 and store.hot.get("/b").count == 1
     store.close()
-    with pytest.raises(ValueError):
-        LogicalClock(-1)
 
 
 def test_path_validation():

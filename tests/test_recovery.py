@@ -21,7 +21,7 @@ def tiers(store):
     def fields(records):
         return {r.path: (r.length, r.created, r.last_access, r.count) for r in records}
 
-    return fields(store.hot), fields(store.cold.records()), store.clock.now
+    return fields(store.hot), fields(store.cold.records()), store.clock
 
 
 def reopened_tiers(data_dir, config=CONFIG):

@@ -233,6 +233,20 @@ def test_create_past_the_block_limit_is_refused_and_not_logged(running_server, t
     assert (tmp_path / EDITS_NAME).read_text() == "CREATE /ok 1 0\n"
 
 
+def test_a_create_length_in_any_form_but_plain_decimal_is_refused(running_server, tmp_path):
+    server = running_server()
+    client = Client(server.bound_port)
+    for length, reason in [("1_000", "is not an integer: '1_000'"),
+                           ("+7", "is not an integer: '+7'"),
+                           ("007", "is not an integer: '007'"),
+                           ("٥", "is not an integer: '٥'"),
+                           ("-1", "is negative: -1")]:
+        assert client.ask(f"CREATE /f {length}") == f"ERR BADREQ length {reason}"
+    assert client.ask("CREATE /f 1000") == "OK created /f"
+    client.close()
+    assert (tmp_path / EDITS_NAME).read_text() == "CREATE /f 1000 0\n"
+
+
 def test_concurrent_sessions_are_serializable(running_server, tmp_path):
     server = running_server(threshold=50, window=37)
     errors: list[str] = []
@@ -342,7 +356,7 @@ def test_quit_checkpoints_and_recovery_restores(tmp_path):
         state = {r.path: (r.length, r.count) for r in recovered.hot}
         assert state == {"/r0": (1, 2), "/r1": (2, 1), "/r2": (3, 2), "/r3": (4, 1)}
         assert len(recovered.cold) == 0
-        assert recovered.clock.now > max(r.last_access for r in recovered.hot)
+        assert recovered.clock > max(r.last_access for r in recovered.hot)
     finally:
         recovered.close()
 
@@ -366,7 +380,7 @@ def test_recovery_without_final_checkpoint_replays_edits(tmp_path):
     try:
         state = {r.path: (r.length, r.count, r.last_access) for r in recovered.hot}
         assert state == {"/x": (10, 2, 2)}
-        assert recovered.clock.now == 4  # past the DELETE tick
+        assert recovered.clock == 4  # past the DELETE tick
     finally:
         recovered.close()
 
@@ -377,7 +391,7 @@ def test_replayed_delete_of_cold_path_is_not_skipped(tmp_path, caplog):
     for i in range(100):
         store.create(f"/d/{i:03d}", 10)  # the 100th spills and checkpoints
     victim = store.cold.paths()[0]
-    delete_tick = store.clock.now
+    delete_tick = store.clock
     store.delete(victim)
     store.close()  # no checkpoint: the DELETE lives only in the log and its tombstone
 
@@ -389,7 +403,7 @@ def test_replayed_delete_of_cold_path_is_not_skipped(tmp_path, caplog):
             assert "skipping unreplayable edit" not in caplog.text
             assert victim not in recovered.cold and victim not in recovered.hot
             assert len(recovered.hot) + len(recovered.cold) == 99
-            assert recovered.clock.now == delete_tick + 1
+            assert recovered.clock == delete_tick + 1
         finally:
             recovered.close()
 
@@ -515,7 +529,7 @@ def test_clock_restarts_at_the_image_clock(tmp_path):
     write_store_dir(tmp_path, {"/h/a": 5, "/h/b": 7}, cold, ("/c/dead",), clock=25)
     store = open_store(tmp_path)
     try:
-        assert store.clock.now == 25
+        assert store.clock == 25
     finally:
         store.close()
 
@@ -539,7 +553,7 @@ def test_a_spill_before_the_first_image_is_rolled_back(tmp_path, caplog):
         ]
         assert sorted(recovered.hot.paths()) == ["/a", "/b"]
         assert len(recovered.cold) == 0
-        assert recovered.clock.now == 2
+        assert recovered.clock == 2
         assert recovered.create("/c", 10).created == 2
     finally:
         recovered.close()
@@ -575,7 +589,7 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
         assert len(parsed) == len(edits)
         assert sorted(store.hot.paths()) == ["/h/0", "/h/2", "/h/3", "/h/4", "/n/0", "/n/1"]
         assert len(store.cold) == 6
-        assert store.clock.now == 24
+        assert store.clock == 24
         assert store.edits.last_tick == 23
         with pytest.raises(OutOfOrderEditError):
             store.edits.append(OpEvent("ACCESS", "/n/0", 23))
@@ -616,7 +630,7 @@ def test_bad_last_access_in_a_live_cold_line_fails_its_first_read(tmp_path, valu
     offset = rewrite_cold_field(tmp_path, 1, 4, value)
     store = open_store(tmp_path)  # opening decodes no cold line
     try:
-        assert store.clock.now == 3
+        assert store.clock == 3
         assert store.stat("/c/a")[0].last_access == 1
         with pytest.raises(CorruptImageError, match=f"{COLD_NAME}: offset {offset}: {reason}"):
             store.open("/c/b")
@@ -629,7 +643,7 @@ def test_bad_last_access_in_a_tombstoned_cold_line_is_not_read(tmp_path):
     rewrite_cold_field(tmp_path, 0, 4, b"x")
     store = open_store(tmp_path)
     try:
-        assert store.clock.now == 3
+        assert store.clock == 3
         assert store.cold.paths() == ["/c/b"]
     finally:
         store.close()
@@ -641,7 +655,7 @@ def test_a_cold_line_in_the_v2_form_fails_its_first_read(running_server, tmp_pat
     v2_blocks = "1048576@10@1@0;1"
     rewrite_cold_field(tmp_path, 0, 6, v2_blocks.encode())
     server = running_server()  # opening decodes no cold line
-    assert server.store.clock.now == 3
+    assert server.store.clock == 3
     problem = f"{tmp_path / COLD_NAME}: offset 0: created is not an integer: '{v2_blocks}'"
     with pytest.raises(CorruptImageError, match=re.escape(problem)):
         server.store.cold.get("/c/bad")

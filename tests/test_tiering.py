@@ -10,12 +10,13 @@ import errno
 import os
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from conftest import FailingFile
 
-from tiermeta import coldstore, tiering
+from tiermeta import coldstore, recordio, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from tiermeta.errors import (
@@ -187,10 +188,10 @@ def test_promotion_round_trip(tmp_path):
     record = store.open("/f0")  # promotes
     assert record.path == "/f0"
     assert record.count == before.count + 1  # the promoting access counts
-    assert record.last_access == store.clock.now - 1
+    assert record.last_access == store.clock - 1
     assert "/f0" in store.hot and "/f0" not in store.cold
     assert store.metrics.cold_hits == 1
-    assert store.metrics.promotions == 1
+    assert store.metrics.counters()["promotions"] == 1
     store.close()
 
 
@@ -203,7 +204,7 @@ def test_a_replayed_access_with_a_past_tick_leaves_a_cold_path_cold(tmp_path):
         store.apply_event(OpEvent(OP_ACCESS, "/f0", 1))
     assert (tmp_path / "fsimage2").read_bytes() == cold_file  # no tombstone
     assert "/f0" in store.cold and "/f0" not in store.hot
-    assert store.clock.now == 4 and store.metrics.cold_hits == 0
+    assert store.clock == 4 and store.metrics.cold_hits == 0
     store.apply_event(OpEvent(OP_ACCESS, "/f0", 9))  # a tick that is not past promotes
     assert store.hot.get("/f0") == MetadataRecord("/f0", 10, 0, 9, 2)
     assert "/f0" not in store.cold
@@ -246,7 +247,7 @@ def test_stat_is_read_only(tmp_path):
     store = make_store(tmp_path, threshold=4, window=3)
     for i in range(4):
         store.create(f"/f{i}", 10)  # the 4th spills /f0
-    clock_before = store.clock.now
+    clock_before = store.clock
     record, tier = store.stat("/f0")
     assert tier == "cold"
     assert record.count == 1
@@ -254,7 +255,7 @@ def test_stat_is_read_only(tmp_path):
     record, tier = store.stat("/f3")
     assert tier == "hot"
     assert record.count == 1  # no bump
-    assert store.clock.now == clock_before  # no tick
+    assert store.clock == clock_before  # no tick
     with pytest.raises(NotFoundError):
         store.stat("/nope")
     store.close()
@@ -278,7 +279,7 @@ def test_refused_operations_consume_no_tick(tmp_path):
     store.create("/b", 1)  # its pass, window 0 and equal counts: both go cold
     store.open("/b")  # promotes
     assert "/a" in store.cold and "/b" in store.hot
-    assert store.clock.now == 3
+    assert store.clock == 3
     too_large = MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1
     refused = [
         (FileTooLargeError, store.create, "/big", too_large),
@@ -292,7 +293,7 @@ def test_refused_operations_consume_no_tick(tmp_path):
     for error, operation, *args in refused:
         with pytest.raises(error):
             operation(*args)
-        assert store.clock.now == 3
+        assert store.clock == 3
     store.create("/c", 1)
     store.close()
     assert [e.tick for e in EditsLog(tmp_path / "edits.log").entries()] == [0, 1, 2, 3]
@@ -378,7 +379,7 @@ def test_a_create_whose_checkpoint_fails_is_applied_and_logged(tmp_path, caplog,
     try:
         assert reopened.cold.paths() == ["/f0"]
         assert sorted(reopened.hot.paths()) == ["/f1", "/f2", "/f3"]
-        assert reopened.clock.now == 4
+        assert reopened.clock == 4
     finally:
         reopened.close()
 
@@ -392,7 +393,7 @@ def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
     store.open("/f1")  # an edit in the log
 
     def state():
-        return (store.clock.now, (tmp_path / EDITS_NAME).read_bytes(),
+        return (store.clock, (tmp_path / EDITS_NAME).read_bytes(),
                 (tmp_path / COLD_NAME).read_bytes(), list(store.hot), store.cold.paths())
 
     before = state()
@@ -403,29 +404,69 @@ def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
     store.close()
 
 
-def test_cold_file_reads_per_operation(tmp_path, monkeypatch):
-    store = make_store(tmp_path, threshold=4, window=0)
-    for i in range(4):
-        store.create(f"/f{i}", 10)  # the 4th spills all four
-    reads = []
-    real_pread = os.pread
+def test_file_io_per_operation(tmp_path, monkeypatch):
+    """What each operation reads, writes, syncs, renames and decodes, on a
+    store with an image: a change of work too small for wall time shows here."""
+    store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
+    for path in ("/f0", "/f1", "/f2", "/f3", "/h"):
+        store.create(path, 10)  # the 4th spills all four and checkpoints
+    calls = Counter()
 
-    def counting_pread(*args):
-        reads.append(args)
-        return real_pread(*args)
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(coldstore.os, "pread", counting_pread)
+    monkeypatch.setattr(coldstore.os, "pread", counting("pread", os.pread))
+    monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+    monkeypatch.setattr(os, "replace", counting("replace", os.replace))
+    monkeypatch.setattr(recordio, "decode_record", counting("decode", recordio.decode_record))
+    monkeypatch.setattr(coldstore, "decode_record", counting("decode", coldstore.decode_record))
+    real_append = EditsLog.append
 
-    def reads_of(operation, path):
-        reads.clear()
-        operation(path)
-        return len(reads)
+    def appending(log, event):  # a checkpoint empties the log, so count each append
+        before = log.path.stat().st_size
+        real_append(log, event)
+        calls["edits_bytes"] += log.path.stat().st_size - before
 
-    assert reads_of(store.delete, "/f0") == 1  # one probe reads its path back
-    assert reads_of(store.open, "/f1") == 0  # a promotion reads its line through the buffer
-    with pytest.raises(NotFoundError):
-        reads_of(store.delete, "/nope")
-    assert reads == []
+    monkeypatch.setattr(EditsLog, "append", appending)
+    cold_path = tmp_path / COLD_NAME
+
+    def io_of(operation, *args):
+        calls.clear()
+        cold_before = cold_path.stat().st_size
+        operation(*args)
+        return (calls["pread"], cold_path.stat().st_size - cold_before, calls["edits_bytes"],
+                calls["fsync"], calls["replace"], calls["decode"])
+
+    def delete_unknown():
+        with pytest.raises(NotFoundError):
+            store.delete("/nope")
+
+    table = {"hot OPEN": io_of(store.open, "/h"),
+             "promotion": io_of(store.open, "/f0"),
+             "hot STAT": io_of(store.stat, "/h"),
+             "cold STAT": io_of(store.stat, "/f1"),
+             "hot DELETE": io_of(store.delete, "/h"),
+             "cold DELETE": io_of(store.delete, "/f1"),
+             "unknown DELETE": io_of(delete_unknown),
+             "CREATE, no pass": io_of(store.create, "/g0", 10)}
+    store.create("/g1", 10)
+    table["CREATE, pass and checkpoint"] = io_of(store.create, "/g2", 10)
+    # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes
+    assert table == {
+        "hot OPEN": (0, 0, 12, 0, 0, 0),
+        "promotion": (0, 9, 13, 0, 0, 1),  # the line is read through the buffer; a tombstone
+        "hot STAT": (0, 0, 0, 0, 0, 0),
+        "cold STAT": (0, 0, 0, 0, 0, 1),
+        "hot DELETE": (0, 0, 12, 0, 0, 0),
+        "cold DELETE": (1, 9, 13, 0, 0, 0),  # one probe reads its path back; a tombstone
+        "unknown DELETE": (0, 0, 0, 0, 0, 0),
+        "CREATE, no pass": (0, 0, 16, 0, 0, 0),
+        # three records spilled; fsimage2 and the image synced, the image renamed
+        "CREATE, pass and checkpoint": (0, 76, 17, 2, 1, 0),
+    }
     store.close()
 
 
@@ -563,7 +604,7 @@ def test_live_and_replay_agree(tmp_path):
         assert list(replica.hot) == list(live.hot)
         assert sorted(replica.cold.paths()) == sorted(live.cold.paths())
         assert all(replica.cold.get(p) == live.cold.get(p) for p in live.cold.paths())
-        assert replica.clock.now == live.clock.now
+        assert replica.clock == live.clock
         for counter in ("creates", "deletes", "cold_hits", "events"):
             assert getattr(replica.metrics, counter) == getattr(live.metrics, counter)
         assert live.metrics.events, "threshold 30 must force separations"
@@ -601,7 +642,7 @@ def test_the_store_runs_the_threshold_check_itself(tmp_path):
             assert outcomes[0] == outcomes[1], where
             if outcomes[0] != "ok":
                 continue
-            replica.apply_event(OpEvent(op, path, plain.clock.now - 1, *args[1:]))
+            replica.apply_event(OpEvent(op, path, plain.clock - 1, *args[1:]))
             for store in (replica, served):
                 assert list(store.hot.paths()) == list(plain.hot.paths()), where
                 assert store.metrics.events == plain.metrics.events, where
@@ -617,7 +658,7 @@ def test_the_store_runs_the_threshold_check_itself(tmp_path):
             assert event.hot_size_before >= threshold, where
             assert len(plain.hot) == event.hot_size_before - event.evicted_count, where
             assert (data_dir / EDITS_NAME).read_bytes() == b"", where
-            assert read_commit(data_dir / IMAGE_NAME)[0] == served.clock.now, where
+            assert read_commit(data_dir / IMAGE_NAME)[0] == served.clock, where
         assert len(plain.metrics.events) > 5, "the sequence must reach the threshold often"
         for store in (plain, replica, served):
             store.close()

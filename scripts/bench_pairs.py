@@ -14,13 +14,21 @@ repeated, so an interrupted series resumes where it stopped.
 For each workload and end-to-end metric the output holds both sides'
 median and quartiles (inclusive method), each run's value, and how many
 pairs each side won by the metric's ``better`` direction; a tie counts for
-neither.
+neither. It also holds the no-regression verdict:
+
+- ``better_by``: how much better the change's median is than the parent's,
+  as a share of the parent's, in the ``better`` direction (negative: worse);
+- ``within_bound``: whether ``better_by`` is at least ``-bound``;
+- ``unresolved``: whether the parent's interquartile range over its median
+  exceeds the bound while not every change run is better than every parent
+  run; the runs then spread too widely to call the metric unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -46,6 +54,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def share(part: float, whole: float) -> float:
+    """``part`` as a share of ``|whole|``; infinite for a nonzero part of 0."""
+    if whole:
+        return part / abs(whole)
+    return math.copysign(math.inf, part) if part else 0.0
+
+
+def verdict(p: dict, c: dict, sign: int, bound: float) -> dict:
+    """The no-regression verdict from the parent's and the change's
+    :func:`quartiles`; ``sign`` is 1 when higher is better, else -1."""
+    better_by = share(sign * (c["median"] - p["median"]), p["median"])
+    every_run_better = min(sign * v for v in c["runs"]) > max(sign * v for v in p["runs"])
+    return {"better_by": better_by, "within_bound": better_by >= -bound,
+            "unresolved": share(p["q3"] - p["q1"], p["median"]) > bound and not every_run_better}
+
+
 def summarize(bench: dict, runs: list[dict]) -> dict:
     workloads = {}
     for w in bench["workloads"]:
@@ -65,11 +89,12 @@ def summarize(bench: dict, runs: list[dict]) -> dict:
                       for s in SIDES}
             sign = 1 if m["better"] == "higher" else -1
             diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            q = {s: quartiles(values[s]) for s in SIDES}
             row["metrics"][m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                **{s: quartiles(values[s]) for s in SIDES},
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"], **q,
                 "pairs_won": {"change": sum(d > 0 for d in diffs),
                               "parent": sum(d < 0 for d in diffs)},
+                **verdict(q["parent"], q["change"], sign, m["bound"]),
             }
         workloads[name] = row
     return workloads

@@ -252,16 +252,18 @@ class ColdStore:
                 raise ColdStoreWriteFailureError(f"append of {what} failed: {exc}") from exc
             raise
 
-    def append_records(self, records: Iterable[MetadataRecord]) -> None:
+    def append_records(self, records: Iterable[tuple[str, int, int, int, int]]) -> None:
         """Append records atomically: on failure the file is restored to its
-        previous size and the index is untouched. Each line goes through the
-        file's buffer; only paths and offsets are kept until the flush."""
+        previous size and the index is untouched. A record is anything
+        :func:`encode_record` takes, a :meth:`~tiermeta.namespace.HotStore.rows`
+        row included. Each line goes through the file's buffer; only paths and
+        offsets are kept until the flush."""
         paths, offsets = [], array("q")
         with self._appending("records") as offset:
             for record in records:
                 line = encode_record(record).encode("utf-8") + b"\n"
                 self._file.write(line)
-                paths.append(record.path)
+                paths.append(record[0])
                 offsets.append(offset)
                 offset += len(line)
         if 2 * (self._used + len(paths)) > len(self._keys):

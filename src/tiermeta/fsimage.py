@@ -18,7 +18,7 @@ import os
 from pathlib import Path
 
 from . import recordio
-from .errors import CorruptImageError
+from .errors import CorruptImageError, PathExistsError
 from .namespace import HotStore
 
 HEADER_MAGIC = "FSIMAGE"
@@ -35,7 +35,7 @@ def save_fsimage(store: HotStore, dest: str | Path, clock: int, cold_end: int) -
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
             f.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {len(paths)} {clock} {cold_end}\n")
             for row in store.rows(paths):  # no record built
-                f.write(recordio.encode_row(*row) + "\n")
+                f.write(recordio.encode_record(row) + "\n")
             f.flush()
             os.fsync(f.fileno())
     except OSError:
@@ -98,9 +98,11 @@ def load_fsimage(src: str | Path) -> HotStore:
                     f"{src}: line {lineno}: last_access {record.last_access} "
                     f"is not below the clock {clock}"
                 )
-            if record.path in store:
-                raise CorruptImageError(f"{src}: line {lineno}: duplicate path {record.path}")
-            store.insert(record)
+            try:
+                store.insert(record)
+            except PathExistsError:
+                raise CorruptImageError(
+                    f"{src}: line {lineno}: duplicate path {record.path}") from None
     if len(store) != expected:
         raise CorruptImageError(f"{src}: header says {expected} records, file has {len(store)}")
     return store

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     FileTooLargeError,
@@ -59,14 +59,13 @@ class BlockInfo:
     replicas: tuple[int, ...]
 
 
-@dataclass(slots=True)
-class MetadataRecord:
-    """A snapshot of one file's namespace entry, as a record line holds it.
+class MetadataRecord(NamedTuple):
+    """An immutable snapshot of one file's namespace entry, as a record line
+    holds it, in the field order of a :meth:`HotStore.rows` row.
 
     :class:`HotStore` keeps the fields in columns, so a record does not follow
     later accesses. :attr:`blocks` derives the blocks from ``length`` and the
-    creation tick ``created`` (0 for an empty file, which has none). Only
-    ``last_access`` and ``count`` change, and both only grow."""
+    creation tick ``created`` (0 for an empty file, which has none)."""
 
     path: str
     length: int
@@ -169,7 +168,8 @@ class HotStore:
 
     def rows(self, paths: Iterable[str]) -> Iterator[tuple[str, int, int, int, int]]:
         """``(path, length, created, last_access, count)`` of each of ``paths``,
-        in :class:`MetadataRecord`'s field order, read 512 at a time."""
+        read 512 at a time: a plain tuple in :class:`MetadataRecord`'s field
+        order, which :func:`~tiermeta.recordio.encode_record` writes as it is."""
         paths = iter(paths)
         columns = (self._length, self._created, self._last_access, self._count)
         while chunk := list(islice(paths, 512)):
@@ -202,19 +202,20 @@ class HotStore:
 
     def insert(self, record: MetadataRecord) -> None:
         """Insert an existing record, e.g. a promotion from the cold tier."""
-        if record.path in self._slots:
-            raise PathExistsError(f"path already exists: {record.path}")
+        path, length, created, last_access, count = record
+        if path in self._slots:
+            raise PathExistsError(f"path already exists: {path}")
         if self._free:
             slot = self._free.pop()
-            self._length[slot], self._created[slot] = record.length, record.created
-            self._last_access[slot], self._count[slot] = record.last_access, record.count
+            self._length[slot], self._created[slot] = length, created
+            self._last_access[slot], self._count[slot] = last_access, count
         else:
             slot = len(self._count)
-            self._length.append(record.length)
-            self._created.append(record.created)
-            self._last_access.append(record.last_access)
-            self._count.append(record.count)
-        self._slots[record.path] = slot
+            self._length.append(length)
+            self._created.append(created)
+            self._last_access.append(last_access)
+            self._count.append(count)
+        self._slots[path] = slot
 
     def remove(self, path: str) -> None:
         slot = self._slots.pop(path, None)

@@ -27,14 +27,10 @@ _REPLICATION_TEXT = str(REPLICATION)
 _GEOMETRY = f"\t{BLOCK_SIZE}\t{REPLICATION}\t"
 
 
-def encode_record(record: MetadataRecord) -> str:
-    """Serialize one record to its line form (no trailing newline)."""
-    return encode_row(record.path, record.length, record.created, record.last_access,
-                      record.count)
-
-
-def encode_row(path: str, length: int, created: int, last_access: int, count: int) -> str:
-    """The line of a record given by its fields, in :class:`MetadataRecord`'s order."""
+def encode_record(record: tuple[str, int, int, int, int]) -> str:
+    """The line of a record (no trailing newline): a :class:`MetadataRecord`,
+    or a :meth:`~tiermeta.namespace.HotStore.rows` row in its field order."""
+    path, length, created, last_access, count = record
     return f"{path}\t{length}{_GEOMETRY}{last_access}\t{count}\t{created}"
 
 

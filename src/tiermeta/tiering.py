@@ -198,7 +198,7 @@ class TieredStore:
                 "hot tier stays above the threshold", now, n, mean,
             )
         else:
-            self.cold.append_records(MetadataRecord(*row) for row in self.hot.rows(evicted))
+            self.cold.append_records(self.hot.rows(evicted))
             for path in evicted:
                 self.hot.remove(path)
         event = SeparationEvent(
@@ -265,9 +265,8 @@ class TieredStore:
         if record is None:
             self.metrics.misses += 1
             raise NotFoundError(f"no such path: {path}")
-        record.last_access = tick
-        record.count += 1
         self.hot.insert(record)
+        self.hot.access(path, tick)
         self.metrics.cold_hits += 1
         self.metrics.observe_hot_size(len(self.hot))
 

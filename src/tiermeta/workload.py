@@ -24,7 +24,6 @@ from .coldstore import ColdStore
 from .editlog import OP_ACCESS, OP_CREATE, parse_op_line
 from .errors import (
     FileTooLargeError,
-    InvalidPathError,
     InvalidSpecError,
     MalformedTraceError,
     NotFoundError,
@@ -45,7 +44,7 @@ ACCESS_SKEW = 1.0
 MEAN_FILE_LENGTH = 64 * 1024
 
 # What apply_event raises for an event the store refuses: a bad trace line.
-_REFUSALS = (ValueError, PathExistsError, InvalidPathError, FileTooLargeError)
+_REFUSALS = (ValueError, PathExistsError, FileTooLargeError)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,7 @@
 """The summary that scripts/bench_pairs.py writes from a series of paired runs."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,9 @@ def run(side, seed, value, failed=0, attempted=100, correct=True, traced=False):
                        "metrics": {"lo": {"value": value}, "hi": {"value": value}}}}
 
 
-def series(**change_overrides):
-    runs = [run("parent", seed, v) for seed, v in zip(bench_pairs.SEEDS, PARENT)]
-    runs += [run("change", seed, v) for seed, v in zip(bench_pairs.SEEDS, CHANGE)]
+def series(parent=PARENT, change=CHANGE, **change_overrides):
+    runs = [run("parent", seed, v) for seed, v in zip(bench_pairs.SEEDS, parent)]
+    runs += [run("change", seed, v) for seed, v in zip(bench_pairs.SEEDS, change)]
     # a traced run is not one of the pairs, whatever its seed and values
     runs.append(run("change", bench_pairs.SEEDS[0], 1e9, failed=100, correct=False,
                     traced=True))
@@ -62,3 +63,40 @@ def test_failed_share_and_correctness_are_the_worst_run_of_each_side():
 def test_a_run_that_attempted_nothing_has_a_failed_share_of_zero():
     row = bench_pairs.summarize(BENCH, series(failed=0, attempted=0))["w"]
     assert row["failed_share_max"] == {"parent": 0.0, "change": 0.0}
+
+
+def verdicts(parent, change):
+    metrics = bench_pairs.summarize(BENCH, series(parent, change))["w"]["metrics"]
+    return {name: (pytest.approx(m["better_by"]), m["within_bound"], m["unresolved"])
+            for name, m in metrics.items()}
+
+
+# a parent whose interquartile range is 2% of its median
+STEADY = [99.0, 99.0, 99.0, 100.0, 100.0, 100.0, 100.0, 101.0, 101.0, 101.0]
+
+
+def test_a_steady_parent_resolves_the_verdict_each_way():
+    # better_by, within_bound, unresolved
+    assert verdicts(STEADY, [v * 0.8 for v in STEADY]) == {
+        "lo": (0.2, True, False), "hi": (-0.2, True, False)}
+    assert verdicts(STEADY, [v * 1.3 for v in STEADY]) == {
+        "lo": (-0.3, False, False), "hi": (0.3, True, False)}
+
+
+def test_a_parent_spread_past_the_bound_leaves_the_verdict_unresolved():
+    # PARENT's interquartile range is 4.5 over a median of 5.5
+    assert verdicts(PARENT, CHANGE) == {
+        "lo": (0.5 / 5.5, True, True), "hi": (-0.5 / 5.5, True, True)}
+
+
+def test_every_change_run_beating_every_parent_run_resolves_a_wide_spread():
+    higher = [v + 10 for v in PARENT]  # the least of these beats the greatest parent run
+    assert verdicts(PARENT, higher) == {
+        "lo": (-10 / 5.5, False, True), "hi": (10 / 5.5, True, False)}
+
+
+def test_a_parent_median_of_zero_gives_an_infinite_share():
+    zeros = [0.0] * 10
+    assert verdicts(zeros, zeros) == {"lo": (0.0, True, False), "hi": (0.0, True, False)}
+    assert verdicts(zeros, [1.0] * 10) == {
+        "lo": (-math.inf, False, False), "hi": (math.inf, True, False)}

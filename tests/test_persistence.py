@@ -36,7 +36,6 @@ from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import (
     decode_record,
-    encode_row,
     encode_record,
     parse_non_negative_int,
 )
@@ -57,7 +56,7 @@ def test_record_line_format_is_pinned():
     store.access("/data/report.txt", tick=50)
     record = store.get("/data/report.txt")
     assert encode_record(record) == GOLDEN_LINE
-    assert [encode_row(*row) for row in store.rows(["/data/report.txt"])] == [GOLDEN_LINE]
+    assert [encode_record(row) for row in store.rows(["/data/report.txt"])] == [GOLDEN_LINE]
     assert decode_record(GOLDEN_LINE) == record
 
 
@@ -192,7 +191,7 @@ def test_records_hold_only_strings_and_ints(tmp_path):
     store.close()
     assert store.metrics.counters()["promotions"] == 1 and loaded == created
     for record in (created, loaded, promoted):
-        # a slotted instance refers to its class and to each field's value
+        # a record refers to its class and to each field's value
         fields = [value for value in gc.get_referents(record) if value is not MetadataRecord]
         assert len(fields) == 5 and record.path in fields
         assert {type(value) for value in fields} == {str, int}, fields
@@ -342,7 +341,9 @@ ONE_BLOCK = "\t10\t67108864\t3\t5\t1\t5"
         ("FSIMAGE v4 2 1 0\n" + EMPTY_A, "header says 2"),
         ("FSIMAGE v4 1 1 0\n" + EMPTY_A + EMPTY_A.replace("/a", "/b"), "header says 1"),
         ("FSIMAGE v4 1 1 0\ngarbage line\n", "line 2"),
-        ("FSIMAGE v4 2 1 0\n" + EMPTY_A + EMPTY_A, "duplicate"),
+        ("FSIMAGE v4 2 1 0\n" + EMPTY_A + EMPTY_A, "line 3: duplicate path /a$"),
+        ("FSIMAGE v4 3 6 0\n" + EMPTY_A + "/b" + ONE_BLOCK + "\n" + EMPTY_A,
+         "line 4: duplicate path /a$"),
         ("FSIMAGE v4 1 1 0\n" + EMPTY_A[:-1], "truncated"),
         ("FSIMAGE v4 1 6 0\n/a" + BLOCK_SIZE_1024 + "\n",
          "line 2: block_size is '1024', not the fixed 67108864"),
@@ -654,8 +655,8 @@ def test_cold_append_get_delete(tmp_path):
 
 def test_cold_latest_entry_wins(tmp_path):
     cold = ColdStore(tmp_path / "c2")
-    old, new = cold_records(1)[0], cold_records(1)[0]
-    new.count = 99
+    old = cold_records(1)[0]
+    new = old._replace(count=99)
     cold.append_records([old])
     cold.append_records([new])
     assert cold.get(old.path).count == 99

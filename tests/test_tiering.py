@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from conftest import FailingFile
 
-from tiermeta import coldstore, recordio, tiering
+from tiermeta import coldstore, editlog, recordio, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import OP_ACCESS, OP_CREATE, OP_DELETE, EditsLog, OpEvent
 from tiermeta.errors import (
@@ -192,6 +192,25 @@ def test_promotion_round_trip(tmp_path):
     assert "/f0" in store.hot and "/f0" not in store.cold
     assert store.metrics.cold_hits == 1
     assert store.metrics.counters()["promotions"] == 1
+    store.close()
+
+
+def test_a_record_handed_out_is_a_snapshot(tmp_path):
+    """A record keeps its values while its file is opened again, and refuses
+    assignment, from either tier."""
+    store = make_store(tmp_path, threshold=4, window=3)
+    for i in range(4):
+        store.create(f"/f{i}", 10)  # the 4th spills /f0
+    records = [store.stat("/f0")[0], store.cold.get("/f0"), store.stat("/f3")[0],
+               store.open("/f3")]
+    before = [repr(record) for record in records]
+    store.open("/f0")  # promotes
+    store.open("/f0")
+    store.open("/f3")
+    assert [repr(record) for record in records] == before
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.count = 99
     store.close()
 
 
@@ -404,70 +423,145 @@ def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
     store.close()
 
 
-def test_file_io_per_operation(tmp_path, monkeypatch):
-    """What each operation reads, writes, syncs, renames and decodes, on a
-    store with an image: a change of work too small for wall time shows here."""
-    store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
-    for path in ("/f0", "/f1", "/f2", "/f3", "/h"):
-        store.create(path, 10)  # the 4th spills all four and checkpoints
+@pytest.fixture
+def file_io(monkeypatch):
+    """A Counter of the store's file work while the test runs: ``os.pread``,
+    ``os.fsync`` and ``os.replace`` calls, ``decode_record``, ``encode_record``
+    and ``parse_op_line`` calls, and bytes appended to ``edits.log``."""
     calls = Counter()
 
-    def counting(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
+    def count(module, name, key):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(coldstore.os, "pread", counting("pread", os.pread))
-    monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
-    monkeypatch.setattr(os, "replace", counting("replace", os.replace))
-    monkeypatch.setattr(recordio, "decode_record", counting("decode", recordio.decode_record))
-    monkeypatch.setattr(coldstore, "decode_record", counting("decode", coldstore.decode_record))
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(os, "pread", "pread")
+    count(os, "fsync", "fsync")
+    count(os, "replace", "replace")
+    for module in (recordio, coldstore):
+        count(module, "decode_record", "decode")
+        count(module, "encode_record", "encode")
+    count(editlog, "parse_op_line", "parse")
     real_append = EditsLog.append
 
     def appending(log, event):  # a checkpoint empties the log, so count each append
-        before = log.path.stat().st_size
+        before = log.path.stat().st_size if log.path.exists() else 0
         real_append(log, event)
         calls["edits_bytes"] += log.path.stat().st_size - before
 
     monkeypatch.setattr(EditsLog, "append", appending)
-    cold_path = tmp_path / COLD_NAME
+    return calls
 
-    def io_of(operation, *args):
-        calls.clear()
-        cold_before = cold_path.stat().st_size
-        operation(*args)
-        return (calls["pread"], cold_path.stat().st_size - cold_before, calls["edits_bytes"],
-                calls["fsync"], calls["replace"], calls["decode"])
+
+def io_of(calls, store, operation, *args):
+    """What ``operation(*args)`` on ``store`` does to its files: ``os.pread``
+    calls, bytes onto ``fsimage2`` and onto ``edits.log``, ``os.fsync`` and
+    ``os.replace`` calls, and ``decode_record`` and ``encode_record`` calls."""
+    calls.clear()
+    cold_before = store.cold.path.stat().st_size
+    operation(*args)
+    return (calls["pread"], store.cold.path.stat().st_size - cold_before, calls["edits_bytes"],
+            calls["fsync"], calls["replace"], calls["decode"], calls["encode"])
+
+
+def test_file_io_per_operation(tmp_path, file_io):
+    """What each operation reads, writes, syncs, renames, decodes and encodes,
+    on a store with an image: a change of work too small for wall time shows here."""
+    store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
+    for path in ("/f0", "/f1", "/f2", "/f3", "/h"):
+        store.create(path, 10)  # the 4th spills all four and checkpoints
 
     def delete_unknown():
         with pytest.raises(NotFoundError):
             store.delete("/nope")
 
-    table = {"hot OPEN": io_of(store.open, "/h"),
-             "promotion": io_of(store.open, "/f0"),
-             "hot STAT": io_of(store.stat, "/h"),
-             "cold STAT": io_of(store.stat, "/f1"),
-             "hot DELETE": io_of(store.delete, "/h"),
-             "cold DELETE": io_of(store.delete, "/f1"),
-             "unknown DELETE": io_of(delete_unknown),
-             "CREATE, no pass": io_of(store.create, "/g0", 10)}
+    table = {"hot OPEN": io_of(file_io, store, store.open, "/h"),
+             "promotion": io_of(file_io, store, store.open, "/f0"),
+             "hot STAT": io_of(file_io, store, store.stat, "/h"),
+             "cold STAT": io_of(file_io, store, store.stat, "/f1"),
+             "hot DELETE": io_of(file_io, store, store.delete, "/h"),
+             "cold DELETE": io_of(file_io, store, store.delete, "/f1"),
+             "unknown DELETE": io_of(file_io, store, delete_unknown),
+             "CREATE, no pass": io_of(file_io, store, store.create, "/g0", 10)}
     store.create("/g1", 10)
-    table["CREATE, pass and checkpoint"] = io_of(store.create, "/g2", 10)
-    # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes
+    table["CREATE, pass and checkpoint"] = io_of(file_io, store, store.create, "/g2", 10)
+    # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes, encodes
     assert table == {
-        "hot OPEN": (0, 0, 12, 0, 0, 0),
-        "promotion": (0, 9, 13, 0, 0, 1),  # the line is read through the buffer; a tombstone
-        "hot STAT": (0, 0, 0, 0, 0, 0),
-        "cold STAT": (0, 0, 0, 0, 0, 1),
-        "hot DELETE": (0, 0, 12, 0, 0, 0),
-        "cold DELETE": (1, 9, 13, 0, 0, 0),  # one probe reads its path back; a tombstone
-        "unknown DELETE": (0, 0, 0, 0, 0, 0),
-        "CREATE, no pass": (0, 0, 16, 0, 0, 0),
-        # three records spilled; fsimage2 and the image synced, the image renamed
-        "CREATE, pass and checkpoint": (0, 76, 17, 2, 1, 0),
+        "hot OPEN": (0, 0, 12, 0, 0, 0, 0),
+        "promotion": (0, 9, 13, 0, 0, 1, 0),  # the line is read through the buffer; a tombstone
+        "hot STAT": (0, 0, 0, 0, 0, 0, 0),
+        "cold STAT": (0, 0, 0, 0, 0, 1, 0),
+        "hot DELETE": (0, 0, 12, 0, 0, 0, 0),
+        "cold DELETE": (1, 9, 13, 0, 0, 0, 0),  # one probe reads its path back; a tombstone
+        "unknown DELETE": (0, 0, 0, 0, 0, 0, 0),
+        "CREATE, no pass": (0, 0, 16, 0, 0, 0, 0),
+        # three records spilled, the one kept written to the image; fsimage2 and
+        # the image synced, the image renamed
+        "CREATE, pass and checkpoint": (0, 76, 17, 2, 1, 0, 4),
     }
     store.close()
+
+
+def test_file_io_per_record(tmp_path, file_io):
+    """How a pass, a checkpoint and a reopen scale with what they handle: each
+    runs at two sizes, so a column that doubles is work per record and one
+    that stays is work per operation."""
+    config = TieringConfig(threshold_records=100, recency_window=0)
+
+    def store_of(name, files):
+        store = open_store(tmp_path / name, config)
+        for i in range(files):
+            store.create(f"/p{i}", 10)  # one block each; no pass below 100
+        return store
+
+    def reopen(store):
+        store.close()
+        file_io.clear()
+        open_store(store.cold.path.parent, config).close()
+        return file_io["pread"], file_io["decode"], file_io["parse"]
+
+    table, reopens = {}, {}
+    for n in (4, 8):
+        store = store_of(f"run{n}", n)
+        table[f"checkpoint of {n}"] = io_of(file_io, store, store.checkpoint, store.image_path)
+        table[f"pass of {n}"] = io_of(file_io, store, store.separate)  # evicts all n
+        store.close()
+        reopens[f"{n} edits"] = reopen(store_of(f"edits{n}", n))
+        store = store_of(f"image{n}", n)
+        store.checkpoint(store.image_path)
+        reopens[f"{n} image records"] = reopen(store)
+        store = store_of(f"cold{n}", n)
+        store.separate()
+        store.checkpoint(store.image_path)
+        reopens[f"{n} cold records"] = reopen(store)
+        store = store_of(f"tombs{n}", n)
+        store.separate()
+        for i in range(n):
+            store.delete(f"/p{i}")
+        store.checkpoint(store.image_path)
+        reopens[f"{n} cold records and {n} tombstones"] = reopen(store)
+    # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes, encodes
+    assert table == {
+        "checkpoint of 4": (0, 0, 0, 2, 1, 0, 4),
+        "checkpoint of 8": (0, 0, 0, 2, 1, 0, 8),
+        "pass of 4": (0, 96, 0, 0, 0, 0, 4),
+        "pass of 8": (0, 192, 0, 0, 0, 0, 8),
+    }
+    # a reopen's pread calls, decode_record calls and parse_op_line calls
+    assert reopens == {
+        "4 edits": (0, 0, 4),
+        "8 edits": (0, 0, 8),
+        "4 image records": (0, 4, 0),
+        "8 image records": (0, 8, 0),
+        "4 cold records": (0, 0, 0),
+        "8 cold records": (0, 0, 0),
+        "4 cold records and 4 tombstones": (4, 0, 0),  # each tombstone reads its path back
+        "8 cold records and 8 tombstones": (8, 0, 0),
+    }
 
 
 def test_separate_on_empty_store_fails(tmp_path):

@@ -6,8 +6,9 @@ Each DIR is a checkout of one commit (``git archive`` or ``git clone``) with
 its own ``perfbench/``. Pair i of ten runs every workload of the change's
 ``BENCHMARK.json`` once on each side with seed 101 + i and the benchmark's
 ``run_seconds``; the side that goes first alternates from pair to pair, and
-no two runs overlap. A traced ``replay-desk`` run at seed 7 on each side then
-gives the per-layer values. Every run's JSON result is appended to
+no two runs overlap. A traced run of each workload at seed 7 on each side
+then gives the per-layer values, under ``traced`` by workload and side.
+Every run's JSON result is appended to
 ``BENCH_N.runs.jsonl`` as it finishes, and a run already there is not
 repeated, so an interrupted series resumes where it stopped.
 
@@ -100,6 +101,17 @@ def summarize(bench: dict, runs: list[dict]) -> dict:
     return workloads
 
 
+def traced_values(runs: list[dict]) -> dict:
+    """``{workload: {side: {metric: value}}}`` from the traced runs at
+    ``TRACED_SEED``."""
+    traced: dict = {}
+    for r in runs:
+        if r["traced"] and r["seed"] == TRACED_SEED:
+            traced.setdefault(r["workload"], {})[r["side"]] = {
+                k: v["value"] for k, v in r["result"]["metrics"].items()}
+    return traced
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -115,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     for i, seed in enumerate(SEEDS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         plan += [(side, w["name"], seed, False) for w in bench["workloads"] for side in order]
-    plan += [(side, "replay-desk", TRACED_SEED, True) for side in SIDES]
+    plan += [(side, w["name"], TRACED_SEED, True) for w in bench["workloads"] for side in SIDES]
     for side, workload, seed, traced in plan:
         if (side, workload, seed, traced) in done:
             continue
@@ -128,14 +140,13 @@ def main(argv: list[str] | None = None) -> int:
             f.write(json.dumps(run) + "\n")
         print(f"{side} {workload} seed={seed} traced={int(traced)} correct={result['correct']}",
               flush=True)
-    traced = {r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()}
-              for r in runs if r["traced"] and r["seed"] == TRACED_SEED}
     out = {
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()},
         "run_seconds": seconds,
         "seeds": SEEDS,
         "workloads": summarize(bench, runs),
-        "traced": {"workload": "replay-desk", "seed": TRACED_SEED, **traced},
+        "traced_seed": TRACED_SEED,
+        "traced": traced_values(runs),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

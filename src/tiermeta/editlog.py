@@ -74,11 +74,16 @@ class EditsLog:
     with no newline), and leaves :attr:`last_tick` at the last entry's tick,
     so the strictly-increasing append precondition survives restarts. A log
     that holds entries refuses :meth:`append` until they have been read.
+
+    :attr:`entry_count` is how many entries the file holds, kept with no
+    read: :meth:`entries` sets it, :meth:`append` adds one and :meth:`reset`
+    zeroes it. The store checkpoints by it (see ``tiering``).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.last_tick = -1
+        self.entry_count = 0
         self._writer = None
         self._end = 0  # the file's length while _writer is open, kept with no syscall
         self._unread = self.path.exists() and self.path.stat().st_size > 0
@@ -105,6 +110,7 @@ class EditsLog:
             raise
         self._end += len(data)
         self.last_tick = event.tick
+        self.entry_count += 1
 
     def entries(self) -> Iterator[OpEvent]:
         """Yield all logged events in order, validating as it goes."""
@@ -112,6 +118,7 @@ class EditsLog:
             return
         last = -1
         offset = 0
+        count = 0
         with open(self.path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.endswith(b"\n"):
@@ -129,8 +136,10 @@ class EditsLog:
                         f"{self.path}: line {lineno}: tick {event.tick} not increasing"
                     )
                 last = event.tick
+                count += 1
                 yield event
         self.last_tick = last
+        self.entry_count = count
         self._unread = False
 
     def reset(self) -> None:
@@ -138,6 +147,7 @@ class EditsLog:
         self.close()
         open(self.path, "w").close()
         self.last_tick = -1
+        self.entry_count = 0
         self._unread = False
 
     def close(self) -> None:

@@ -182,14 +182,13 @@ class HotStore:
         ``last_access`` and ``count`` columns a slot indexes, to read only."""
         return self._slots.items(), self._last_access, self._count
 
-    def create(self, path: str, length: int, tick: int) -> MetadataRecord:
-        """Insert a new file's record, creation counting as its first access,
-        and return a snapshot; past ``MAX_BLOCKS_PER_FILE`` blocks raise
-        FileTooLargeError first. The tiered store validates the path."""
+    def create(self, path: str, length: int, tick: int) -> None:
+        """Insert a new file's record, creation counting as its first access;
+        past ``MAX_BLOCKS_PER_FILE`` blocks raise FileTooLargeError first. No
+        record is built (replay has no use for one): :meth:`get` makes the
+        snapshot. The tiered store validates the path."""
         block_count(length)
-        record = MetadataRecord(path, length, tick if length else 0, tick, 1)
-        self.insert(record)
-        return record
+        self.insert((path, length, tick if length else 0, tick, 1))
 
     def access(self, path: str, tick: int) -> bool:
         """Count an access at ``tick`` to ``path`` if it is hot; returns whether it was."""
@@ -200,8 +199,9 @@ class HotStore:
         self._count[slot] += 1
         return True
 
-    def insert(self, record: MetadataRecord) -> None:
-        """Insert an existing record, e.g. a promotion from the cold tier."""
+    def insert(self, record: tuple[str, int, int, int, int]) -> None:
+        """Insert an existing record, e.g. a promotion from the cold tier: a
+        :class:`MetadataRecord`, or a plain tuple in its field order."""
         path, length, created, last_access, count = record
         if path in self._slots:
             raise PathExistsError(f"path already exists: {path}")

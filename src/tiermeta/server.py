@@ -68,10 +68,16 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     ``fsimage2`` back to ``cold_end`` and replays the log through
     ``apply_event``, which runs the separation rule as the live store ran it,
     so what the cold file gained after the checkpoint is rebuilt. The store's
-    ``edits`` and ``image_path`` are attached only after the replay, so a
-    replayed pass is not checkpointed. An edit whose tick is below the
-    image's clock is in the image already and is skipped; any other edit must
-    apply, or the open fails with CorruptLogError naming its line.
+    ``edits`` and ``image_path`` are attached only after the replay, so the
+    open writes no checkpoint, not even for a replayed pass. An edit whose
+    tick is below the image's clock is in the image already and is skipped;
+    any other edit must apply, or the open fails with CorruptLogError naming
+    its line.
+
+    The store checkpoints once the log holds as many edits as the image holds
+    records, or ``tiering.CHECKPOINT_MIN_EDITS`` if that is more, so the log
+    replayed here is at most about that long. A log already past that length
+    is checkpointed on the store's first logged edit, not by the open.
 
     Only what stays in RAM is decoded: every image record and each edit once,
     and no cold record. The cold index scan checks only that each line is a
@@ -81,10 +87,11 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     image_path, cold_path = data_dir / IMAGE_NAME, data_dir / COLD_NAME
-    hot, clock, cold_end = None, 0, 0
+    hot, clock, cold_end, image_records = None, 0, 0, 0
     if image_path.exists():
         hot = load_fsimage(image_path)
         clock, cold_end = read_commit(image_path)
+        image_records = len(hot)
     size = cold_path.stat().st_size if cold_path.exists() else 0
     if size < cold_end:
         raise CorruptImageError(f"{cold_path} holds {size} bytes, {image_path} commits {cold_end}")
@@ -113,7 +120,7 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
     except BaseException:
         cold.close()  # a store that failed to recover is never handed out
         raise
-    store.edits, store.image_path = edits, image_path
+    store.attach(edits, image_path, image_records)
     # Counters restart with the process; replayed history is not activity.
     store.metrics = MetricsRecorder()
     store.metrics.observe_hot_size(len(store.hot))

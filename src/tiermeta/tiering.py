@@ -3,12 +3,17 @@
 The store runs the separation rule itself. After every CREATE and DELETE it
 applies, live or replayed, it checks the hot tier against a configured
 record threshold. Once the threshold is reached, a separation pass splits
-the hot tier by access history, and a store that has an image checkpoints
-to commit the pass. A record stays hot if it was touched within the
-recency window, or if its access count is strictly above the mean count of
-the whole hot tier at that moment; everything else moves to the cold store.
-A cold record found by a later lookup is promoted straight back, and the
-promotion itself counts as an access.
+the hot tier by access history. A record stays hot if it was touched within
+the recency window, or if its access count is strictly above the mean count
+of the whole hot tier at that moment; everything else moves to the cold
+store. A cold record found by a later lookup is promoted straight back, and
+the promotion itself counts as an access.
+
+A store that has an image checkpoints after a pass, to commit it, and also
+once ``edits.log`` holds as many edits as the last image holds records, or
+``CHECKPOINT_MIN_EDITS`` if that is more. Recovery then replays at most
+about one image load's worth of edits, and the checkpoints cost about one
+image row per logged edit at any namespace size.
 
 The mean comparison is done in exact integer arithmetic
 (``count * n > total``) so a record sitting exactly on the mean is evicted
@@ -38,6 +43,10 @@ from .namespace import (
 )
 
 logger = logging.getLogger(__name__)
+
+# The fewest edits that a log-length checkpoint waits for: a small image is not
+# rewritten every few edits, and this many replay in about 50 ms.
+CHECKPOINT_MIN_EDITS = 10_000
 
 TIER_HOT = "hot"
 TIER_COLD = "cold"
@@ -114,9 +123,12 @@ class TieredStore:
         self.cold = cold
         self.hot = hot if hot is not None else HotStore()
         self.clock = 0  # the next tick to take
-        # open_store sets both once recovery is done
+        # open_store attaches both once recovery is done (see attach)
         self.edits: EditsLog | None = None
         self.image_path: Path | None = None
+        # the edits.log length that runs a checkpoint, fixed when an image is
+        # written or attached
+        self._checkpoint_at = CHECKPOINT_MIN_EDITS
         self.metrics = MetricsRecorder()
         self.metrics.observe_hot_size(len(self.hot))
 
@@ -127,14 +139,15 @@ class TieredStore:
     # request, the logged or traced one on replay. Only once the body has
     # returned does _apply set ``clock`` past that tick, so a refused or
     # failed operation takes none. Live requests then append the edit; replay
-    # does not. An applied CREATE or DELETE, live or replayed, is followed by
-    # the threshold check (_check_threshold).
+    # does not. Every logged edit, and every replayed CREATE or DELETE, is
+    # followed by _check_threshold.
 
     def create(self, path: str, length: int) -> MetadataRecord:
         event = OpEvent(OP_CREATE, path, self.clock, length)
-        record = self._apply(event)
+        self._apply(event)
+        record = self.hot.get(path)  # before the check, whose pass may evict it
         self._log(event)
-        self._check_threshold()
+        self._check_threshold(OP_CREATE)
         return record
 
     def open(self, path: str) -> MetadataRecord:
@@ -142,6 +155,7 @@ class TieredStore:
         event = OpEvent(OP_ACCESS, path, self.clock)
         self._apply(event)
         self._log(event)
+        self._check_threshold(OP_ACCESS)
         return self.hot.get(path)
 
     def stat(self, path: str) -> tuple[MetadataRecord, str]:
@@ -158,7 +172,7 @@ class TieredStore:
         event = OpEvent(OP_DELETE, path, self.clock)
         self._apply(event)
         self._log(event)
-        self._check_threshold()
+        self._check_threshold(OP_DELETE)
 
     def apply_event(self, event: OpEvent) -> None:
         """Apply one trace or log event with its own tick; it is not re-logged.
@@ -170,7 +184,7 @@ class TieredStore:
             raise ValueError(f"tick {event.tick} is in the past (clock is at {self.clock})")
         self._apply(event)
         if event.op != OP_ACCESS:
-            self._check_threshold()
+            self._check_threshold(event.op)
 
     # -- separation ------------------------------------------------------
 
@@ -219,10 +233,18 @@ class TieredStore:
 
     # -- persistence -----------------------------------------------------
 
+    def attach(self, edits: EditsLog, image_path: Path, image_records: int) -> None:
+        """Log live edits to ``edits`` and checkpoint to ``image_path``, whose
+        image holds ``image_records`` records (0 for none). The edits that
+        ``edits`` holds already count towards the next checkpoint."""
+        self.edits, self.image_path = edits, image_path
+        self._checkpoint_at = max(image_records, CHECKPOINT_MIN_EDITS)
+
     def checkpoint(self, image_path) -> None:
         """Commit both tiers in one image, then reset the edits log. The cold
         file is fsynced first, so the length the image commits is on disk."""
         save_fsimage(self.hot, image_path, self.clock, self.cold.sync())
+        self._checkpoint_at = max(len(self.hot), CHECKPOINT_MIN_EDITS)
         if self.edits is not None:
             self.edits.reset()
 
@@ -233,28 +255,26 @@ class TieredStore:
 
     # -- internals -------------------------------------------------------
 
-    def _apply(self, event: OpEvent) -> MetadataRecord | None:
+    def _apply(self, event: OpEvent) -> None:
         """Run ``event``'s body at its tick, then move the clock past it."""
         op = event.op
         if op == OP_ACCESS:
-            result = self._resolve(event.path, event.tick)
+            self._resolve(event.path, event.tick)
         elif op == OP_CREATE:
-            result = self._create(event.path, event.length, event.tick)
+            self._create(event.path, event.length, event.tick)
         elif op == OP_DELETE:
-            result = self._delete(event.path)
+            self._delete(event.path)
         else:
             raise ValueError(f"unknown operation {op!r}")
         self.clock = event.tick + 1
-        return result
 
-    def _create(self, path: str, length: int, tick: int) -> MetadataRecord:
+    def _create(self, path: str, length: int, tick: int) -> None:
         validate_path(path)
         if path in self.cold:
             raise PathExistsError(f"path already exists (cold): {path}")
-        record = self.hot.create(path, length, tick)
+        self.hot.create(path, length, tick)
         self.metrics.creates += 1
         self.metrics.observe_hot_size(len(self.hot))
-        return record
 
     def _resolve(self, path: str, tick: int) -> None:
         """Count an access to a file in either tier; promote it if cold."""
@@ -278,25 +298,33 @@ class TieredStore:
             raise NotFoundError(f"no such path: {path}")
         self.metrics.deletes += 1
 
-    def _check_threshold(self) -> None:
-        """Separate at the threshold; commit the pass if the store has an image.
+    def _check_threshold(self, op: str) -> None:
+        """After ``op``: separate at the threshold if ``op`` is a CREATE or a
+        DELETE, and, if the store has an image, checkpoint after a pass or
+        once ``edits.log`` has reached the length fixed at the last image.
 
         It runs after the edit is logged, so the checkpoint covers that edit,
         and neither failure below fails it. A pass whose spill fails leaves
         both tiers as they were, and the next CREATE or DELETE tries the pass
         again. If the checkpoint fails, the log still holds every edit since
-        the last image, so recovery re-runs the pass.
+        the last image, so recovery re-runs the pass; the next log-length
+        checkpoint waits until the log has doubled, so a full disk does not
+        retry an image write on every request.
         """
-        try:
-            event = self.maybe_separate()
-        except ColdStoreWriteFailureError as exc:
-            logger.warning("separation failed; the next CREATE or DELETE tries again: %s", exc)
-            return
-        if event is not None and self.image_path is not None:
+        passed = False
+        if op != OP_ACCESS:
             try:
-                self.checkpoint(self.image_path)
-            except OSError as exc:
-                logger.warning("checkpoint after a pass failed; edits.log keeps its edits: %s", exc)
+                passed = self.maybe_separate() is not None
+            except ColdStoreWriteFailureError as exc:
+                logger.warning("separation failed; the next CREATE or DELETE tries again: %s", exc)
+        if self.image_path is None or not (passed or self.edits.entry_count >= self._checkpoint_at):
+            return
+        try:
+            self.checkpoint(self.image_path)
+        except OSError as exc:
+            self._checkpoint_at = max(self._checkpoint_at, 2 * self.edits.entry_count)
+            logger.warning("checkpoint %s failed; edits.log keeps its edits: %s",
+                           "after a pass" if passed else "of a full edits.log", exc)
 
     def _log(self, event: OpEvent) -> None:
         if self.edits is not None:

@@ -6,6 +6,8 @@ import socket
 
 import pytest
 
+from tiermeta.namespace import HotStore
+
 
 @pytest.fixture
 def opened_files(monkeypatch):
@@ -27,6 +29,14 @@ def opened_files(monkeypatch):
         return opened
 
     return watch
+
+
+def new_record(path, length, tick):
+    """The record of a file of ``length`` bytes just created at ``tick``, as
+    the hot tier makes it."""
+    store = HotStore()
+    store.create(path, length, tick)
+    return store.get(path)
 
 
 class FailingFile:

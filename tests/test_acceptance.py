@@ -258,7 +258,8 @@ def test_criterion_5_persistence_round_trips(tmp_path, caplog):
     maker = HotStore()
     live_cold = {}
     for i in range(300):
-        record = maker.create(f"/c/{i:04d}", i, i)
+        maker.create(f"/c/{i:04d}", i, i)
+        record = maker.get(f"/c/{i:04d}")
         cold.append_records([record])
         live_cold[record.path] = record
         if rng.random() < 0.33:

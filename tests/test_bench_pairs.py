@@ -100,3 +100,19 @@ def test_a_parent_median_of_zero_gives_an_infinite_share():
     assert verdicts(zeros, zeros) == {"lo": (0.0, True, False), "hi": (0.0, True, False)}
     assert verdicts(zeros, [1.0] * 10) == {
         "lo": (-math.inf, False, False), "hi": (math.inf, True, False)}
+
+
+def test_traced_values_hold_every_workload_of_each_side():
+    def traced(side, workload, value):
+        result = run(side, bench_pairs.TRACED_SEED, value, traced=True)
+        result["workload"] = workload
+        return result
+
+    # series() adds untraced pairs, and a traced run at another seed
+    runs = series() + [traced("parent", "w", 1.0), traced("change", "w", 2.0),
+                       traced("change", "restart", 4.0), traced("parent", "restart", 3.0)]
+    assert bench_pairs.traced_values(runs) == {
+        "w": {"parent": {"lo": 1.0, "hi": 1.0}, "change": {"lo": 2.0, "hi": 2.0}},
+        "restart": {"parent": {"lo": 3.0, "hi": 3.0}, "change": {"lo": 4.0, "hi": 4.0}},
+    }
+    assert bench_pairs.traced_values(series()) == {}

@@ -116,7 +116,8 @@ def test_memory_estimate_matches_capacity_claims():
 
 def test_create_counts_as_first_access():
     store = HotStore()
-    record = store.create("/x", 100, tick=5)
+    store.create("/x", 100, tick=5)
+    record = store.get("/x")
     assert record.count == 1
     assert record.last_access == 5
 
@@ -254,13 +255,15 @@ def test_an_accessed_record_holds_at_most_110_bytes():
 
 def test_created_record_holds_its_tick_and_derives_its_blocks():
     store = HotStore()
-    record = store.create("/d/a", 130 * MIB, tick=42)
+    store.create("/d/a", 130 * MIB, tick=42)
+    record = store.get("/d/a")
     assert record.created == 42
     assert record.blocks == split_blocks(130 * MIB, 42)
     store.access("/d/a", tick=50)
     assert record.created == 42
     assert record.blocks == split_blocks(130 * MIB, 42)
-    assert store.create("/d/empty", 0, tick=51).created == 0
+    store.create("/d/empty", 0, tick=51)
+    assert store.get("/d/empty").created == 0
 
 
 def test_create_refuses_a_file_past_the_block_limit():
@@ -269,4 +272,5 @@ def test_create_refuses_a_file_past_the_block_limit():
         store.create("/big", MAX_BLOCKS_PER_FILE * BLOCK_SIZE + 1, tick=0)
     assert "/big" not in store and len(store) == 0
     # the largest file allowed is still created, without building its blocks
-    assert store.create("/max", MAX_BLOCKS_PER_FILE * BLOCK_SIZE, tick=1).created == 1
+    store.create("/max", MAX_BLOCKS_PER_FILE * BLOCK_SIZE, tick=1)
+    assert store.get("/max").created == 1

@@ -10,7 +10,7 @@ from array import array
 from itertools import count
 
 import pytest
-from conftest import FailingFile
+from conftest import FailingFile, new_record
 from hypothesis import example, given, strategies as st
 
 from tiermeta import coldstore
@@ -62,7 +62,8 @@ def test_record_line_format_is_pinned():
 
 def test_zero_length_record_is_created_at_0():
     store = HotStore()
-    record = store.create("/a/empty", 0, tick=9)
+    store.create("/a/empty", 0, tick=9)
+    record = store.get("/a/empty")
     line = encode_record(record)
     assert line == "/a/empty\t0\t67108864\t3\t9\t1\t0"
     assert decode_record(line) == record
@@ -631,8 +632,7 @@ def test_an_image_line_that_is_not_utf8_fails_open_store_naming_it(tmp_path):
 # -- cold store ------------------------------------------------------------
 
 def cold_records(n, prefix="/c"):
-    store = HotStore()
-    return [store.create(f"{prefix}/{i:04d}", i * 10, i) for i in range(n)]
+    return [new_record(f"{prefix}/{i:04d}", i * 10, i) for i in range(n)]
 
 
 def test_cold_append_get_delete(tmp_path):
@@ -860,8 +860,7 @@ def test_a_torn_last_cold_record_is_dropped(tmp_path, caplog):
 
 def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
     path = tmp_path / "c2"
-    store = HotStore()
-    records = [store.create(p, 10, i) for i, p in enumerate(("/c1", "/c10", "/c2"))]
+    records = [new_record(p, 10, i) for i, p in enumerate(("/c1", "/c10", "/c2"))]
     complete = b"".join(encode_record(r).encode() + b"\n" for r in records)
     path.write_bytes(complete + b"TOMB /c1")  # cut from "TOMB /c10\n"
     cold = ColdStore(path)
@@ -880,7 +879,9 @@ def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
 
 def one_block_records(n):
     store = HotStore()
-    return [store.create(f"/k/{i:06d}", 1, i) for i in range(n)]
+    for i in range(n):
+        store.create(f"/k/{i:06d}", 1, i)
+    return list(store)
 
 
 def test_the_cold_index_costs_at_most_64_bytes_per_record(tmp_path):
@@ -922,10 +923,10 @@ def _cold_scenario(directory):
     what each one gave, and the file compaction leaves."""
     directory.mkdir()
     path = directory / "c2"
-    store, ticks = HotStore(), count()
-    c1, c10, c2, c3 = (store.create(p, 10 * i + 1, next(ticks))
+    ticks = count()
+    c1, c10, c2, c3 = (new_record(p, 10 * i + 1, next(ticks))
                        for i, p in enumerate(["/c1", "/c10", "/c2", "/c3"]))
-    bulk = [store.create(f"/d/{i:02d}", 1, next(ticks)) for i in range(30)]
+    bulk = [new_record(f"/d/{i:02d}", 1, next(ticks)) for i in range(30)]
     seen = {}
     cold = ColdStore(path)
     cold.append_records([c1, c10, c2, c3])

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from tiermeta import tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog
 from tiermeta.errors import CorruptImageError, CorruptLogError
@@ -188,9 +189,12 @@ class Oracle:
 
 def session_steps():
     """create -> separate -> checkpoint -> promote -> cold delete -> creates up
-    to a second spill and its checkpoint -> a few more edits -> a final checkpoint."""
+    to a second spill and its checkpoint -> a few more edits -> a final checkpoint.
+
+    With ``CHECKPOINT_MIN_EDITS`` at 4, edits.log also fills: on the 4th and
+    8th CREATE, on the OPEN of /s/09 and on the CREATE of /s/13."""
     steps = [("create", f"/s/{i:02d}", 10 * i) for i in range(10)]
-    steps += [("open", "/s/00"), ("delete", "/s/01"), ("open", "/s/09"), ("delete", "/s/08")]
+    steps += [("open", "/s/00"), ("delete", "/s/01"), ("delete", "/s/08"), ("open", "/s/09")]
     steps += [("create", f"/s/{i:02d}", 0) for i in range(10, 17)]
     steps += [("open", "/s/02"), ("create", "/s/17", 5), ("delete", "/s/03"), ("checkpoint",)]
     return steps
@@ -199,10 +203,11 @@ def session_steps():
 def run_session(data_dir, disk):
     """Run the session; returns, per step, the writes done once it was
     acknowledged, the write that logged its edit (None for a checkpoint),
-    and the oracle's state and the live tiers' paths after it."""
+    and the oracle's state and the live tiers' paths after it; and the steps
+    that renamed an image into place."""
     store = open_store(data_dir, CONFIG)
     oracle = Oracle()
-    acked, edit_write = [], []
+    acked, edit_write, renamed = [], [], []
     expected = [(oracle.state(), (set(), set()))]
     for op, *args in session_steps():
         writes = len(disk.states)
@@ -213,11 +218,13 @@ def run_session(data_dir, disk):
             getattr(oracle, op)(*args)
         logged = [k for k in range(writes, len(disk.states)) if disk.kinds[k] == "EditsLog.append"]
         edit_write.append(logged[0] if logged else None)
+        if "image rename" in disk.kinds[writes:]:
+            renamed.append((op, *args))
         acked.append(len(disk.states) - 1)
         expected.append((oracle.state(), (set(store.hot.paths()), set(store.cold.paths()))))
     assert len(store.metrics.events) == 2  # the session spilled twice
     store.close()
-    return acked, edit_write, expected
+    return acked, edit_write, expected, renamed
 
 
 def test_a_crash_at_any_write_recovers_the_acknowledged_state(tmp_path, monkeypatch):
@@ -225,8 +232,10 @@ def test_a_crash_at_any_write_recovers_the_acknowledged_state(tmp_path, monkeypa
     live_dir.mkdir()
     disk = DiskLog(live_dir)
     disk.install(monkeypatch)
-    acked, edit_write, expected = run_session(live_dir, disk)
+    monkeypatch.setattr(tiering, "CHECKPOINT_MIN_EDITS", 4)
+    acked, edit_write, expected, renamed = run_session(live_dir, disk)
     monkeypatch.undo()
+    assert ("open", "/s/09") in renamed  # a checkpoint of a full edits.log
     assert set(disk.kinds[1:]) == {"ColdStore.append_records", "ColdStore.delete",
                                    "ColdStore.take", "EditsLog.append", "EditsLog.reset",
                                    "image temp write", "image rename"}

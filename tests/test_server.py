@@ -10,7 +10,7 @@ import threading
 import time
 
 import pytest
-from conftest import GOLDEN_SESSION, Client, FailingFile, fuzz_client, parse_ok
+from conftest import GOLDEN_SESSION, Client, FailingFile, fuzz_client, new_record, parse_ok
 
 from tiermeta import coldstore, editlog, recordio, tiering
 from tiermeta.cli import main as cli_main
@@ -487,9 +487,8 @@ def write_store_dir(data_dir, hot, cold, tombstoned=(), edits=(), clock=None):
     ones with ``clock`` in its header (by default one past every tick of
     both) and commits the cold file's length. ``edits`` go to the log.
     """
-    spilled = HotStore()
     cold_store = ColdStore(data_dir / COLD_NAME)
-    cold_store.append_records([spilled.create(p, 10, tick) for p, tick in cold.items()])
+    cold_store.append_records([new_record(p, 10, tick) for p, tick in cold.items()])
     for path in tombstoned:
         cold_store.delete(path)
     cold_end = cold_store.sync()

@@ -403,6 +403,81 @@ def test_a_create_whose_checkpoint_fails_is_applied_and_logged(tmp_path, caplog,
         reopened.close()
 
 
+def edits_in(data_dir):
+    return (data_dir / EDITS_NAME).read_bytes().count(b"\n")
+
+
+def test_edits_log_stays_below_the_limit_fixed_at_the_last_image(tmp_path, monkeypatch):
+    """After every acknowledged edit, across passes and reopens, edits.log holds
+    fewer edits than the last image holds records, or than
+    CHECKPOINT_MIN_EDITS if that is more."""
+    monkeypatch.setattr(tiering, "CHECKPOINT_MIN_EDITS", 8)
+    config = TieringConfig(threshold_records=40, recency_window=10)
+    rng = random.Random(5)
+    store = open_store(tmp_path, config)
+    live, log_checkpoints = [], 0
+    try:
+        for i in range(3000):
+            r = rng.random()
+            if r < 0.01:
+                store.close()
+                store = open_store(tmp_path, config)
+                continue
+            if r < 0.25 or not live:
+                live.append(f"/f{i}")
+                store.create(live[-1], 10)
+            elif r < 0.35:
+                store.delete(live.pop(rng.randrange(len(live))))
+            else:
+                store.open(rng.choice(live))
+                log_checkpoints += edits_in(tmp_path) == 0  # an OPEN runs no pass
+            image = tmp_path / IMAGE_NAME
+            image_records = int(image.read_bytes().split(b" ", 3)[2]) if image.exists() else 0
+            assert edits_in(tmp_path) < max(image_records, 8), f"after edit {i}"
+    finally:
+        store.close()
+    assert log_checkpoints > 20
+
+
+def test_a_failed_log_length_checkpoint_waits_for_the_log_to_double(tmp_path, caplog,
+                                                                     monkeypatch):
+    monkeypatch.setattr(tiering, "CHECKPOINT_MIN_EDITS", 4)
+    store = open_store(tmp_path, TieringConfig(threshold_records=100))
+    store.create("/f", 10)
+    real_save, attempts = tiering.save_fsimage, []
+
+    def refuse(*args):
+        attempts.append(edits_in(tmp_path))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tiering, "save_fsimage", refuse)
+    for _ in range(11):
+        store.open("/f")  # each one stands
+    assert attempts == [4, 8]  # not one on each OPEN past 4
+    assert caplog.text.count("checkpoint of a full edits.log failed") == 2
+    assert edits_in(tmp_path) == 12 and not (tmp_path / IMAGE_NAME).exists()
+    monkeypatch.setattr(tiering, "save_fsimage", real_save)  # the disk has room again
+    for _ in range(3):
+        store.open("/f")
+    assert edits_in(tmp_path) == 15
+    store.open("/f")  # the 16th edit
+    assert edits_in(tmp_path) == 0 and read_commit(tmp_path / IMAGE_NAME)[0] == 16
+    store.close()
+
+
+def test_a_reopened_log_past_its_limit_checkpoints_on_the_first_edit(tmp_path, monkeypatch):
+    store = open_store(tmp_path, TieringConfig(threshold_records=100))
+    for i in range(6):
+        store.create(f"/f{i}", 10)
+    store.close()
+    monkeypatch.setattr(tiering, "CHECKPOINT_MIN_EDITS", 4)
+    store = open_store(tmp_path, TieringConfig(threshold_records=100))
+    assert edits_in(tmp_path) == 6 and not (tmp_path / IMAGE_NAME).exists()  # the open wrote none
+    store.open("/f0")
+    assert edits_in(tmp_path) == 0 and read_commit(tmp_path / IMAGE_NAME)[0] == 7
+    store.close()
+
+
 @pytest.mark.parametrize("operation", ["open", "delete"])
 def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
     config = TieringConfig(threshold_records=4, recency_window=3)
@@ -468,7 +543,7 @@ def io_of(calls, store, operation, *args):
             calls["fsync"], calls["replace"], calls["decode"], calls["encode"])
 
 
-def test_file_io_per_operation(tmp_path, file_io):
+def test_file_io_per_operation(tmp_path, file_io, monkeypatch):
     """What each operation reads, writes, syncs, renames, decodes and encodes,
     on a store with an image: a change of work too small for wall time shows here."""
     store = open_store(tmp_path, TieringConfig(threshold_records=4, recency_window=0))
@@ -489,6 +564,12 @@ def test_file_io_per_operation(tmp_path, file_io):
              "CREATE, no pass": io_of(file_io, store, store.create, "/g0", 10)}
     store.create("/g1", 10)
     table["CREATE, pass and checkpoint"] = io_of(file_io, store, store.create, "/g2", 10)
+    # this checkpoint fixes the log's limit at 2 edits: the image holds 1 record
+    monkeypatch.setattr(tiering, "CHECKPOINT_MIN_EDITS", 2)
+    store.checkpoint(store.image_path)
+    store.open("/f0")
+    table["OPEN that fills edits.log"] = io_of(file_io, store, store.open, "/f0")
+    assert (tmp_path / EDITS_NAME).stat().st_size == 0
     # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes, encodes
     assert table == {
         "hot OPEN": (0, 0, 12, 0, 0, 0, 0),
@@ -502,14 +583,17 @@ def test_file_io_per_operation(tmp_path, file_io):
         # three records spilled, the one kept written to the image; fsimage2 and
         # the image synced, the image renamed
         "CREATE, pass and checkpoint": (0, 76, 17, 2, 1, 0, 4),
+        # the edit appended, then the checkpoint: the one image record written
+        "OPEN that fills edits.log": (0, 0, 14, 2, 1, 0, 1),
     }
     store.close()
 
 
-def test_file_io_per_record(tmp_path, file_io):
+def test_file_io_per_record(tmp_path, file_io, monkeypatch):
     """How a pass, a checkpoint and a reopen scale with what they handle: each
     runs at two sizes, so a column that doubles is work per record and one
-    that stays is work per operation."""
+    that stays is work per operation. A reopen after many OPENs parses fewer
+    edits than the image holds records, the limit that checkpoints the log."""
     config = TieringConfig(threshold_records=100, recency_window=0)
 
     def store_of(name, files):
@@ -544,6 +628,13 @@ def test_file_io_per_record(tmp_path, file_io):
             store.delete(f"/p{i}")
         store.checkpoint(store.image_path)
         reopens[f"{n} cold records and {n} tombstones"] = reopen(store)
+        store = store_of(f"opens{n}", n)
+        with monkeypatch.context() as m:
+            m.setattr(tiering, "CHECKPOINT_MIN_EDITS", 1)  # the limit: one edit per image record
+            store.checkpoint(store.image_path)
+            for i in range(4 * n - 1):  # a checkpoint after n, 2n and 3n OPENs
+                store.open(f"/p{i % n}")
+        reopens[f"{n} image records and {4 * n - 1} OPENs"] = reopen(store)
     # pread calls, bytes onto fsimage2, bytes onto edits.log, fsync, replace, decodes, encodes
     assert table == {
         "checkpoint of 4": (0, 0, 0, 2, 1, 0, 4),
@@ -561,6 +652,8 @@ def test_file_io_per_record(tmp_path, file_io):
         "8 cold records": (0, 0, 0),
         "4 cold records and 4 tombstones": (4, 0, 0),  # each tombstone reads its path back
         "8 cold records and 8 tombstones": (8, 0, 0),
+        "4 image records and 15 OPENs": (0, 4, 3),  # fewer parses than the limit of 4
+        "8 image records and 31 OPENs": (0, 8, 7),
     }
 
 

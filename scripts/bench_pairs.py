@@ -22,7 +22,10 @@ neither. It also holds the no-regression verdict:
 - ``within_bound``: whether ``better_by`` is at least ``-bound``;
 - ``unresolved``: whether the parent's interquartile range over its median
   exceeds the bound while not every change run is better than every parent
-  run; the runs then spread too widely to call the metric unchanged.
+  run; the runs then spread too widely to call the metric unchanged;
+- ``gain_met``: whether a claimed gain holds: the change wins at least nine
+  tenths of the pairs, and its median is better than the parent's by more
+  than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -62,13 +65,17 @@ def share(part: float, whole: float) -> float:
     return math.copysign(math.inf, part) if part else 0.0
 
 
-def verdict(p: dict, c: dict, sign: int, bound: float) -> dict:
-    """The no-regression verdict from the parent's and the change's
-    :func:`quartiles`; ``sign`` is 1 when higher is better, else -1."""
+def verdict(p: dict, c: dict, sign: int, bound: float, change_won: int) -> dict:
+    """The no-regression and gain verdicts from the parent's and the change's
+    :func:`quartiles`; ``sign`` is 1 when higher is better, else -1, and the
+    change won ``change_won`` of the pairs."""
     better_by = share(sign * (c["median"] - p["median"]), p["median"])
     every_run_better = min(sign * v for v in c["runs"]) > max(sign * v for v in p["runs"])
+    iqr = p["q3"] - p["q1"]
     return {"better_by": better_by, "within_bound": better_by >= -bound,
-            "unresolved": share(p["q3"] - p["q1"], p["median"]) > bound and not every_run_better}
+            "unresolved": share(iqr, p["median"]) > bound and not every_run_better,
+            "gain_met": (10 * change_won >= 9 * len(p["runs"])
+                         and sign * (c["median"] - p["median"]) > iqr)}
 
 
 def summarize(bench: dict, runs: list[dict]) -> dict:
@@ -91,11 +98,11 @@ def summarize(bench: dict, runs: list[dict]) -> dict:
             sign = 1 if m["better"] == "higher" else -1
             diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
             q = {s: quartiles(values[s]) for s in SIDES}
+            won = {"change": sum(d > 0 for d in diffs), "parent": sum(d < 0 for d in diffs)}
             row["metrics"][m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"], **q,
-                "pairs_won": {"change": sum(d > 0 for d in diffs),
-                              "parent": sum(d < 0 for d in diffs)},
-                **verdict(q["parent"], q["change"], sign, m["bound"]),
+                "pairs_won": won,
+                **verdict(q["parent"], q["change"], sign, m["bound"], won["change"]),
             }
         workloads[name] = row
     return workloads

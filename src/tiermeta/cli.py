@@ -223,9 +223,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         with open(args.image, "r", encoding="utf-8") as f:
             sys.stdout.writelines(f)  # the lines the load checked, as they are on disk
         return 0
+    # ColdStore would create a missing file and cut off a torn last line; inspect
+    # must stay read-only, since a served store may be writing that line
     if not Path(args.cold).exists():
-        # ColdStore would create the file; inspect must stay read-only
         raise FileNotFoundError(f"no such cold store: {args.cold}")
+    with open(args.cold, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        torn = size > 0 and os.pread(f.fileno(), 1, size - 1) != b"\n"
+    if torn:
+        raise ValueError(f"{args.cold}: last line is torn; reopening its store, or "
+                         f"'tiermeta compact --cold {args.cold}', drops it")
     cold = ColdStore(args.cold)
     try:
         if args.path:

@@ -12,7 +12,10 @@ opening the file truncates it away, as reading the edits log does.
 
 The index holds no path. It is an open-addressing hash table in two
 ``array("q")`` with a power-of-two number of slots, sized on open by a line
-count and filled by one scan: ``_keys`` holds each live path's :func:`_key`
+count and filled by one scan that reads ``_SCAN_CHUNK`` bytes of whole lines
+at a time and indexes each chunk in bulk; a chunk with a line that is
+neither a record nor a tombstone is indexed again one line at a time, which
+names that line. ``_keys`` holds each live path's :func:`_key`
 (0 marks an empty slot) and ``_offs`` the offset of its live record line
 (-1 marks an entry a tombstone or a promotion removed). Lookups probe
 linearly from the key. A key match is confirmed against the path in the
@@ -34,6 +37,8 @@ import logging
 import os
 from array import array
 from contextlib import contextmanager, suppress
+from itertools import accumulate, compress, count, repeat
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -52,6 +57,10 @@ _REMOVED = -1
 _MIN_SLOTS = 16
 # bytes read at a time by the line count that sizes the table on open
 _COUNT_CHUNK = 1 << 16
+# bytes of whole lines the index scan reads and indexes at a time; a larger
+# chunk holds more transient line objects (at 256 KiB the open's traced peak
+# was about three times the table it builds)
+_SCAN_CHUNK = 32 * 1024
 
 
 def _key(path: str) -> int:
@@ -138,29 +147,35 @@ class ColdStore:
             k = keys[i]
         return -1, b""
 
-    def _put(self, path: str, offset: int) -> None:
-        """Point ``path`` at the record line at ``offset``; the line is on disk
-        and the table has a free slot."""
+    def _put_all(self, paths: Iterable[str], offsets: Iterable[int]) -> None:
+        """Point each of ``paths`` at the record line at its offset, in order,
+        so a later line of a path wins; the lines are on disk and the table
+        has a free slot for each."""
         keys, offs, mask = self._keys, self._offs, self._mask
-        key = _key(path)
-        i = key & mask
-        free = -1
-        k = keys[i]
-        while k:
-            if offs[i] < 0:
+        added = used = 0
+        for path, offset in zip(paths, offsets):
+            key = _key(path)
+            i = key & mask
+            free = -1
+            k = keys[i]
+            while k:
+                if offs[i] < 0:
+                    if free < 0:
+                        free = i
+                elif k == key and self._holds(offs[i], path.encode("utf-8") + b"\t"):
+                    offs[i] = offset
+                    break
+                i = (i + 1) & mask
+                k = keys[i]
+            else:
                 if free < 0:
                     free = i
-            elif k == key and self._holds(offs[i], path.encode("utf-8") + b"\t"):
-                offs[i] = offset
-                return
-            i = (i + 1) & mask
-            k = keys[i]
-        if free < 0:
-            free = i
-            self._used += 1
-        keys[free] = key
-        offs[free] = offset
-        self._live += 1
+                    used += 1
+                keys[free] = key
+                offs[free] = offset
+                added += 1
+        self._live += added
+        self._used += used
 
     def _remove(self, slot: int) -> None:
         self._offs[slot] = _REMOVED
@@ -183,27 +198,62 @@ class ColdStore:
         # every line fills at most one slot, so the scan never grows the table
         self._allocate(_slots_for(sum(chunk.count(b"\n") for chunk in chunks)))
         self._file.seek(0)
-        offset = 0
-        lineno = 0
-        for raw in self._file:
-            lineno += 1
-            if not raw.endswith(b"\n"):
-                logger.warning("%s: dropping a torn last line of %d bytes", self.path, len(raw))
+        offset, lineno = 0, 1
+        while lines := self._file.readlines(_SCAN_CHUNK):
+            torn = b"" if lines[-1].endswith(b"\n") else lines.pop()  # the file's last line
+            starts = list(accumulate(map(len, lines), initial=offset))
+            if not self._index_chunk(lines, starts):
+                self._index_lines(lines, starts, lineno)
+            offset, lineno = starts[-1], lineno + len(lines)
+            if torn:
+                logger.warning("%s: dropping a torn last line of %d bytes", self.path, len(torn))
                 self._file.truncate(offset)
-                break
+        self._shrink_if_sparse()
+
+    def _index_chunk(self, lines: list[bytes], starts: list[int]) -> bool:
+        """Index ``lines``, whole lines starting at ``starts``, in bulk; False,
+        with the table untouched, if any line is neither a record nor a
+        tombstone or has a path that is not UTF-8.
+
+        The records go in first, in file order. Then each tombstone, in file
+        order, removes its path's live entry if that entry's line starts
+        before it: one that starts after it is a record written again after
+        its promotion or delete.
+        """
+        is_tomb = list(map(bytes.startswith, lines, repeat(_TOMB_PREFIX)))
+        is_record = list(map(not_, is_tomb))
+        records = list(compress(lines, is_record))
+        heads = list(map(bytes.partition, records, repeat(b"\t")))
+        absolute = all(map(bytes.startswith, records, repeat(b"/")))
+        if not (absolute and all(map(itemgetter(1), heads))):  # and each has a tab
+            return False
+        try:
+            paths = list(map(bytes.decode, map(itemgetter(0), heads)))
+            tombs = [t[len(_TOMB_PREFIX):-1].decode("utf-8") for t in compress(lines, is_tomb)]
+        except UnicodeDecodeError:
+            return False
+        self._put_all(paths, compress(starts, is_record))
+        for path, offset in zip(tombs, compress(starts, is_tomb)):
+            slot = self._find(path)[0]
+            if slot >= 0 and self._offs[slot] < offset:
+                self._remove(slot)
+        return True
+
+    def _index_lines(self, lines: list[bytes], starts: list[int], lineno: int) -> None:
+        """Index ``lines`` one at a time, the first being line ``lineno``; the
+        first line that is neither a record nor a tombstone fails the open."""
+        for lineno, raw, offset in zip(count(lineno), lines, starts):
             try:
                 if raw.startswith(_TOMB_PREFIX):
                     slot = self._find(raw[len(_TOMB_PREFIX):-1].decode("utf-8"))[0]
                     if slot >= 0:
                         self._remove(slot)
                 elif raw.startswith(b"/") and b"\t" in raw:
-                    self._put(raw.split(b"\t", 1)[0].decode("utf-8"), offset)
+                    self._put_all((raw.split(b"\t", 1)[0].decode("utf-8"),), (offset,))
                 else:
                     raise ValueError("neither record nor tombstone")
             except ValueError as exc:  # UnicodeDecodeError included
                 raise CorruptImageError(f"{self.path}: line {lineno}: {exc}") from None
-            offset += len(raw)
-        self._shrink_if_sparse()
 
     # -- the store ---------------------------------------------------------
 
@@ -268,8 +318,7 @@ class ColdStore:
                 offset += len(line)
         if 2 * (self._used + len(paths)) > len(self._keys):
             self._rehash(self._live + len(paths))  # once for the whole batch
-        for path, offset in zip(paths, offsets):
-            self._put(path, offset)
+        self._put_all(paths, offsets)
 
     def sync(self) -> int:
         """Make the file durable; returns its length, the end an image commits."""

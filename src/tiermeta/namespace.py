@@ -46,7 +46,8 @@ BYTES_PER_RECORD = 600
 BLOCK_INDEX_BITS = 20
 MAX_BLOCKS_PER_FILE = 1 << BLOCK_INDEX_BITS
 
-_FORBIDDEN_PATH_CHARS = set(" \t\r\n\x00")
+# what a path may not hold; recordio builds its record-line pattern from it too
+FORBIDDEN_PATH_CHARS = set(" \t\r\n\x00")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +86,7 @@ def validate_path(path: str) -> None:
         raise InvalidPathError("path is empty")
     if not path.startswith("/"):
         raise InvalidPathError(f"path is not absolute: {path!r}")
-    if not _FORBIDDEN_PATH_CHARS.isdisjoint(path):
+    if not FORBIDDEN_PATH_CHARS.isdisjoint(path):
         raise InvalidPathError(f"path contains whitespace or NUL: {path!r}")
 
 
@@ -216,6 +217,21 @@ class HotStore:
             self._last_access.append(last_access)
             self._count.append(count)
         self._slots[path] = slot
+
+    def insert_columns(self, paths: tuple[str, ...], lengths: list[int], created: list[int],
+                       last_access: list[int], counts: list[int]) -> None:
+        """Insert records given as columns in :class:`MetadataRecord`'s field
+        order, all or none, each in a new slot: a path already present, or
+        given twice, raises PathExistsError and inserts nothing."""
+        start = len(self._count)
+        slots = dict(zip(paths, range(start, start + len(paths))))
+        if len(slots) != len(paths) or not self._slots.keys().isdisjoint(slots):
+            raise PathExistsError("a path is already present or given twice")
+        self._length.extend(lengths)
+        self._created.extend(created)
+        self._last_access.extend(last_access)
+        self._count.extend(counts)
+        self._slots.update(slots)
 
     def remove(self, path: str) -> None:
         slot = self._slots.pop(path, None)

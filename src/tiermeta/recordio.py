@@ -13,18 +13,44 @@ eyes and diffed with standard tools.
 Every record has the same geometry (see :mod:`tiermeta.namespace`), so the
 ``block_size`` and ``replication`` fields always hold ``BLOCK_SIZE`` and
 ``REPLICATION``, and a line with any other value is refused.
+
+:func:`decode_record` checks one line. :func:`decode_lines` checks many at
+once with a pattern built from the same rules and takes exactly the lines
+that :func:`decode_record` takes, so a caller that gets None from it can
+rerun the lines one at a time to name the first bad one.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import compress
+from operator import le, not_
+
 from .errors import FileTooLargeError
-from .namespace import BLOCK_SIZE, REPLICATION, MetadataRecord, block_count, validate_path
+from .namespace import (
+    BLOCK_SIZE,
+    FORBIDDEN_PATH_CHARS,
+    MAX_BLOCKS_PER_FILE,
+    REPLICATION,
+    MetadataRecord,
+    block_count,
+    validate_path,
+)
 
 FIELD_COUNT = 7
 MAX_INT = 2**63 - 1  # the largest value an array("q") column holds
+_MAX_LENGTH = MAX_BLOCKS_PER_FILE * BLOCK_SIZE  # the longest file block_count allows
 _BLOCK_SIZE_TEXT = str(BLOCK_SIZE)
 _REPLICATION_TEXT = str(REPLICATION)
 _GEOMETRY = f"\t{BLOCK_SIZE}\t{REPLICATION}\t"
+# An int as str writes it: no sign, no leading zero, ASCII digits (\d takes
+# any Unicode digit), and at most as many digits as MAX_INT.
+_MORE_DIGITS = f"[0-9]{{0,{len(str(MAX_INT)) - 1}}}"
+_INT = f"(0|[1-9]{_MORE_DIGITS})"
+_PATH = "(/[^" + "".join(f"\\x{ord(c):02x}" for c in sorted(FORBIDDEN_PATH_CHARS)) + "]*)"
+# one whole record line, in encode_record's field order; the count is at least 1
+_RECORD_LINE = re.compile(
+    f"^{_PATH}\t{_INT}{re.escape(_GEOMETRY)}{_INT}\t([1-9]{_MORE_DIGITS})\t{_INT}$", re.M)
 
 
 def encode_record(record: tuple[str, int, int, int, int]) -> str:
@@ -68,6 +94,28 @@ def decode_record(line: str) -> MetadataRecord:
     if created > last_access:
         raise ValueError(f"created {created} is after last_access {last_access}")
     return MetadataRecord(path, length, created, last_access, count)
+
+
+def decode_lines(text: str) -> tuple[tuple[str, ...], list[int], list[int], list[int],
+                                      list[int]] | None:
+    """The columns ``(paths, lengths, created, last_access, counts)`` of the
+    record lines in ``text``, one or more, each ending in a newline; None if
+    :func:`decode_record` refuses any of them.
+
+    The bulk form of :func:`decode_record`: one pattern match over the whole
+    text, then checks over each column, with no Python call per line.
+    """
+    rows = _RECORD_LINE.findall(text)
+    if not rows or len(rows) != text.count("\n"):  # some line did not match
+        return None
+    paths, length_s, la_s, count_s, created_s = zip(*rows)
+    lengths, last_access, counts, created = (list(map(int, column))
+                                             for column in (length_s, la_s, count_s, created_s))
+    if (max(lengths) > _MAX_LENGTH or max(last_access) > MAX_INT or max(counts) > MAX_INT
+            or any(compress(created, map(not_, lengths)))  # created 0 for an empty file
+            or not all(map(le, created, last_access))):
+        return None
+    return paths, lengths, created, last_access, counts
 
 
 def _is_decimal(text: str) -> bool:

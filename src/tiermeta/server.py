@@ -81,7 +81,10 @@ def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> Tie
 
     Only what stays in RAM is decoded: every image record and each edit once,
     and no cold record. The cold index scan checks only that each line is a
-    record or a tombstone; a cold record is checked on its first read.
+    record or a tombstone; a cold record is checked on its first read. The
+    image and the cold file are read about 32 KiB of whole lines at a time,
+    each chunk decoded or indexed in bulk; a chunk with a fault is read again
+    one line at a time, so the error names the same line as a per-line read.
     """
     config = config or TieringConfig()
     data_dir = Path(data_dir)

@@ -102,6 +102,23 @@ def test_a_parent_median_of_zero_gives_an_infinite_share():
         "lo": (-math.inf, False, False), "hi": (math.inf, True, False)}
 
 
+def gains(parent, change):
+    metrics = bench_pairs.summarize(BENCH, series(parent, change))["w"]["metrics"]
+    return {name: m["gain_met"] for name, m in metrics.items()}
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_parent_spread():
+    # STEADY's interquartile range is 2
+    assert gains(STEADY, [v + 3 for v in STEADY]) == {"lo": False, "hi": True}
+    nine = [v + 3 for v in STEADY[:9]] + [STEADY[9] - 1]  # medians 3 apart
+    assert gains(STEADY, nine) == {"lo": False, "hi": True}
+    eight = [v + 3 for v in STEADY[:8]] + [v - 1 for v in STEADY[8:]]  # medians 2.5 apart
+    assert gains(STEADY, eight) == {"lo": False, "hi": False}
+    # every pair won, by less than the parent's spread
+    assert gains(STEADY, [v + 1.5 for v in STEADY]) == {"lo": False, "hi": False}
+    assert gains(STEADY, [v - 3 for v in STEADY]) == {"lo": True, "hi": False}
+
+
 def test_traced_values_hold_every_workload_of_each_side():
     def traced(side, workload, value):
         result = run(side, bench_pairs.TRACED_SEED, value, traced=True)

@@ -191,6 +191,20 @@ def test_inspect_and_compact_cold(tmp_path, capsys):
     assert not (tmp_path / "ghost").exists()
 
 
+def test_inspect_refuses_a_cold_file_with_a_torn_last_line_and_leaves_it_alone(
+        tmp_path, capsys):
+    cold = tmp_path / "fsimage2"
+    line = encode_record(("/t/a", 1, 0, 0, 1)).encode() + b"\n"
+    cold.write_bytes(line + line[:10])  # a spill cut off by a crash, or still being written
+    code, out, err = run(capsys, "inspect", "--cold", str(cold))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {cold}: last line is torn; reopening its store, or "
+                   f"'tiermeta compact --cold {cold}', drops it\n")
+    assert cold.read_bytes() == line + line[:10]
+    code, _, _ = run(capsys, "compact", "--cold", str(cold))
+    assert code == 0 and cold.read_bytes() == line
+
+
 def test_compact_closes_every_file_it_opens(tmp_path, capsys, opened_files):
     store = HotStore()
     for i in range(4):

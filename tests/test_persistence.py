@@ -11,9 +11,9 @@ from itertools import count
 
 import pytest
 from conftest import FailingFile, new_record
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tiermeta import coldstore
+from tiermeta import coldstore, fsimage
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent, parse_op_line
 from tiermeta.errors import (
@@ -29,12 +29,14 @@ from tiermeta.fsimage import load_fsimage, read_commit, save_fsimage
 from tiermeta.namespace import (
     BLOCK_SIZE,
     MAX_BLOCKS_PER_FILE,
+    REPLICATION,
     HotStore,
     MetadataRecord,
 )
 from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import (
+    decode_lines,
     decode_record,
     encode_record,
     parse_non_negative_int,
@@ -164,11 +166,14 @@ def one_character_off(draw, line):
 @example(GOLDEN_LINE.replace("\t3\t", "\t4\t"))
 @example(GOLDEN_LINE[:-2] + "51")
 def test_every_line_decode_accepts_encodes_back_to_itself(line):
+    columns = decode_lines(line + "\n")  # the bulk decoder takes exactly the same lines
     try:
         record = decode_record(line)
     except ValueError:
+        assert columns is None
         return
     assert encode_record(record) == line
+    assert [MetadataRecord(*row) for row in zip(*columns)] == [record]
 
 
 def test_decoded_ints_reuse_equal_ints_of_their_line():
@@ -357,6 +362,97 @@ def test_image_load_rejects_corruption(tmp_path, content, what):
     dest.write_text(content)
     with pytest.raises(CorruptImageError, match=what):
         load_fsimage(dest)
+
+
+# an integer field written in a form other than the one str writes
+INT_FAULTS = ("007", "+7", "1_0", "\u0665", "1\u0665", "-1", "1" * 20, str(2**63))
+IMAGE_FAULTS = INT_FAULTS + ("geometry", "count 0", "created after last_access",
+                             "created for an empty file", "last_access at the clock",
+                             "duplicate path", "not UTF-8", "no final newline")
+IMAGE_CLOCK = 100
+
+
+@st.composite
+def image_with_a_fault(draw):
+    """The bytes of an image of 2-40 records, and the fault put in one line
+    (None: no fault)."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    rows = []
+    for i in range(n):
+        length = draw(st.sampled_from((0, 1, BLOCK_SIZE, 5 * BLOCK_SIZE + 3)))
+        created = draw(st.integers(min_value=1, max_value=40)) if length else 0
+        last_access = created + draw(st.integers(min_value=0, max_value=IMAGE_CLOCK - 41))
+        suffix = draw(st.sampled_from(("", "\u00e9", "\u0665")))  # multi-byte UTF-8 too
+        rows.append([f"/f/{i:02d}{suffix}", str(length), str(BLOCK_SIZE), str(REPLICATION),
+                     str(last_access), str(draw(st.integers(min_value=1, max_value=9))),
+                     str(created)])
+    fault = draw(st.sampled_from((None,) + IMAGE_FAULTS))
+    at = draw(st.integers(min_value=0, max_value=n - 1))
+    row = rows[at]
+    if fault in INT_FAULTS:
+        row[draw(st.sampled_from((1, 4, 5, 6)))] = fault
+    elif fault == "geometry":
+        row[draw(st.sampled_from((2, 3)))] = "1"
+    elif fault == "count 0":
+        row[5] = "0"
+    elif fault == "created after last_access":
+        row[1], row[6] = "1", str(int(row[4]) + 1)
+    elif fault == "created for an empty file":
+        row[1], row[4], row[6] = "0", str(max(int(row[4]), 1)), "1"
+    elif fault == "last_access at the clock":
+        row[4] = str(IMAGE_CLOCK + draw(st.integers(min_value=0, max_value=1)))
+    elif fault == "duplicate path":
+        # often a neighbour, so that both lines are in one chunk
+        near = [j for j in (at - 1, at + 1) if 0 <= j < n]
+        others = [j for j in range(n) if j != at]
+        row[0] = rows[draw(st.sampled_from(near) | st.sampled_from(others))][0]
+    lines = [("\t".join(r) + "\n").encode() for r in rows]
+    if fault == "not UTF-8":
+        lines[at] = lines[at].replace(b"/f/", b"/f\xff/")
+    data = f"FSIMAGE v4 {n} {IMAGE_CLOCK} 0\n".encode() + b"".join(lines)
+    return (data[:-1] if fault == "no final newline" else data), fault
+
+
+def _load_outcome(path):
+    """The loaded records in order, or the load's error message."""
+    try:
+        return list(load_fsimage(path))
+    except CorruptImageError as exc:
+        return str(exc)
+
+
+def _chunked_and_per_line_loads(path, chunk):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fsimage, "IMAGE_CHUNK", chunk)
+        chunked = _load_outcome(path)
+        m.setattr(fsimage, "_insert_chunk", lambda *args: False)  # every line on its own
+        return chunked, _load_outcome(path)
+
+
+@settings(max_examples=300)
+@given(image_with_a_fault(), st.integers(min_value=1, max_value=300))
+def test_the_chunked_image_load_agrees_with_the_per_line_load(tmp_path_factory, image, chunk):
+    data, fault = image
+    path = tmp_path_factory.getbasetemp() / "chunked_image"
+    path.write_bytes(data)
+    # a chunk of a few lines, so faults fall on both sides of a chunk boundary
+    chunked, per_line = _chunked_and_per_line_loads(path, chunk)
+    assert chunked == per_line
+    assert isinstance(per_line, str) == (fault is not None), per_line
+
+
+def test_an_int_fault_in_any_field_fails_the_chunked_load_as_it_fails_the_per_line_load(
+        tmp_path):
+    path = tmp_path / "img"
+    good = ["/a", "1", str(BLOCK_SIZE), str(REPLICATION), "5", "2", "1"]
+    for field in (1, 4, 5, 6):  # length, last_access, count, created
+        for text in INT_FAULTS:
+            bad = good[:field] + [text] + good[field + 1:]
+            path.write_text(f"FSIMAGE v4 2 {IMAGE_CLOCK} 0\n" + "\t".join(good) + "\n"
+                            + "\t".join(bad).replace("/a", "/b") + "\n")
+            chunked, per_line = _chunked_and_per_line_loads(path, fsimage.IMAGE_CHUNK)
+            assert chunked == per_line
+            assert per_line.startswith(f"{path}: line 3: "), per_line
 
 
 # -- edits log -------------------------------------------------------------
@@ -960,3 +1056,60 @@ def test_colliding_cold_keys_change_no_result(tmp_path, monkeypatch):
     assert apart["reopened"][2][2].count == 99
     monkeypatch.setattr(coldstore, "_key", lambda path: 1)
     assert _cold_scenario(tmp_path / "colliding") == apart
+
+
+COLD_PATHS = ("/c/0", "/c/1", "/c/2", "/c/é")
+NOT_A_COLD_LINE = (b"junk\n", b"\n", b"TOMB/c/0\n", b"/c/0 no tab\n", b"/c/\xff\t1\n",
+                   b"TOMB /c/\xff\n")
+
+
+@st.composite
+def cold_file(draw):
+    """A cold file of random record and tombstone lines over a few paths, so
+    paths are spilled again after a tombstone within one chunk and across
+    chunks; perhaps with a torn last line, or a line that is neither."""
+    lines = []
+    for tick in range(draw(st.integers(min_value=0, max_value=60))):
+        path = draw(st.sampled_from(COLD_PATHS))
+        if draw(st.booleans()):
+            lines.append(encode_record((path, 1, 0, tick, 1)).encode() + b"\n")
+        else:
+            lines.append(b"TOMB " + path.encode() + b"\n")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))),
+                     draw(st.sampled_from(NOT_A_COLD_LINE)))
+    data = b"".join(lines)
+    if draw(st.booleans()):
+        torn = draw(st.sampled_from((encode_record(("/c/1", 1, 0, 99, 1)).encode(),
+                                     b"TOMB /c/1")))
+        data += torn[:draw(st.integers(min_value=1, max_value=len(torn)))]
+    return data
+
+
+def _scan_outcome(path, data):
+    """What a cold store opened on ``data`` holds, and the file after the
+    open; or the open's error message."""
+    path.write_bytes(data)
+    try:
+        cold = ColdStore(path)
+    except CorruptImageError as exc:
+        return str(exc), path.read_bytes()
+    try:
+        return (len(cold), cold.paths(), [cold.get(p) for p in COLD_PATHS + ("/c/9",)],
+                path.read_bytes())
+    finally:
+        cold.close()
+
+
+@settings(max_examples=300)
+@given(cold_file(), st.integers(min_value=1, max_value=200), st.booleans())
+def test_the_chunked_cold_scan_builds_the_index_the_per_line_scan_builds(
+        tmp_path_factory, data, chunk, colliding):
+    path = tmp_path_factory.getbasetemp() / "chunked_cold"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coldstore, "_SCAN_CHUNK", chunk)  # a few lines a chunk
+        if colliding:
+            m.setattr(coldstore, "_key", lambda path: 1)
+        chunked = _scan_outcome(path, data)
+        m.setattr(ColdStore, "_index_chunk", lambda *args: False)  # every line on its own
+        assert chunked == _scan_outcome(path, data)

@@ -570,10 +570,16 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
     write_store_dir(tmp_path, hot, cold, tombstoned=("/c/0",), edits=edits)
     decoded, parsed = [], []
     real_decode, real_parse = recordio.decode_record, editlog.parse_op_line
+    real_decode_lines = recordio.decode_lines
 
     def counting_decode(line, *args):
         decoded.append(line)
         return real_decode(line, *args)
+
+    def counting_decode_lines(text):  # the image load decodes a chunk at a time
+        columns = real_decode_lines(text)
+        decoded.extend(columns[0] if columns else ())
+        return columns
 
     def counting_parse(line):
         parsed.append(line)
@@ -581,10 +587,11 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
 
     monkeypatch.setattr(recordio, "decode_record", counting_decode)
     monkeypatch.setattr(coldstore, "decode_record", counting_decode)
+    monkeypatch.setattr(recordio, "decode_lines", counting_decode_lines)
     monkeypatch.setattr(editlog, "parse_op_line", counting_parse)
     store = open_store(tmp_path)
     try:
-        assert len(decoded) == len(hot)  # the image's records, no cold one
+        assert len(decoded) == len(hot)  # the image's records, each once; no cold one
         assert len(parsed) == len(edits)
         assert sorted(store.hot.paths()) == ["/h/0", "/h/2", "/h/3", "/h/4", "/n/0", "/n/1"]
         assert len(store.cold) == 6

@@ -501,8 +501,10 @@ def test_a_failed_cold_write_takes_no_tick(tmp_path, operation):
 @pytest.fixture
 def file_io(monkeypatch):
     """A Counter of the store's file work while the test runs: ``os.pread``,
-    ``os.fsync`` and ``os.replace`` calls, ``decode_record``, ``encode_record``
-    and ``parse_op_line`` calls, and bytes appended to ``edits.log``."""
+    ``os.fsync`` and ``os.replace`` calls, records decoded (one per
+    ``decode_record`` call, and each row ``decode_lines`` returns),
+    ``encode_record`` and ``parse_op_line`` calls, and bytes appended to
+    ``edits.log``."""
     calls = Counter()
 
     def count(module, name, key):
@@ -521,6 +523,14 @@ def file_io(monkeypatch):
         count(module, "decode_record", "decode")
         count(module, "encode_record", "encode")
     count(editlog, "parse_op_line", "parse")
+    real_decode_lines = recordio.decode_lines
+
+    def decoding_lines(text):
+        columns = real_decode_lines(text)
+        calls["decode"] += len(columns[0]) if columns else 0
+        return columns
+
+    monkeypatch.setattr(recordio, "decode_lines", decoding_lines)
     real_append = EditsLog.append
 
     def appending(log, event):  # a checkpoint empties the log, so count each append
@@ -535,7 +545,7 @@ def file_io(monkeypatch):
 def io_of(calls, store, operation, *args):
     """What ``operation(*args)`` on ``store`` does to its files: ``os.pread``
     calls, bytes onto ``fsimage2`` and onto ``edits.log``, ``os.fsync`` and
-    ``os.replace`` calls, and ``decode_record`` and ``encode_record`` calls."""
+    ``os.replace`` calls, records decoded and ``encode_record`` calls."""
     calls.clear()
     cold_before = store.cold.path.stat().st_size
     operation(*args)
@@ -642,7 +652,7 @@ def test_file_io_per_record(tmp_path, file_io, monkeypatch):
         "pass of 4": (0, 96, 0, 0, 0, 0, 4),
         "pass of 8": (0, 192, 0, 0, 0, 0, 8),
     }
-    # a reopen's pread calls, decode_record calls and parse_op_line calls
+    # a reopen's pread calls, records decoded and parse_op_line calls
     assert reopens == {
         "4 edits": (0, 0, 4),
         "8 edits": (0, 0, 8),

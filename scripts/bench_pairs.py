@@ -3,7 +3,12 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
 
 Each DIR is a checkout of one commit (``git archive`` or ``git clone``) with
-its own ``perfbench/``. Pair i of ten runs every workload of the change's
+its own ``perfbench/``, or a working tree such as ``.``. No run is made in
+DIR itself: each one gets a fresh temporary copy of DIR's files that git
+does not ignore, tracked or not, so what builds and tests leave in a working
+tree (``__pycache__``, ``.perfbench_work``) never reaches a run. A DIR with
+no ``.git`` is judged by its ``.gitignore`` files alone. Pair i of ten runs
+every workload of the change's
 ``BENCHMARK.json`` once on each side with seed 101 + i and the benchmark's
 ``run_seconds``; the side that goes first alternates from pair to pair, and
 no two runs overlap. A traced run of each workload at seed 7 on each side
@@ -35,9 +40,11 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -45,11 +52,30 @@ SEEDS = list(range(101, 111))
 TRACED_SEED = 7
 
 
+def copy_checkout(checkout: Path, dest: Path) -> Path:
+    """Copy to ``dest`` the files of ``checkout`` that git does not ignore."""
+    git = ["git", "-C", str(checkout)]
+    with tempfile.TemporaryDirectory() as empty:
+        if not (checkout / ".git").exists():  # judge the files by .gitignore alone
+            subprocess.run(["git", "init", "-q", empty], check=True)
+            git += [f"--git-dir={empty}/.git", "--work-tree=."]
+        listed = subprocess.run(git + ["ls-files", "-z", "-co", "--exclude-standard"],
+                                check=True, capture_output=True).stdout
+    for name in os.fsdecode(listed).split("\0")[:-1]:
+        if os.path.lexists(checkout / name):  # not a tracked file deleted since
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(checkout / name, dest / name, follow_symlinks=False)
+    return dest
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, traced: bool) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its last output line, parsed."""
+    """One ``perfbench/run.py`` run in a fresh copy of ``checkout``; its last
+    output line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(traced))]
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copy = copy_checkout(checkout, Path(tmp) / "checkout")
+        out = subprocess.run(cmd, cwd=copy, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 

@@ -223,17 +223,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         with open(args.image, "r", encoding="utf-8") as f:
             sys.stdout.writelines(f)  # the lines the load checked, as they are on disk
         return 0
-    # ColdStore would create a missing file and cut off a torn last line; inspect
-    # must stay read-only, since a served store may be writing that line
-    if not Path(args.cold).exists():
+    if not Path(args.cold).exists():  # ColdStore would create it
         raise FileNotFoundError(f"no such cold store: {args.cold}")
-    with open(args.cold, "rb") as f:
-        size = f.seek(0, os.SEEK_END)
-        torn = size > 0 and os.pread(f.fileno(), 1, size - 1) != b"\n"
-    if torn:
-        raise ValueError(f"{args.cold}: last line is torn; reopening its store, or "
-                         f"'tiermeta compact --cold {args.cold}', drops it")
-    cold = ColdStore(args.cold)
+    cold = ColdStore(args.cold)  # writes nothing, and refuses a torn last line
     try:
         if args.path:
             _print_with_blocks(cold.get(args.path), args.cold, args.path)
@@ -260,8 +252,12 @@ def cmd_compact(args: argparse.Namespace) -> int:
     image = Path(args.cold).with_name(IMAGE_NAME)
     if image.exists():  # moving lines under a committed length would break the store
         raise ValueError(f"not compacting {args.cold}: {image} beside it commits its length")
-    with open(args.cold, "rb") as f:
-        before = sum(1 for _ in f)
+    with open(args.cold, "r+b") as f:
+        before = end = 0
+        for line in f:
+            if line.endswith(b"\n"):
+                before, end = before + 1, end + len(line)
+        f.truncate(end)  # drops a torn last line: an append a crash cut short
     cold = ColdStore(args.cold)
     try:
         live = cold.compact()

@@ -7,15 +7,18 @@ The file holds record lines (see recordio) interleaved with tombstones:
 Later entries win, so deleting or promoting a record is one appended
 tombstone, never a rewrite. Record paths always start with "/", so a TOMB
 prefix is unambiguous. An append ends with its newline, so a last line
-without one was cut short by a crash: it was never acknowledged, and
-opening the file truncates it away, as reading the edits log does.
+without one is an append cut short by a crash, or one still being written.
+An open writes nothing: it takes the file's size once and reads only the
+lines below it, and a torn last line fails it with CorruptImageError, as it
+fails an image load. ``open_store`` cuts a store's cold file back to the
+length its image commits, which ends a line, before opening it.
 
 The index holds no path. It is an open-addressing hash table in two
 ``array("q")`` with a power-of-two number of slots, sized on open by a line
-count and filled by one scan that reads ``_SCAN_CHUNK`` bytes of whole lines
-at a time and indexes each chunk in bulk; a chunk with a line that is
-neither a record nor a tombstone is indexed again one line at a time, which
-names that line. ``_keys`` holds each live path's :func:`_key`
+count and filled by one scan that reads ``recordio.READ_CHUNK`` bytes of
+whole lines at a time and indexes each chunk in bulk; a chunk with a line
+that is neither a record nor a tombstone is indexed again one line at a
+time, which names that line. ``_keys`` holds each live path's :func:`_key`
 (0 marks an empty slot) and ``_offs`` the offset of its live record line
 (-1 marks an entry a tombstone or a promotion removed). Lookups probe
 linearly from the key. A key match is confirmed against the path in the
@@ -42,6 +45,7 @@ from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import recordio
 from .errors import (
     ColdStoreWriteFailureError,
     CompactionAbortedError,
@@ -55,12 +59,6 @@ logger = logging.getLogger(__name__)
 _TOMB_PREFIX = b"TOMB "
 _REMOVED = -1
 _MIN_SLOTS = 16
-# bytes read at a time by the line count that sizes the table on open
-_COUNT_CHUNK = 1 << 16
-# bytes of whole lines the index scan reads and indexes at a time; a larger
-# chunk holds more transient line objects (at 256 KiB the open's traced peak
-# was about three times the table it builds)
-_SCAN_CHUNK = 32 * 1024
 
 
 def _key(path: str) -> int:
@@ -192,22 +190,26 @@ class ColdStore:
             yield offset, self._file.readline()
 
     def _rebuild_index(self) -> None:
+        """Index the whole lines below the file's size as the open finds it."""
         self._keys = self._offs = array("q")  # the old table goes first
+        size = self._file.seek(0, os.SEEK_END)
         self._file.seek(0)
-        chunks = iter(lambda: self._file.read(_COUNT_CHUNK), b"")
+        total, chunk = 0, b""
+        for start in range(0, size, recordio.READ_CHUNK):
+            chunk = self._file.read(min(recordio.READ_CHUNK, size - start))
+            total += chunk.count(b"\n")
+        if size and not chunk.endswith(b"\n"):
+            raise CorruptImageError(f"{self.path}: line {total + 1}: truncated record")
         # every line fills at most one slot, so the scan never grows the table
-        self._allocate(_slots_for(sum(chunk.count(b"\n") for chunk in chunks)))
+        self._allocate(_slots_for(total))
         self._file.seek(0)
         offset, lineno = 0, 1
-        while lines := self._file.readlines(_SCAN_CHUNK):
-            torn = b"" if lines[-1].endswith(b"\n") else lines.pop()  # the file's last line
+        while lineno <= total and (lines := self._file.readlines(recordio.READ_CHUNK)):
+            del lines[total - lineno + 1:]  # lines appended after the count
             starts = list(accumulate(map(len, lines), initial=offset))
             if not self._index_chunk(lines, starts):
                 self._index_lines(lines, starts, lineno)
             offset, lineno = starts[-1], lineno + len(lines)
-            if torn:
-                logger.warning("%s: dropping a torn last line of %d bytes", self.path, len(torn))
-                self._file.truncate(offset)
         self._shrink_if_sparse()
 
     def _index_chunk(self, lines: list[bytes], starts: list[int]) -> bool:

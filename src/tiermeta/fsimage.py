@@ -23,8 +23,6 @@ from .namespace import HotStore
 
 HEADER_MAGIC = "FSIMAGE"
 FORMAT_VERSION = "v4"
-# bytes of whole record lines that a load reads, decodes and inserts at a time
-IMAGE_CHUNK = 32 * 1024
 
 
 def save_fsimage(store: HotStore, dest: str | Path, clock: int, cold_end: int) -> None:
@@ -83,8 +81,9 @@ def load_fsimage(src: str | Path) -> HotStore:
     Every record is decoded and checked: a line that is not UTF-8, that
     :func:`recordio.decode_record` refuses (another geometry, a creation tick
     after ``last_access``) or whose ``last_access`` is not below the clock
-    fails the load and is named. The records are read ``IMAGE_CHUNK`` bytes
-    of whole lines at a time, and each chunk is decoded and inserted in bulk
+    fails the load and is named. The records are read
+    ``recordio.READ_CHUNK`` bytes of whole lines at a time, and each chunk is
+    decoded and inserted in bulk
     (:func:`recordio.decode_lines`, :meth:`HotStore.insert_columns`); a chunk
     that fails any bulk check is read again one line at a time, which finds
     the bad line and names it.
@@ -93,7 +92,7 @@ def load_fsimage(src: str | Path) -> HotStore:
     with open(src, "rb") as f:
         expected, clock, _ = _read_header(f, src)
         lineno = 2
-        while lines := f.readlines(IMAGE_CHUNK):
+        while lines := f.readlines(recordio.READ_CHUNK):
             if not _insert_chunk(store, lines, clock):
                 _insert_lines(store, lines, lineno, clock, src)
             lineno += len(lines)

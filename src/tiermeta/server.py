@@ -9,8 +9,7 @@ response line per request.
                                 touching bookkeeping
     DELETE <path>            -> OK deleted <path>
     REPORT                   -> OK key=value ... (counters, one line)
-    QUIT                     -> OK bye, then the whole server checkpoints
-                                and shuts down
+    QUIT                     -> checkpoint, then OK bye, then shutdown
 
     errors                   -> ERR EXISTS|NOTFOUND|BADREQ <message>
 

@@ -1,12 +1,19 @@
 """Shared fixtures, and helpers for protocol-level tests."""
 
 import builtins
+import os
 import random
 import socket
+from pathlib import Path
 
 import pytest
 
 from tiermeta.namespace import HotStore
+
+# pyproject's pythonpath puts src/ on this process's sys.path; the Python
+# processes a test starts (python -m tiermeta.cli, say) get it from here
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """The summary that scripts/bench_pairs.py writes from a series of paired runs."""
 
 import importlib.util
+import json
 import math
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +136,37 @@ def test_traced_values_hold_every_workload_of_each_side():
         "restart": {"parent": {"lo": 3.0, "hi": 3.0}, "change": {"lo": 4.0, "hi": 4.0}},
     }
     assert bench_pairs.traced_values(series()) == {}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("cloned", [True, False], ids=["git-clone", "git-archive"])
+def test_each_run_is_made_in_a_fresh_copy_of_the_checkout_s_files(
+        tmp_path, monkeypatch, cloned):
+    checkout = tmp_path / "checkout"
+    files = {".gitignore": ".perfbench_work/\n__pycache__/\n",
+             "perfbench/run.py": "print('{}')\n", "notes.txt": "not yet added\n"}
+    leftovers = [".perfbench_work/data", "perfbench/__pycache__/run.cpython.pyc"]
+    for name in [*files, *leftovers]:
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(files.get(name, "left by a run\n"))
+    if cloned:
+        subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+        subprocess.run(["git", "-C", str(checkout), "add", ".gitignore", "perfbench/run.py"],
+                       check=True)
+    real_run, seen = subprocess.run, []
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return real_run(cmd, **kwargs)
+        cwd = Path(kwargs["cwd"])
+        seen.append((cwd, {p.relative_to(cwd).as_posix(): p.read_text()
+                           for p in cwd.rglob("*") if p.is_file()}))
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps({"correct": True}) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for seed in (101, 102):
+        assert bench_pairs.run_once(checkout, "w", seed, 1, False) == {"correct": True}
+    (first, copied), (second, _) = seen
+    assert copied == files  # no .git, .perfbench_work or __pycache__
+    assert len({first, second, checkout}) == 3 and checkout not in first.parents
+    assert not first.exists()

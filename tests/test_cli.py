@@ -198,8 +198,7 @@ def test_inspect_refuses_a_cold_file_with_a_torn_last_line_and_leaves_it_alone(
     cold.write_bytes(line + line[:10])  # a spill cut off by a crash, or still being written
     code, out, err = run(capsys, "inspect", "--cold", str(cold))
     assert (code, out) == (1, "")
-    assert err == (f"error: {cold}: last line is torn; reopening its store, or "
-                   f"'tiermeta compact --cold {cold}', drops it\n")
+    assert err == f"error: {cold}: line 2: truncated record\n"
     assert cold.read_bytes() == line + line[:10]
     code, _, _ = run(capsys, "compact", "--cold", str(cold))
     assert code == 0 and cold.read_bytes() == line

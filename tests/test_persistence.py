@@ -13,7 +13,7 @@ import pytest
 from conftest import FailingFile, new_record
 from hypothesis import example, given, settings, strategies as st
 
-from tiermeta import coldstore, fsimage
+from tiermeta import coldstore, fsimage, recordio
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent, parse_op_line
 from tiermeta.errors import (
@@ -423,7 +423,7 @@ def _load_outcome(path):
 
 def _chunked_and_per_line_loads(path, chunk):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(fsimage, "IMAGE_CHUNK", chunk)
+        m.setattr(recordio, "READ_CHUNK", chunk)
         chunked = _load_outcome(path)
         m.setattr(fsimage, "_insert_chunk", lambda *args: False)  # every line on its own
         return chunked, _load_outcome(path)
@@ -450,7 +450,7 @@ def test_an_int_fault_in_any_field_fails_the_chunked_load_as_it_fails_the_per_li
             bad = good[:field] + [text] + good[field + 1:]
             path.write_text(f"FSIMAGE v4 2 {IMAGE_CLOCK} 0\n" + "\t".join(good) + "\n"
                             + "\t".join(bad).replace("/a", "/b") + "\n")
-            chunked, per_line = _chunked_and_per_line_loads(path, fsimage.IMAGE_CHUNK)
+            chunked, per_line = _chunked_and_per_line_loads(path, recordio.READ_CHUNK)
             assert chunked == per_line
             assert per_line.startswith(f"{path}: line 3: "), per_line
 
@@ -936,14 +936,24 @@ def test_a_cold_field_that_is_not_utf8_fails_the_read_naming_its_offset(tmp_path
         cold.close()
 
 
-def test_a_torn_last_cold_record_is_dropped(tmp_path, caplog):
+def _refused_then_cut(path, complete, torn, lineno):
+    """Open ``complete + torn`` and check that the open fails naming line
+    ``lineno`` and leaves the bytes; then cut the tail off by hand and open
+    the complete lines."""
+    path.write_bytes(complete + torn)
+    with pytest.raises(CorruptImageError) as refused:
+        ColdStore(path)
+    assert str(refused.value) == f"{path}: line {lineno}: truncated record"
+    assert path.read_bytes() == complete + torn
+    os.truncate(path, len(complete))
+    return ColdStore(path)
+
+
+def test_a_torn_last_cold_record_fails_the_open_and_stays(tmp_path):
     path = tmp_path / "c2"
     first, second = cold_records(2)
     complete = encode_record(first).encode() + b"\n"
-    path.write_bytes(complete + encode_record(second).encode()[:9])  # a kill mid-append
-    cold = ColdStore(path)
-    assert [r.message for r in caplog.records] == [f"{path}: dropping a torn last line of 9 bytes"]
-    assert path.read_bytes() == complete
+    cold = _refused_then_cut(path, complete, encode_record(second).encode()[:9], 2)
     assert cold.paths() == [first.path]
     cold.append_records([second])
     cold.close()
@@ -954,14 +964,11 @@ def test_a_torn_last_cold_record_is_dropped(tmp_path, caplog):
         reopened.close()
 
 
-def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
+def test_a_torn_last_tombstone_fails_the_open_and_deletes_nothing(tmp_path):
     path = tmp_path / "c2"
     records = [new_record(p, 10, i) for i, p in enumerate(("/c1", "/c10", "/c2"))]
     complete = b"".join(encode_record(r).encode() + b"\n" for r in records)
-    path.write_bytes(complete + b"TOMB /c1")  # cut from "TOMB /c10\n"
-    cold = ColdStore(path)
-    assert len(caplog.records) == 1
-    assert path.read_bytes() == complete
+    cold = _refused_then_cut(path, complete, b"TOMB /c1", 4)  # cut from "TOMB /c10\n"
     assert cold.paths() == ["/c1", "/c10", "/c2"]
     cold.delete("/c2")
     cold.close()
@@ -971,6 +978,36 @@ def test_a_torn_last_tombstone_deletes_nothing(tmp_path, caplog):
         assert reopened.paths() == ["/c1", "/c10"]
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("appended", [3, 40])
+def test_an_open_indexes_the_lines_it_counted_and_leaves_a_writer_s_appends(
+        tmp_path, monkeypatch, appended):
+    """A writer (a served store's spill, say) appends whole lines and a torn
+    one after the open has counted the lines: the open indexes the counted
+    lines and leaves every appended byte in place."""
+    path = tmp_path / "c2"
+    records = one_block_records(3 + appended)
+    counted = b"".join(encode_record(r).encode() + b"\n" for r in records[:3])
+    later = b"".join(encode_record(r).encode() + b"\n" for r in records[3:])
+    later += encode_record(records[0]).encode()[:12]
+    path.write_bytes(counted)
+    real_slots_for = coldstore._slots_for
+
+    def append_then_size(entries):  # called between the count and the scan
+        monkeypatch.setattr(coldstore, "_slots_for", real_slots_for)
+        with open(path, "ab") as writer:
+            writer.write(later)
+        return real_slots_for(entries)
+
+    monkeypatch.setattr(coldstore, "_slots_for", append_then_size)
+    cold = ColdStore(path)
+    try:
+        assert path.read_bytes() == counted + later
+        assert cold.paths() == [r.path for r in records[:3]]
+        assert [cold.get(r.path) for r in records] == records[:3] + [None] * appended
+    finally:
+        cold.close()
 
 
 def one_block_records(n):
@@ -1107,7 +1144,7 @@ def test_the_chunked_cold_scan_builds_the_index_the_per_line_scan_builds(
         tmp_path_factory, data, chunk, colliding):
     path = tmp_path_factory.getbasetemp() / "chunked_cold"
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(coldstore, "_SCAN_CHUNK", chunk)  # a few lines a chunk
+        m.setattr(recordio, "READ_CHUNK", chunk)  # a few lines a chunk
         if colliding:
             m.setattr(coldstore, "_key", lambda path: 1)
         chunked = _scan_outcome(path, data)

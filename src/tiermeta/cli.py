@@ -176,6 +176,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _tiering_config(_resolve_knobs(args))
     cold_path = Path(args.cold) if args.cold else Path(args.trace + ".cold")
+    _refuse_a_store_s_cold_file(cold_path, "replaying into")
     _emit_report(replay(args.trace, config, cold_path), args)
     return 0
 
@@ -248,10 +249,16 @@ def _print_with_blocks(record: MetadataRecord | None, src: str, path: str) -> No
         print(f"block {b.block_id} size={b.size} stamp={b.generation_stamp} replicas={replicas}")
 
 
+def _refuse_a_store_s_cold_file(cold: str | Path, doing: str) -> None:
+    """Raise if an image beside ``cold`` commits its length: rewriting lines
+    under that length would break the store."""
+    image = Path(cold).with_name(IMAGE_NAME)
+    if image.exists():
+        raise ValueError(f"not {doing} {cold}: {image} beside it commits its length")
+
+
 def cmd_compact(args: argparse.Namespace) -> int:
-    image = Path(args.cold).with_name(IMAGE_NAME)
-    if image.exists():  # moving lines under a committed length would break the store
-        raise ValueError(f"not compacting {args.cold}: {image} beside it commits its length")
+    _refuse_a_store_s_cold_file(args.cold, "compacting")
     with open(args.cold, "r+b") as f:
         before = end = 0
         for line in f:

@@ -56,6 +56,15 @@ MAX_REQUEST_BYTES = 64 * 1024  # the longest request line read, its LF not count
 # how often serve_forever looks for shutdown(), which waits for it: every
 # QUIT and signal pays up to this, and socketserver's default is 0.5 s
 POLL_INTERVAL = 0.05
+# each verb's argument count, and the reply's text when a request has another
+_VERBS = {
+    "CREATE": (2, "CREATE takes a path and a length"),
+    "OPEN": (1, "OPEN takes a path"),
+    "STAT": (1, "STAT takes a path"),
+    "DELETE": (1, "DELETE takes a path"),
+    "REPORT": (0, "REPORT takes no arguments"),
+    "QUIT": (0, "QUIT takes no arguments"),
+}
 
 
 def open_store(data_dir: str | Path, config: TieringConfig | None = None) -> TieredStore:
@@ -216,16 +225,18 @@ class MetadataServer(socketserver.ThreadingTCPServer):
 
     def _close_store(self) -> None:
         """Write the final checkpoint unless QUIT already did or a request
-        failed, then close the store.
+        failed, then close the store, also when that checkpoint raises.
 
         Taking the request lock waits out a request still running on some
         connection, and setting ``_stopping`` turns away any that follow.
         """
         with self._store_lock:
-            if not self._stopping:
-                self._stopping = True
-                self.store.checkpoint(self.store.image_path)
-            self.store.close()
+            try:
+                if not self._stopping:
+                    self._stopping = True
+                    self.store.checkpoint(self.store.image_path)
+            finally:
+                self.store.close()
 
     # -- request handling (with _store_lock held) -----------------------------
 
@@ -235,40 +246,29 @@ class MetadataServer(socketserver.ThreadingTCPServer):
             return "ERR BADREQ server is shutting down", True
         tokens = line.split(" ")
         verb = tokens[0]
+        if verb not in _VERBS:
+            return f"ERR BADREQ unknown verb {verb!r}", False
+        arguments, usage = _VERBS[verb]
+        if len(tokens) != 1 + arguments:
+            return f"ERR BADREQ {usage}", False
         try:
             if verb == "CREATE":
-                if len(tokens) != 3:
-                    return "ERR BADREQ CREATE takes a path and a length", False
-                length = parse_non_negative_int(tokens[2], "length")
-                record = self.store.create(tokens[1], length)
-                return f"OK created {record.path}", False
+                self.store.create(tokens[1], parse_non_negative_int(tokens[2], "length"))
+                return f"OK created {tokens[1]}", False
             if verb == "OPEN":
-                if len(tokens) != 2:
-                    return "ERR BADREQ OPEN takes a path", False
-                record = self.store.open(tokens[1])
-                return format_record(record), False
+                return format_record(self.store.open(tokens[1])), False
             if verb == "STAT":
-                if len(tokens) != 2:
-                    return "ERR BADREQ STAT takes a path", False
                 record, tier = self.store.stat(tokens[1])
                 return format_record(record, tier), False
             if verb == "DELETE":
-                if len(tokens) != 2:
-                    return "ERR BADREQ DELETE takes a path", False
                 self.store.delete(tokens[1])
                 return f"OK deleted {tokens[1]}", False
             if verb == "REPORT":
-                if len(tokens) != 1:
-                    return "ERR BADREQ REPORT takes no arguments", False
                 return self._report_line(), False
-            if verb == "QUIT":
-                if len(tokens) != 1:
-                    return "ERR BADREQ QUIT takes no arguments", False
-                self.store.checkpoint(self.store.image_path)
-                self._stopping = True
-                logger.info("QUIT received; checkpointed and shutting down")
-                return "OK bye", True
-            return f"ERR BADREQ unknown verb {verb!r}", False
+            self.store.checkpoint(self.store.image_path)  # QUIT
+            self._stopping = True
+            logger.info("QUIT received; checkpointed and shutting down")
+            return "OK bye", True
         except PathExistsError as exc:
             return f"ERR EXISTS {exc}", False
         except NotFoundError as exc:

@@ -134,28 +134,20 @@ class TieredStore:
 
     # -- namespace operations -------------------------------------------
     #
-    # Live requests and replay run one body per operation (_create, _resolve,
-    # _delete) through _apply, with the event's tick: ``clock`` for a live
-    # request, the logged or traced one on replay. Only once the body has
-    # returned does _apply set ``clock`` past that tick, so a refused or
-    # failed operation takes none. Live requests then append the edit; replay
-    # does not. Every logged edit, and every replayed CREATE or DELETE, is
-    # followed by _check_threshold.
+    # A live request and a replayed event run the same body per operation
+    # (_create, _resolve, _delete) through _apply, with the event's tick:
+    # ``clock`` for a live request, the logged or traced one on replay. Only
+    # once the body has returned does _apply set ``clock`` past that tick, so
+    # a refused or failed operation takes none. A live request goes through
+    # _apply_live, which then appends the edit and runs _check_threshold;
+    # replay logs nothing and checks after a CREATE or DELETE only.
 
-    def create(self, path: str, length: int) -> MetadataRecord:
-        event = OpEvent(OP_CREATE, path, self.clock, length)
-        self._apply(event)
-        record = self.hot.get(path)  # before the check, whose pass may evict it
-        self._log(event)
-        self._check_threshold(OP_CREATE)
-        return record
+    def create(self, path: str, length: int) -> None:
+        self._apply_live(OpEvent(OP_CREATE, path, self.clock, length))
 
     def open(self, path: str) -> MetadataRecord:
         """Look a file up for use; bumps its bookkeeping, promotes if cold."""
-        event = OpEvent(OP_ACCESS, path, self.clock)
-        self._apply(event)
-        self._log(event)
-        self._check_threshold(OP_ACCESS)
+        self._apply_live(OpEvent(OP_ACCESS, path, self.clock))
         return self.hot.get(path)
 
     def stat(self, path: str) -> tuple[MetadataRecord, str]:
@@ -169,10 +161,7 @@ class TieredStore:
         raise NotFoundError(f"no such path: {path}")
 
     def delete(self, path: str) -> None:
-        event = OpEvent(OP_DELETE, path, self.clock)
-        self._apply(event)
-        self._log(event)
-        self._check_threshold(OP_DELETE)
+        self._apply_live(OpEvent(OP_DELETE, path, self.clock))
 
     def apply_event(self, event: OpEvent) -> None:
         """Apply one trace or log event with its own tick; it is not re-logged.
@@ -268,6 +257,14 @@ class TieredStore:
             raise ValueError(f"unknown operation {op!r}")
         self.clock = event.tick + 1
 
+    def _apply_live(self, event: OpEvent) -> None:
+        """Apply a live request's event, log it if a log is attached, then
+        run the threshold check, which covers the logged edit."""
+        self._apply(event)
+        if self.edits is not None:
+            self.edits.append(event)
+        self._check_threshold(event.op)
+
     def _create(self, path: str, length: int, tick: int) -> None:
         validate_path(path)
         if path in self.cold:
@@ -325,7 +322,3 @@ class TieredStore:
             self._checkpoint_at = max(self._checkpoint_at, 2 * self.edits.entry_count)
             logger.warning("checkpoint %s failed; edits.log keeps its edits: %s",
                            "after a pass" if passed else "of a full edits.log", exc)
-
-    def _log(self, event: OpEvent) -> None:
-        if self.edits is not None:
-            self.edits.append(event)

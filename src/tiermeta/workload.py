@@ -132,19 +132,18 @@ def replay(
     each CREATE and DELETE it applies, as the live service does; it has no
     image, so no pass is checkpointed. An ACCESS to a path in neither tier
     is counted as a miss and skipped; a DELETE of one is skipped. A line that
-    does not parse, or an event the store refuses (a path that exists, a bad
-    path or length, a tick in the past), raises MalformedTraceError naming
-    the line.
+    is not UTF-8 or does not parse, or an event the store refuses (a path
+    that exists, a bad path or length, a tick in the past), raises
+    MalformedTraceError naming the line.
     """
     open(cold_path, "wb").close()
     cold = ColdStore(cold_path)
     store = TieredStore(cold, config)
-    applied = 0
     try:
-        with open(trace_path, "r", encoding="utf-8", newline="\n") as f:
+        with open(trace_path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 try:
-                    event = parse_op_line(line.rstrip("\n"))
+                    event = parse_op_line(line.rstrip(b"\n").decode("utf-8"))
                     store.apply_event(event)
                 except NotFoundError:
                     logger.warning("%s: line %d: %s of unknown path %s",
@@ -153,10 +152,9 @@ def replay(
                     raise MalformedTraceError(
                         f"{trace_path}: line {lineno}: {exc}"
                     ) from None
-                applied += 1
-                if applied % _PROGRESS_EVERY == 0:
+                if lineno % _PROGRESS_EVERY == 0:
                     logger.info("replayed %d events (hot %d, cold %d)",
-                                applied, len(store.hot), len(store.cold))
+                                lineno, len(store.hot), len(store.cold))
         return build_report(
             store.metrics,
             config={**config.as_dict(), "trace": str(trace_path)},

@@ -106,6 +106,34 @@ def test_replay_names_the_malformed_line(tmp_path, capsys):
     assert "error:" in err and "line 2" in err
 
 
+def test_replay_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_bytes(b"CREATE /a 5 0\nCREATE /\xff 1 1\n")
+    code, out, err = run(capsys, "replay", "--trace", str(trace))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {trace}: line 2: 'utf-8' codec can't decode byte 0xff "
+                   "in position 8: invalid start byte\n")
+
+
+def test_replay_refuses_the_cold_file_of_a_store(tmp_path, capsys):
+    store = open_store(tmp_path, TieringConfig(threshold_records=10))
+    for i in range(12):
+        store.create(f"/k/{i}", 100)  # the 10th spills the oldest three
+    store.checkpoint(store.image_path)
+    store.close()
+    cold = tmp_path / COLD_NAME
+    before = cold.read_bytes()
+    assert before
+    trace = tmp_path / "t.txt"
+    trace.write_text("CREATE /x 1 0\n")
+    code, out, err = run(capsys, "replay", "--trace", str(trace), "--cold", str(cold))
+    assert code == 1 and out == ""
+    assert err == (f"error: not replaying into {cold}: {tmp_path / IMAGE_NAME} "
+                   "beside it commits its length\n")
+    assert cold.read_bytes() == before
+    open_store(tmp_path).close()
+
+
 def test_inspect_image(tmp_path, capsys):
     empty = tmp_path / "img0"
     save_fsimage(HotStore(), empty, 0, 0)

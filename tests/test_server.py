@@ -1,5 +1,6 @@
 """TCP protocol conformance, concurrency, and store lifecycle."""
 
+import errno
 import os
 import re
 import select
@@ -64,6 +65,36 @@ def test_golden_session(running_server):
     for request, expected in GOLDEN_SESSION:
         assert client.ask(request) == expected, f"request {request!r}"
     server.wait(5)
+    client.close()
+
+
+# every verb given an argument count it does not take, with the exact reply
+USAGE_ERRORS = [
+    ("CREATE /u", "ERR BADREQ CREATE takes a path and a length"),
+    ("CREATE /u 1 2", "ERR BADREQ CREATE takes a path and a length"),
+    ("OPEN /u /v", "ERR BADREQ OPEN takes a path"),
+    ("STAT", "ERR BADREQ STAT takes a path"),
+    ("STAT /u /v", "ERR BADREQ STAT takes a path"),
+    ("DELETE", "ERR BADREQ DELETE takes a path"),
+    ("DELETE /u /v", "ERR BADREQ DELETE takes a path"),
+    ("REPORT now", "ERR BADREQ REPORT takes no arguments"),
+    ("QUIT now", "ERR BADREQ QUIT takes no arguments"),
+    ("", "ERR BADREQ unknown verb ''"),
+    ("create /u 1", "ERR BADREQ unknown verb 'create'"),
+]
+
+
+def test_a_verb_with_an_argument_count_it_does_not_take_gets_its_usage(running_server):
+    server = running_server()
+    client = Client(server.bound_port)
+    for request, expected in USAGE_ERRORS:
+        assert client.ask(request) == expected, f"request {request!r}"
+    # none of them ran, and QUIT with an argument did not stop the server
+    assert client.ask("REPORT") == (
+        "OK hot_records=0 cold_records=0 creates=0 deletes=0 lookups=0 "
+        "hot_hits=0 cold_hits=0 misses=0 promotions=0 separations=0 peak_hot_records=0"
+    )
+    assert client.ask("CREATE /u 1") == "OK created /u"
     client.close()
 
 
@@ -451,6 +482,25 @@ def test_serve_writes_one_checkpoint_per_shutdown(tmp_path, monkeypatch, stop):
     assert (tmp_path / "edits.log").read_bytes() == b""
 
 
+def test_the_store_is_closed_when_the_final_checkpoint_fails(tmp_path, monkeypatch,
+                                                              opened_files):
+    opened = opened_files(editlog, coldstore)
+    store = open_store(tmp_path)
+    store.create("/c/a", 1)  # opens edits.log for appending
+    server = MetadataServer(store)
+
+    def refuse(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tiering, "save_fsimage", refuse)
+    try:
+        with pytest.raises(OSError):
+            server._close_store()
+    finally:
+        server.shutdown()
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
 def test_serve_checkpoints_on_sigterm(tmp_path):
     # the CLI process must treat a signal like QUIT: stop, then checkpoint
     with subprocess.Popen(
@@ -553,7 +603,8 @@ def test_a_spill_before_the_first_image_is_rolled_back(tmp_path, caplog):
         assert sorted(recovered.hot.paths()) == ["/a", "/b"]
         assert len(recovered.cold) == 0
         assert recovered.clock == 2
-        assert recovered.create("/c", 10).created == 2
+        recovered.create("/c", 10)
+        assert recovered.hot.get("/c").created == 2
     finally:
         recovered.close()
 
@@ -599,7 +650,8 @@ def test_open_store_decodes_only_the_image_and_parses_each_edit_once(tmp_path, m
         assert store.edits.last_tick == 23
         with pytest.raises(OutOfOrderEditError):
             store.edits.append(OpEvent("ACCESS", "/n/0", 23))
-        assert store.create("/n/2", 1).last_access == 24
+        store.create("/n/2", 1)
+        assert store.hot.get("/n/2").last_access == 24
     finally:
         store.close()
 

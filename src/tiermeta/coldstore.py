@@ -29,7 +29,20 @@ at most half full, removed slots counted, and shrinks to fit when fewer
 than 1/8 of its slots are live, down to 16 slots: an entry costs 32-64 B
 (a path-keyed dict cost 114-236 B). A cold ``get`` is one probe and one
 readline; a promotion (:meth:`ColdStore.take`) adds one tombstone, and a
-delete is one probe, one ``os.pread`` and one tombstone.
+delete is one probe, one ``os.pread`` and one tombstone. The open confirms
+a tombstone whose entry's line is in the same chunk against the chunk's
+paths, with no read.
+
+The store counts the lines of its file next to its live records, so the
+dead lines (tombstones, and the records they or a later line superseded)
+are their difference. :meth:`ColdStore.compact` rewrites the file to its
+live lines. A store built with ``autocompact`` runs it after a tombstone
+once the file holds at least ``COMPACT_MIN_LINES`` lines and its dead lines
+outnumber ``COMPACT_DEAD_PER_LIVE`` times its live records, so the file
+stays within about twice its live records, at amortised O(1) per
+tombstone. Only a file that no image commits may be built so: a trace
+replay's. A failed compaction leaves the file as it was and is one
+warning, and the next try waits until the dead lines have doubled.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -60,6 +73,11 @@ _TOMB_PREFIX = b"TOMB "
 _REMOVED = -1
 _MIN_SLOTS = 16
 
+# The ``autocompact`` trigger: at least this many lines, and more than this
+# many dead lines per live record
+COMPACT_MIN_LINES = 1_024
+COMPACT_DEAD_PER_LIVE = 1
+
 
 def _key(path: str) -> int:
     """The table key of ``path``: its str hash, never the empty mark 0.
@@ -81,8 +99,12 @@ class ColdStore:
     """The cold file and its index; a line that :func:`decode_record` refuses
     (another geometry, say) fails the read of its path."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, *, autocompact: bool = False):
+        """Open the cold file at ``path``. Only a file that no image commits
+        may be built with ``autocompact``: a compaction moves every line."""
         self.path = Path(path)
+        self._autocompact = autocompact
+        self._compact_dead = 0  # the fewest dead lines that try a compaction
         self._file = open(self.path, "a+b")
         try:
             self._rebuild_index()
@@ -118,11 +140,14 @@ class ColdStore:
     def _holds(self, offset: int, prefix: bytes) -> bool:
         return os.pread(self._file.fileno(), len(prefix), offset) == prefix
 
-    def _find(self, path: str, read_line: bool = False) -> tuple[int, bytes]:
+    def _find(self, path: str, read_line: bool = False,
+              known: dict[int, str] | None = None) -> tuple[int, bytes]:
         """The slot of ``path``'s live entry and, with ``read_line``, its line.
 
         Returns ``(-1, b"")`` when ``path`` is not live. Without ``read_line``
-        only ``path + "\t"`` is read, and the buffered position is left alone.
+        only ``path + "\t"`` is read, and the buffered position is left alone;
+        an entry whose offset ``known`` maps to the path of its line, read
+        already, is confirmed with no read.
         """
         keys = self._keys
         mask = self._mask
@@ -134,7 +159,10 @@ class ColdStore:
                 offset = self._offs[i]
                 if offset >= 0:
                     prefix = path.encode("utf-8") + b"\t"
-                    if read_line:
+                    if known is not None and offset in known:
+                        if known[offset] == path:
+                            return i, prefix
+                    elif read_line:
                         self._file.seek(offset)
                         line = self._file.readline()
                         if line.startswith(prefix):
@@ -202,6 +230,7 @@ class ColdStore:
             raise CorruptImageError(f"{self.path}: line {total + 1}: truncated record")
         # every line fills at most one slot, so the scan never grows the table
         self._allocate(_slots_for(total))
+        self._lines = total
         self._file.seek(0)
         offset, lineno = 0, 1
         while lineno <= total and (lines := self._file.readlines(recordio.READ_CHUNK)):
@@ -235,8 +264,10 @@ class ColdStore:
         except UnicodeDecodeError:
             return False
         self._put_all(paths, compress(starts, is_record))
+        # an entry from this chunk is confirmed against its path, not read again
+        known = dict(zip(compress(starts, is_record), paths)) if tombs else None
         for path, offset in zip(tombs, compress(starts, is_tomb)):
-            slot = self._find(path)[0]
+            slot = self._find(path, known=known)[0]
             if slot >= 0 and self._offs[slot] < offset:
                 self._remove(slot)
         return True
@@ -321,6 +352,7 @@ class ColdStore:
         if 2 * (self._used + len(paths)) > len(self._keys):
             self._rehash(self._live + len(paths))  # once for the whole batch
         self._put_all(paths, offsets)
+        self._lines += len(paths)
 
     def sync(self) -> int:
         """Make the file durable; returns its length, the end an image commits."""
@@ -349,8 +381,19 @@ class ColdStore:
     def _tombstone(self, path: str, slot: int) -> None:
         with self._appending("a tombstone"):
             self._file.write(_TOMB_PREFIX + path.encode("utf-8") + b"\n")
+        self._lines += 1
         self._remove(slot)
         self._shrink_if_sparse()
+        dead = self._lines - self._live
+        if (self._autocompact and self._lines >= COMPACT_MIN_LINES
+                and dead > COMPACT_DEAD_PER_LIVE * self._live and dead >= self._compact_dead):
+            try:
+                self.compact()
+                self._compact_dead = 0
+            except CompactionAbortedError as exc:
+                # the tombstone stands; try again once the dead lines have doubled
+                self._compact_dead = 2 * dead
+                logger.warning("%s; the next try waits for %d dead lines", exc, 2 * dead)
 
     def compact(self) -> int:
         """Rewrite the file with live records only, preserving append order.
@@ -365,10 +408,10 @@ class ColdStore:
                     out.write(line)
                 out.flush()
                 os.fsync(out.fileno())
+            os.replace(tmp, self.path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
             raise CompactionAbortedError(f"compaction of {self.path} failed: {exc}") from exc
-        os.replace(tmp, self.path)
         self._file.close()
         self._file = open(self.path, "a+b")
         self._rebuild_index()

@@ -7,8 +7,14 @@ import socket
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tiermeta.namespace import HotStore
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+# failing run repeats locally with that variable set; local runs draw anew
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # pyproject's pythonpath puts src/ on this process's sys.path; the Python
 # processes a test starts (python -m tiermeta.cli, say) get it from here

@@ -33,7 +33,7 @@ from tiermeta.namespace import (
     HotStore,
     MetadataRecord,
 )
-from tiermeta.server import EDITS_NAME, IMAGE_NAME, open_store
+from tiermeta.server import COLD_NAME, EDITS_NAME, IMAGE_NAME, open_store
 from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.recordio import (
     decode_lines,
@@ -1150,3 +1150,64 @@ def test_the_chunked_cold_scan_builds_the_index_the_per_line_scan_builds(
         chunked = _scan_outcome(path, data)
         m.setattr(ColdStore, "_index_chunk", lambda *args: False)  # every line on its own
         assert chunked == _scan_outcome(path, data)
+
+
+def _counting_preads(monkeypatch):
+    calls = []
+    real = os.pread
+
+    def counted(fd, n, offset):
+        calls.append(offset)
+        return real(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    return calls
+
+
+@pytest.mark.parametrize("chunk, preads", [(recordio.READ_CHUNK, 0), (1, 50)],
+                         ids=["same-chunk", "a-line-a-chunk"])
+def test_a_tombstone_is_confirmed_against_its_chunk_and_read_back_from_an_earlier_one(
+        tmp_path, monkeypatch, chunk, preads):
+    """100 records, then a tombstone for every other one: in one chunk the
+    open reads no path back; a line a chunk reads back one per tombstone."""
+    path = tmp_path / "c2"
+    records = one_block_records(100)
+    path.write_bytes(b"".join(encode_record(r).encode() + b"\n" for r in records)
+                     + b"".join(b"TOMB " + r.path.encode() + b"\n" for r in records[::2]))
+    assert path.stat().st_size < recordio.READ_CHUNK
+    monkeypatch.setattr(recordio, "READ_CHUNK", chunk)
+    calls = _counting_preads(monkeypatch)
+    cold = ColdStore(path)
+    try:
+        assert len(calls) == preads
+        assert cold.paths() == [r.path for r in records[1::2]]
+    finally:
+        cold.close()
+
+
+def test_a_store_never_compacts_the_cold_file_its_image_commits(tmp_path, monkeypatch):
+    """Past the floor and the ratio, neither a live store nor its recovery
+    compacts: every byte below ``cold_end`` stays, and the log's promotions
+    replay onto it."""
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 4)
+    compactions = []
+    monkeypatch.setattr(ColdStore, "compact", lambda self: compactions.append(self.path))
+    config = TieringConfig(threshold_records=20, recency_window=0)
+    store = open_store(tmp_path, config)
+    for i in range(40):
+        store.create(f"/f/{i:02d}", 1)  # a pass, and its checkpoint, at every 20th create
+    cold_end = read_commit(tmp_path / IMAGE_NAME)[1]
+    committed = (tmp_path / COLD_NAME).read_bytes()[:cold_end]
+    for path in store.cold.paths():
+        store.open(path)  # a promotion: a tombstone, and the record's line dead
+    dead = store.cold._lines - len(store.cold)
+    assert store.cold._lines >= 4 and dead > coldstore.COMPACT_DEAD_PER_LIVE * len(store.cold)
+    store.close()  # no checkpoint: recovery replays the promotions
+    reopened = open_store(tmp_path, config)
+    try:
+        assert len(reopened.cold) == 0
+        assert reopened.cold._lines > 4
+        assert (tmp_path / COLD_NAME).read_bytes()[:cold_end] == committed
+        assert compactions == []
+    finally:
+        reopened.close()

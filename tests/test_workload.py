@@ -1,13 +1,16 @@
 """Trace generation and trace replay."""
 
+import os
 import re
 
 import pytest
 
+from tiermeta import coldstore
+from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import parse_op_line
 from tiermeta.errors import InvalidSpecError, MalformedTraceError
 from tiermeta.namespace import BLOCK_SIZE, MAX_BLOCKS_PER_FILE
-from tiermeta.tiering import TieringConfig
+from tiermeta.tiering import TieredStore, TieringConfig
 from tiermeta.workload import WorkloadSpec, generate_trace, replay
 
 
@@ -163,3 +166,130 @@ def test_replay_counts_unknown_access_as_miss(tmp_path, caplog):
     assert report.summary["misses"] == 1
     assert report.summary["hot_hits"] == 1
     assert any("/ghost" in m for m in caplog.messages)
+
+
+# -- a replay's cold file compacts itself ------------------------------------
+
+# 2,000 files at a threshold of 400: 1,187 promotions, and a cold file that
+# passes COMPACT_MIN_LINES twice
+COMPACTING = WorkloadSpec(n_files=2000, access_ops=6000, seed=7)
+
+
+def _replay_and_records(tmp_path, name, spec=COMPACTING, threshold=400):
+    """Replay ``spec`` into a cold file of its own; the report, the cold
+    file's live records in file order, and its line count."""
+    trace = tmp_path / f"trace{spec.n_files}"
+    if not trace.exists():
+        generate_trace(spec, trace)
+    cold_path = tmp_path / name
+    report = replay(trace, TieringConfig(threshold_records=threshold), cold_path)
+    cold = ColdStore(cold_path)
+    try:
+        records = list(cold.records())
+    finally:
+        cold.close()
+    return report, records, len(cold_path.read_bytes().splitlines())
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """The (lines, live records) of each cold file that ``compact`` rewrites."""
+    seen = []
+    real = ColdStore.compact
+
+    def counted(self):
+        seen.append((self._lines, len(self)))
+        return real(self)
+
+    monkeypatch.setattr(ColdStore, "compact", counted)
+    return seen
+
+
+def test_a_replay_keeps_its_cold_file_at_most_twice_its_live_records(
+        tmp_path, monkeypatch, compactions):
+    real_apply = TieredStore.apply_event
+    breaches = []
+
+    def checked_apply(self, event):
+        try:
+            real_apply(self, event)
+        finally:
+            cold = self.cold
+            dead = cold._lines - len(cold)
+            if dead > coldstore.COMPACT_DEAD_PER_LIVE * len(cold) and \
+                    cold._lines >= coldstore.COMPACT_MIN_LINES:
+                breaches.append((event, cold._lines, len(cold)))
+
+    monkeypatch.setattr(TieredStore, "apply_event", checked_apply)
+    report, records, lines = _replay_and_records(tmp_path, "cold")
+    assert breaches == []
+    assert len(compactions) == 2
+    assert all(lines >= coldstore.COMPACT_MIN_LINES
+               and lines - live > coldstore.COMPACT_DEAD_PER_LIVE * live
+               for lines, live in compactions)
+    assert len(records) == report.summary["final_cold_records"]
+    assert lines <= 2 * len(records)
+
+
+def test_a_replay_that_compacts_reports_what_one_that_does_not_reports(
+        tmp_path, monkeypatch, compactions):
+    compacted = _replay_and_records(tmp_path, "compacted")
+    assert len(compactions) == 2
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 10**9)  # above every line count
+    whole = _replay_and_records(tmp_path, "whole")
+    assert len(compactions) == 2  # none more
+    assert whole[:2] == compacted[:2]  # the report, and the live records in order
+    assert whole[2] > 2 * compacted[2]
+
+
+def test_a_failed_compaction_fails_no_event_of_the_replay(
+        tmp_path, monkeypatch, caplog, compactions):
+    """An fsync that fails once aborts the first compaction: the tombstone
+    that triggered it stands, the replay goes on, every path resolves, and
+    the next try waits until the dead lines have doubled."""
+    expected = _replay_and_records(tmp_path, "expected")
+    compactions.clear()
+    real_fsync, failures = os.fsync, []
+
+    def fsync_failing_once(fd):
+        if not failures:
+            failures.append(fd)
+            raise OSError("no space left on device")
+        return real_fsync(fd)
+
+    created = [e.path for e in read_trace(tmp_path / "trace2000") if e.op == "CREATE"]
+    real_close, unresolved = TieredStore.close, []
+
+    def close_after_resolving_every_path(self):
+        for path in created:
+            try:
+                self.stat(path)
+            except Exception as exc:
+                unresolved.append((path, exc))
+        real_close(self)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_once)
+    monkeypatch.setattr(TieredStore, "close", close_after_resolving_every_path)
+    with caplog.at_level("WARNING", logger="tiermeta.coldstore"):
+        got = _replay_and_records(tmp_path, "failed")
+    assert len(failures) == 1
+    assert unresolved == []
+    (failed_lines, failed_live), (lines, live) = compactions
+    assert lines - live >= 2 * (failed_lines - failed_live)
+    assert got[:2] == expected[:2]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "compaction of" in warnings[0] and "no space left on device" in warnings[0]
+    assert not (tmp_path / "failed.tmp").exists()
+
+
+def test_a_replay_that_compacts_gives_the_same_results_with_colliding_keys(
+        tmp_path, monkeypatch, compactions):
+    small = WorkloadSpec(n_files=200, access_ops=600, seed=7)
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 64)
+    apart = _replay_and_records(tmp_path, "apart", small, threshold=40)
+    assert compactions
+    compactions.clear()
+    monkeypatch.setattr(coldstore, "_key", lambda path: 1)
+    assert _replay_and_records(tmp_path, "colliding", small, threshold=40) == apart
+    assert compactions

@@ -25,24 +25,26 @@ linearly from the key. A key match is confirmed against the path in the
 file, so a 64-bit collision never merges two paths: :meth:`ColdStore.get`
 checks the line it reads, and everything else reads ``path + "\\t"`` with
 ``os.pread``, which leaves the buffered position alone. The table is kept
-at most half full, removed slots counted, and shrinks to fit when fewer
-than 1/8 of its slots are live, down to 16 slots: an entry costs 32-64 B
-(a path-keyed dict cost 114-236 B). A cold ``get`` is one probe and one
-readline; a promotion (:meth:`ColdStore.take`) adds one tombstone, and a
-delete is one probe, one ``os.pread`` and one tombstone. The open confirms
-a tombstone whose entry's line is in the same chunk against the chunk's
-paths, with no read.
+at most half full, removed slots counted; an open ends with it sized for
+its live records, and it shrinks to fit when fewer than 1/8 of its slots
+are live, down to 16 slots: an entry costs 32-64 B (a path-keyed dict cost
+114-236 B). A cold ``get`` is one probe and one readline; a promotion
+(:meth:`ColdStore.take`) adds one tombstone, and a delete is one probe, one
+``os.pread`` and one tombstone.
 
 The store counts the lines of its file next to its live records, so the
 dead lines (tombstones, and the records they or a later line superseded)
 are their difference. :meth:`ColdStore.compact` rewrites the file to its
-live lines. A store built with ``autocompact`` runs it after a tombstone
-once the file holds at least ``COMPACT_MIN_LINES`` lines and its dead lines
-outnumber ``COMPACT_DEAD_PER_LIVE`` times its live records, so the file
-stays within about twice its live records, at amortised O(1) per
-tombstone. Only a file that no image commits may be built so: a trace
-replay's. A failed compaction leaves the file as it was and is one
-warning, and the next try waits until the dead lines have doubled.
+live lines, which moves every line, so a store runs it by itself only while
+no image can commit a byte of its file: the file was empty when the store
+opened it, and :meth:`ColdStore.sync`, whose return value an image
+commits, has not run since. A trace replay's file is such a file
+throughout. Such a store compacts after a tombstone once the file holds at
+least ``COMPACT_MIN_LINES`` lines and its dead lines outnumber its live
+records, so the file stays within about twice its live records, at
+amortised O(1) per tombstone. A failed compaction leaves the file as it
+was and is one warning, and the next try waits until the dead lines have
+doubled.
 
 Writers are not synchronized here: the owning store serializes mutations.
 """
@@ -73,10 +75,8 @@ _TOMB_PREFIX = b"TOMB "
 _REMOVED = -1
 _MIN_SLOTS = 16
 
-# The ``autocompact`` trigger: at least this many lines, and more than this
-# many dead lines per live record
+# The fewest lines of a file that compacts by itself
 COMPACT_MIN_LINES = 1_024
-COMPACT_DEAD_PER_LIVE = 1
 
 
 def _key(path: str) -> int:
@@ -99,11 +99,9 @@ class ColdStore:
     """The cold file and its index; a line that :func:`decode_record` refuses
     (another geometry, say) fails the read of its path."""
 
-    def __init__(self, path: str | Path, *, autocompact: bool = False):
-        """Open the cold file at ``path``. Only a file that no image commits
-        may be built with ``autocompact``: a compaction moves every line."""
+    def __init__(self, path: str | Path):
+        """Open the cold file at ``path``."""
         self.path = Path(path)
-        self._autocompact = autocompact
         self._compact_dead = 0  # the fewest dead lines that try a compaction
         self._file = open(self.path, "a+b")
         try:
@@ -111,6 +109,8 @@ class ColdStore:
         except BaseException:
             self._file.close()
             raise
+        # no image commits a byte of a file opened empty until sync() runs
+        self._uncommitted = self._lines == 0
 
     # -- the table ---------------------------------------------------------
 
@@ -140,14 +140,11 @@ class ColdStore:
     def _holds(self, offset: int, prefix: bytes) -> bool:
         return os.pread(self._file.fileno(), len(prefix), offset) == prefix
 
-    def _find(self, path: str, read_line: bool = False,
-              known: dict[int, str] | None = None) -> tuple[int, bytes]:
+    def _find(self, path: str, read_line: bool = False) -> tuple[int, bytes]:
         """The slot of ``path``'s live entry and, with ``read_line``, its line.
 
         Returns ``(-1, b"")`` when ``path`` is not live. Without ``read_line``
-        only ``path + "\t"`` is read, and the buffered position is left alone;
-        an entry whose offset ``known`` maps to the path of its line, read
-        already, is confirmed with no read.
+        only ``path + "\t"`` is read, and the buffered position is left alone.
         """
         keys = self._keys
         mask = self._mask
@@ -159,10 +156,7 @@ class ColdStore:
                 offset = self._offs[i]
                 if offset >= 0:
                     prefix = path.encode("utf-8") + b"\t"
-                    if known is not None and offset in known:
-                        if known[offset] == path:
-                            return i, prefix
-                    elif read_line:
+                    if read_line:
                         self._file.seek(offset)
                         line = self._file.readline()
                         if line.startswith(prefix):
@@ -239,7 +233,8 @@ class ColdStore:
             if not self._index_chunk(lines, starts):
                 self._index_lines(lines, starts, lineno)
             offset, lineno = starts[-1], lineno + len(lines)
-        self._shrink_if_sparse()
+        if len(self._keys) > _slots_for(self._live):
+            self._rehash(self._live)
 
     def _index_chunk(self, lines: list[bytes], starts: list[int]) -> bool:
         """Index ``lines``, whole lines starting at ``starts``, in bulk; False,
@@ -264,10 +259,8 @@ class ColdStore:
         except UnicodeDecodeError:
             return False
         self._put_all(paths, compress(starts, is_record))
-        # an entry from this chunk is confirmed against its path, not read again
-        known = dict(zip(compress(starts, is_record), paths)) if tombs else None
         for path, offset in zip(tombs, compress(starts, is_tomb)):
-            slot = self._find(path, known=known)[0]
+            slot = self._find(path)[0]
             if slot >= 0 and self._offs[slot] < offset:
                 self._remove(slot)
         return True
@@ -356,6 +349,7 @@ class ColdStore:
 
     def sync(self) -> int:
         """Make the file durable; returns its length, the end an image commits."""
+        self._uncommitted = False
         os.fsync(self._file.fileno())
         return os.fstat(self._file.fileno()).st_size
 
@@ -385,8 +379,8 @@ class ColdStore:
         self._remove(slot)
         self._shrink_if_sparse()
         dead = self._lines - self._live
-        if (self._autocompact and self._lines >= COMPACT_MIN_LINES
-                and dead > COMPACT_DEAD_PER_LIVE * self._live and dead >= self._compact_dead):
+        if (self._uncommitted and self._lines >= COMPACT_MIN_LINES
+                and dead > self._live and dead >= self._compact_dead):
             try:
                 self.compact()
                 self._compact_dead = 0

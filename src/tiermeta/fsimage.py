@@ -38,10 +38,10 @@ def save_fsimage(store: HotStore, dest: str | Path, clock: int, cold_end: int) -
                 f.write(recordio.encode_record(row) + "\n")
             f.flush()
             os.fsync(f.fileno())
+        os.replace(tmp, dest)
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, dest)
 
 
 def _read_header(f, src: str | Path) -> tuple[int, int, int]:

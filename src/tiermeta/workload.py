@@ -130,19 +130,19 @@ def replay(
     cold file at ``cold_path`` (truncated first: a replay never inherits
     state) and the returned report. The store runs the separation rule after
     each CREATE and DELETE it applies, as the live service does; it has no
-    image, so no pass is checkpointed. Since no image commits the cold file,
-    the file is built ``autocompact``: it compacts itself once its dead lines
-    (tombstones and the records they end) outnumber its live records and it
-    holds at least ``coldstore.COMPACT_MIN_LINES`` lines, so it stays about
-    twice its live records throughout; a failed compaction is a warning and
-    the replay goes on. An ACCESS to a path in neither tier
+    image, so no pass is checkpointed. The cold file is opened empty and no
+    image commits it, so it compacts itself once its dead lines (tombstones
+    and the records they end) outnumber its live records and it holds at
+    least ``coldstore.COMPACT_MIN_LINES`` lines, so it stays about twice its
+    live records throughout; a failed compaction is a warning and the replay
+    goes on. An ACCESS to a path in neither tier
     is counted as a miss and skipped; a DELETE of one is skipped. A line that
     is not UTF-8 or does not parse, or an event the store refuses (a path
     that exists, a bad path or length, a tick in the past), raises
     MalformedTraceError naming the line.
     """
     open(cold_path, "wb").close()
-    cold = ColdStore(cold_path, autocompact=True)
+    cold = ColdStore(cold_path)
     store = TieredStore(cold, config)
     try:
         with open(trace_path, "rb") as f:

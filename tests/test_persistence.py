@@ -13,7 +13,7 @@ import pytest
 from conftest import FailingFile, new_record
 from hypothesis import example, given, settings, strategies as st
 
-from tiermeta import coldstore, fsimage, recordio
+from tiermeta import coldstore, fsimage, recordio, tiering
 from tiermeta.coldstore import ColdStore
 from tiermeta.editlog import EditsLog, OpEvent, parse_op_line
 from tiermeta.errors import (
@@ -286,15 +286,16 @@ def test_image_empty_namespace_is_header_only(tmp_path):
     assert read_commit(dest) == (7, 0)
 
 
-def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch):
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_image_failed_save_leaves_destination_intact(tmp_path, monkeypatch, call):
     dest = tmp_path / "img"
     save_fsimage(sample_store(), dest, 6, 0)
     original = dest.read_bytes()
 
-    def boom(fd):
+    def boom(*args):
         raise OSError("no space")
 
-    monkeypatch.setattr(os, "fsync", boom)
+    monkeypatch.setattr(os, call, boom)
     with pytest.raises(OSError):
         save_fsimage(HotStore(), dest, 6, 0)
     assert dest.read_bytes() == original
@@ -798,6 +799,33 @@ def test_cold_compaction_drops_dead_entries(tmp_path):
     cold.close()
 
 
+def test_a_cold_store_opened_empty_compacts_until_its_first_sync(tmp_path, monkeypatch):
+    """Past a 4-line floor and the ratio, a store whose file was empty at the
+    open compacts itself, and stops once ``sync`` has given an image a
+    length to commit: every byte below it stays."""
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 4)
+    compactions, real = [], ColdStore.compact
+    monkeypatch.setattr(ColdStore, "compact",
+                        lambda self: compactions.append(self._lines) or real(self))
+    path = tmp_path / "c2"
+    records = cold_records(20)
+    cold = ColdStore(path)
+    try:
+        cold.append_records(records[:10])
+        for record in records[:8]:
+            cold.delete(record.path)
+        assert compactions == [14, 9]  # 4 and 3 more tombstones: dead lines past live records
+        committed = path.read_bytes()[:cold.sync()]
+        cold.append_records(records[10:])
+        for live in cold.paths():
+            cold.delete(live)
+        assert len(cold) == 0 and cold._lines > 4
+        assert compactions == [14, 9]
+        assert path.read_bytes().startswith(committed)
+    finally:
+        cold.close()
+
+
 def test_cold_compaction_abort_leaves_file_intact(tmp_path, monkeypatch):
     cold = ColdStore(tmp_path / "c2")
     cold.append_records(cold_records(10))
@@ -1051,6 +1079,23 @@ def test_promoting_every_cold_record_shrinks_the_index_to_its_floor(tmp_path):
         empty.close()
 
 
+def test_an_open_sizes_the_index_for_the_live_records(tmp_path):
+    """300 records and 60 tombstones: 360 lines, a third of them dead. The
+    table the line count sized (1,024 slots) is more than 1/8 live, and the
+    open leaves it sized for its 240 live records."""
+    path = tmp_path / "c2"
+    records = one_block_records(300)
+    path.write_bytes(b"".join(encode_record(r).encode() + b"\n" for r in records)
+                     + b"".join(b"TOMB " + r.path.encode() + b"\n" for r in records[:60]))
+    cold = ColdStore(path)
+    try:
+        assert len(cold) == 240
+        assert len(cold._keys) == len(cold._offs) == coldstore._slots_for(len(cold)) == 512
+        assert cold.paths() == [r.path for r in records[60:]]
+    finally:
+        cold.close()
+
+
 def _cold_scenario(directory):
     """Every cold-store operation on a few paths, /c1 and /c10 among them;
     what each one gave, and the file compaction leaves."""
@@ -1164,12 +1209,11 @@ def _counting_preads(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("chunk, preads", [(recordio.READ_CHUNK, 0), (1, 50)],
-                         ids=["same-chunk", "a-line-a-chunk"])
-def test_a_tombstone_is_confirmed_against_its_chunk_and_read_back_from_an_earlier_one(
-        tmp_path, monkeypatch, chunk, preads):
-    """100 records, then a tombstone for every other one: in one chunk the
-    open reads no path back; a line a chunk reads back one per tombstone."""
+@pytest.mark.parametrize("chunk", [recordio.READ_CHUNK, 1], ids=["same-chunk", "a-line-a-chunk"])
+def test_an_open_reads_back_one_path_per_tombstone(tmp_path, monkeypatch, chunk):
+    """100 records, then a tombstone for every other one: whether a
+    tombstone's record is in its chunk or an earlier one, the open reads the
+    record's path back once."""
     path = tmp_path / "c2"
     records = one_block_records(100)
     path.write_bytes(b"".join(encode_record(r).encode() + b"\n" for r in records)
@@ -1179,10 +1223,69 @@ def test_a_tombstone_is_confirmed_against_its_chunk_and_read_back_from_an_earlie
     calls = _counting_preads(monkeypatch)
     cold = ColdStore(path)
     try:
-        assert len(calls) == preads
+        assert len(calls) == 50
         assert cold.paths() == [r.path for r in records[1::2]]
     finally:
         cold.close()
+
+
+def _tiers(store):
+    """The hot records, the cold records in file order, and the clock."""
+    return ({path: store.hot.get(path) for path in store.hot.paths()},
+            list(store.cold.records()), store.clock)
+
+
+def test_recovery_with_no_image_compacts_and_rebuilds_the_acknowledged_state(
+        tmp_path, monkeypatch):
+    """With every checkpoint failing, the store leaves no image and a log of
+    passes and promotions past a 4-line floor and the ratio. Its recovery
+    opens an empty cold file, so it compacts as it replays, and rebuilds the
+    same tiers and clock. Once a checkpoint commits the file, a reopen and
+    its promotions compact nothing, and every committed byte stays."""
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 4)
+    compactions, real = [], ColdStore.compact
+    monkeypatch.setattr(ColdStore, "compact",
+                        lambda self: compactions.append(self.path) or real(self))
+    config = TieringConfig(threshold_records=20, recency_window=0)
+    store = open_store(tmp_path, config)
+
+    def no_space(*args):
+        raise OSError("no space")
+
+    with monkeypatch.context() as m:
+        m.setattr(tiering, "save_fsimage", no_space)
+        for i in range(40):
+            store.create(f"/f/{i:02d}", 1)  # a pass, and a failed checkpoint, every 20 creates
+        for path in store.cold.paths()[::2]:
+            store.open(path)  # a promotion: a tombstone, and the record's line dead
+    assert not (tmp_path / IMAGE_NAME).exists()
+    dead = store.cold._lines - len(store.cold)
+    assert store.cold._lines >= 4 and dead > len(store.cold)
+    assert compactions == []  # the failed checkpoints synced the file
+    acknowledged = _tiers(store)
+    store.close()
+    recovered = open_store(tmp_path, config)
+    try:
+        assert len(compactions) > 0
+        assert _tiers(recovered) == acknowledged
+        recovered.checkpoint(recovered.image_path)
+    finally:
+        recovered.close()
+    compactions.clear()
+    cold_end = read_commit(tmp_path / IMAGE_NAME)[1]
+    committed = (tmp_path / COLD_NAME).read_bytes()
+    assert len(committed) == cold_end > 0
+    reopened = open_store(tmp_path, config)
+    for path in reopened.cold.paths():
+        reopened.open(path)
+    reopened.close()  # no checkpoint: the next recovery replays the promotions
+    reopened = open_store(tmp_path, config)
+    try:
+        assert len(reopened.cold) == 0
+        assert (tmp_path / COLD_NAME).read_bytes()[:cold_end] == committed
+        assert compactions == []
+    finally:
+        reopened.close()
 
 
 def test_a_store_never_compacts_the_cold_file_its_image_commits(tmp_path, monkeypatch):
@@ -1201,7 +1304,7 @@ def test_a_store_never_compacts_the_cold_file_its_image_commits(tmp_path, monkey
     for path in store.cold.paths():
         store.open(path)  # a promotion: a tombstone, and the record's line dead
     dead = store.cold._lines - len(store.cold)
-    assert store.cold._lines >= 4 and dead > coldstore.COMPACT_DEAD_PER_LIVE * len(store.cold)
+    assert store.cold._lines >= 4 and dead > len(store.cold)
     store.close()  # no checkpoint: recovery replays the promotions
     reopened = open_store(tmp_path, config)
     try:

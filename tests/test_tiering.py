@@ -662,9 +662,8 @@ def test_file_io_per_record(tmp_path, file_io, monkeypatch):
         "8 image records": (0, 8, 0),
         "4 cold records": (0, 0, 0),
         "8 cold records": (0, 0, 0),
-        # each tombstone is confirmed against the chunk its record was read in
-        "4 cold records and 4 tombstones": (0, 0, 0),
-        "8 cold records and 8 tombstones": (0, 0, 0),
+        "4 cold records and 4 tombstones": (4, 0, 0),  # each tombstone reads its path back
+        "8 cold records and 8 tombstones": (8, 0, 0),
         "4 image records and 15 OPENs": (0, 4, 3),  # fewer parses than the limit of 4
         "8 image records and 31 OPENs": (0, 8, 7),
     }

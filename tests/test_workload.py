@@ -216,7 +216,7 @@ def test_a_replay_keeps_its_cold_file_at_most_twice_its_live_records(
         finally:
             cold = self.cold
             dead = cold._lines - len(cold)
-            if dead > coldstore.COMPACT_DEAD_PER_LIVE * len(cold) and \
+            if dead > len(cold) and \
                     cold._lines >= coldstore.COMPACT_MIN_LINES:
                 breaches.append((event, cold._lines, len(cold)))
 
@@ -225,10 +225,29 @@ def test_a_replay_keeps_its_cold_file_at_most_twice_its_live_records(
     assert breaches == []
     assert len(compactions) == 2
     assert all(lines >= coldstore.COMPACT_MIN_LINES
-               and lines - live > coldstore.COMPACT_DEAD_PER_LIVE * live
+               and lines - live > live
                for lines, live in compactions)
     assert len(records) == report.summary["final_cold_records"]
     assert lines <= 2 * len(records)
+
+
+def test_a_replay_s_cold_file_reopened_never_compacts(tmp_path, monkeypatch, compactions):
+    """A store that opens a file with lines in it may not compact it, past
+    any floor and ratio: an image could commit those lines."""
+    _replay_and_records(tmp_path, "cold")
+    monkeypatch.setattr(coldstore, "COMPACT_MIN_LINES", 4)
+    compactions.clear()
+    path = tmp_path / "cold"
+    before = path.read_bytes()
+    cold = ColdStore(path)
+    try:
+        for live in cold.paths():
+            cold.take(live)
+        assert len(cold) == 0 and cold._lines > 4
+    finally:
+        cold.close()
+    assert compactions == []
+    assert path.read_bytes().startswith(before)
 
 
 def test_a_replay_that_compacts_reports_what_one_that_does_not_reports(
